@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -29,13 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, dynamics, synthesis, unitary
-from .fullmodel import (
-    HierarchyViolation,
-    compare_factors,
-    params_for_factor,
-    validate_reduction,
-)
+from . import algebra, dynamics, unitary
+from .fullmodel import compare_factors
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
@@ -48,7 +42,6 @@ from .synthesis import (
     PulseProfile,
     PulseSchedule,
     build_curve,
-    enumerate_endpoints,
     plateau_amplitudes,
     rabi_schedule,
     reverse_schedule,
@@ -378,27 +371,14 @@ def cmd_validate_full(cfg: RunConfig) -> int:
     schedule = read_schedule_csv(cfg.schedule)
 
     start = time.perf_counter()
-    params = params_for_factor(schedule, cfg.factor, cfg.steps_per_cycle)
-    primary = validate_reduction(params, required_factor=cfg.min_factor, force=cfg.force)
-    payload = primary.as_dict()
-
+    factors = (cfg.factor,)
     if cfg.compare_factor is not None and cfg.compare_factor > 0:
-        comparison = validate_reduction(
-            params_for_factor(schedule, cfg.compare_factor, cfg.steps_per_cycle),
-            required_factor=cfg.min_factor,
-            force=cfg.force,
-        )
-        infid_improved = (
-            comparison.effective_vs_full_infidelity < primary.effective_vs_full_infidelity
-        )
-        payload["comparison"] = {
-            **comparison.as_dict(),
-            "infidelity_decreased": infid_improved,
-            "leakage_decreased": comparison.leakage_max < primary.leakage_max,
-            "monotone_improvement": infid_improved,
-        }
-    else:
-        payload["comparison"] = None
+        factors += (cfg.compare_factor,)
+    reports, trend = compare_factors(
+        schedule, factors, cfg.steps_per_cycle, min_factor=cfg.min_factor, force=cfg.force
+    )
+    payload = reports[0].as_dict()
+    payload["comparison"] = {**reports[-1].as_dict(), **trend} if len(reports) > 1 else None
     _info(f"validated in {time.perf_counter() - start:.1f}s")
     write_json(payload, cfg.out)
     return EXIT_OK

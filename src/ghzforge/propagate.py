@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ggg_state, ghz_state, rrr_state, w_state
-from .synthesis import PulseProfile, PulseSchedule, EndpointSolution
+from .synthesis import EndpointSolution, NonFiniteSchedule, PulseProfile, PulseSchedule
 
 __all__ = [
     "NonFiniteSchedule",
@@ -35,10 +35,6 @@ DEFAULT_STEPS = 4096
 CERTIFY_TOL = 1e-8
 _MAX_STEPS = 1 << 22
 _PHASE_AMPLITUDE_FLOOR = 0.1
-
-
-class NonFiniteSchedule(ValueError):
-    """Schedule contains NaN or infinite amplitudes or times."""
 
 
 class NotNormalized(ValueError):
@@ -81,11 +77,6 @@ class PropagationResult:
     profile: PulseProfile | None = None
 
 
-def _check_schedule(schedule: PulseSchedule) -> None:
-    if not (np.all(np.isfinite(schedule.times)) and np.all(np.isfinite(schedule.values))):
-        raise NonFiniteSchedule("schedule contains non-finite entries")
-
-
 def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     vec = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(vec) - 1.0) > tol:
@@ -93,12 +84,30 @@ def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vec
 
 
+def _midpoint_states(hams: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
+    """Apply exp(-i H_k dt) for each Hermitian H_k in turn, starting from psi0.
+
+    Returns the state after every step, shape (len(hams), dim).  Each
+    propagator comes from an eigendecomposition, so every step is
+    exactly unitary; the state is renormalized after each step.
+    """
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * evals * dt)
+    # for real symmetric Hamiltonians conj() is a no-op view
+    adjoints = evecs.conj().transpose(0, 2, 1)
+    states = np.empty((len(hams), len(psi0)), dtype=complex)
+    psi = psi0
+    for k in range(len(hams)):
+        psi = evecs[k] @ (phases[k] * (adjoints[k] @ psi))
+        psi /= math.sqrt(float(np.sum(psi.real**2 + psi.imag**2)))
+        states[k] = psi
+    return states
+
+
 def _integrate(schedule: PulseSchedule, initial: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint-exponential integration on a uniform grid.
 
-    Returns (times, states) with states.shape == (steps + 1, 4).  The
-    per-step propagator is built by eigendecomposition of the midpoint
-    Hamiltonian, which keeps every step exactly unitary.
+    Returns (times, states) with states.shape == (steps + 1, 4).
     """
     grid = np.linspace(0.0, schedule.duration, steps + 1)
     dt = schedule.duration / steps
@@ -110,19 +119,8 @@ def _integrate(schedule: PulseSchedule, initial: np.ndarray, steps: int) -> tupl
     hams[:, 1, 2] = hams[:, 2, 1] = amp[:, 1]
     hams[:, 2, 3] = hams[:, 3, 2] = amp[:, 2]
 
-    evals, evecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * evals * dt)
-
-    states = np.empty((steps + 1, 4), dtype=complex)
-    psi = np.asarray(initial, dtype=complex).copy()
-    states[0] = psi
-    for k in range(steps):
-        # eigenvectors of a real symmetric matrix, so plain transpose
-        v = evecs[k]
-        psi = v @ (phases[k] * (v.T @ psi))
-        psi /= math.sqrt(float(np.sum(psi.real**2 + psi.imag**2)))
-        states[k + 1] = psi
-    return grid, states
+    psi0 = np.asarray(initial, dtype=complex)
+    return grid, np.concatenate([psi0[None, :], _midpoint_states(hams, dt, psi0)])
 
 
 def _best_phase_fidelity(state: np.ndarray) -> float:
@@ -144,7 +142,6 @@ def propagate(
     state (useful for reversed schedules).  With certify=True the step
     count doubles until the final fidelity changes by < 1e-8.
     """
-    _check_schedule(schedule)
     if initial is None:
         initial = w_state()
     psi0 = _check_normalized(initial)

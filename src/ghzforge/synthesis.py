@@ -15,7 +15,7 @@ a trapezoidal rate that switches on and off continuously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,6 +28,7 @@ __all__ = [
     "NoSolution",
     "ProfileMismatch",
     "TanSingularity",
+    "NonFiniteSchedule",
     "EndpointSolution",
     "PulseProfile",
     "SphericalCurve",
@@ -72,6 +73,10 @@ class ProfileMismatch(ValueError):
 
 class TanSingularity(ValueError):
     """The schedule formulas diverge because cos(phi_right) vanishes."""
+
+
+class NonFiniteSchedule(ValueError):
+    """Schedule contains NaN or infinite amplitudes or times."""
 
 
 @dataclass(frozen=True)
@@ -278,13 +283,18 @@ class PulseProfile:
         if not (0.0 <= self.tau < 0.5):
             raise ValueError("ramp fraction tau must lie in [0, 1/2)")
 
+    def _ramp_and_plateau(self) -> tuple[float, float]:
+        """Trapezoid ramp length and plateau rate."""
+        ramp = self.tau * self.duration
+        plateau = self.theta_final / (self.duration * (1.0 - self.tau))
+        return ramp, plateau
+
     def rate(self, times: np.ndarray) -> np.ndarray:
         """d theta / dt at the given times (array in, array out)."""
         t = np.asarray(times, dtype=float)
         if self.kind == "constant":
             return np.full_like(t, self.theta_final / self.duration)
-        ramp = self.tau * self.duration
-        plateau = self.theta_final / (self.duration * (1.0 - self.tau))
+        ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
             return np.full_like(t, plateau)
         shape = np.minimum(np.minimum(t / ramp, (self.duration - t) / ramp), 1.0)
@@ -295,8 +305,7 @@ class PulseProfile:
         t = np.clip(np.asarray(times, dtype=float), 0.0, self.duration)
         if self.kind == "constant":
             return t * (self.theta_final / self.duration)
-        ramp = self.tau * self.duration
-        plateau = self.theta_final / (self.duration * (1.0 - self.tau))
+        ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
             return plateau * t
         up = 0.5 * plateau * t**2 / ramp
@@ -405,6 +414,12 @@ class PulseSchedule:
             raise ValueError("schedule needs at least two time samples")
         if values.shape != (times.size, 3):
             raise ValueError("schedule values must have shape (len(times), 3)")
+        bad = np.flatnonzero(~(np.isfinite(times) & np.all(np.isfinite(values), axis=1)))
+        if bad.size:
+            raise NonFiniteSchedule(
+                f"schedule contains non-finite entries in {bad.size} sample(s), "
+                f"first at index {bad[0]}"
+            )
         if times[0] != 0.0:
             raise ValueError("schedule must start at t = 0")
         if np.any(np.diff(times) <= 0.0):

@@ -7,9 +7,19 @@ derivatives come from finite differences rather than the analytic
 expressions carried by curves.
 """
 
+import math
+
 import numpy as np
 
 from ghzforge.algebra import build_generators
+from ghzforge.fullmodel import (
+    MANIFOLD,
+    PAIR_COUNTS,
+    RAISING,
+    _tone_amplitudes,
+    embed_state,
+    tone_frequencies,
+)
 from ghzforge.unitary import RotationPair, exp_map
 
 GENS = build_generators()
@@ -70,6 +80,51 @@ def schroedinger_residual(curve: FourierCurve, hamiltonian: np.ndarray, t: float
     """Max-norm of i dU/dt - H U with a central finite difference."""
     du = (curve.unitary(t + h) - curve.unitary(t - h)) / (2.0 * h)
     return float(np.max(np.abs(1j * du - hamiltonian @ curve.unitary(t))))
+
+
+def full_model_reference(params, chunk: int = 32768):
+    """Per-step full-model integration with the leakage projected every step.
+
+    Returns (final_state, leakage_max, steps, dt).  Keeps its own inline
+    Hamiltonian build and step loop, independent of the package kernel.
+    """
+    duration = params.schedule.duration
+    stiff = params.detuning0 + 2.0 * params.blockade
+    n = max(1, math.ceil(duration * stiff * params.steps_per_cycle))
+    dt = duration / n
+
+    freqs = tone_frequencies(params)
+    diag = params.blockade * PAIR_COUNTS
+
+    psi = embed_state(np.array([0.0, 1.0, 0.0, 0.0]))
+    manifold_t = MANIFOLD.T.copy()
+    leak_max = 0.0
+
+    done = 0
+    while done < n:
+        count = min(chunk, n - done)
+        mids = (done + np.arange(count) + 0.5) * dt
+        amps = _tone_amplitudes(params, mids)
+        drive = np.sum(amps * np.exp(-1j * freqs[None, :] * mids[:, None]), axis=1)
+
+        hams = drive[:, None, None] * RAISING[None, :, :]
+        hams = hams + hams.conj().transpose(0, 2, 1)
+        hams[:, np.arange(8), np.arange(8)] += diag[None, :]
+
+        evals, evecs = np.linalg.eigh(hams)
+        phases = np.exp(-1j * evals * dt)
+        adjoints = evecs.conj().transpose(0, 2, 1)
+
+        for k in range(count):
+            psi = evecs[k] @ (phases[k] * (adjoints[k] @ psi))
+            psi /= math.sqrt(float(np.sum(psi.real**2 + psi.imag**2)))
+            proj = manifold_t @ psi
+            leak = 1.0 - float(np.sum(proj.real**2 + proj.imag**2))
+            if leak > leak_max:
+                leak_max = leak
+        done += count
+
+    return psi, leak_max, n, dt
 
 
 PERMUTATIONS_3 = (

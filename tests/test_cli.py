@@ -179,6 +179,15 @@ def test_propagate_trace_csv(tmp_path):
     assert float(lines[-1].split(",")[1]) >= 0.999
 
 
+def non_finite_csvs(tmp_path):
+    """One schedule ending at t = inf, one with a NaN amplitude."""
+    inf_time = tmp_path / "inf_time.csv"
+    inf_time.write_text(SCHEDULE_HEADER + "\n0.0,1.0,1.0,1.0\ninf,1.0,1.0,1.0\n")
+    nan_amp = tmp_path / "nan_amp.csv"
+    nan_amp.write_text(SCHEDULE_HEADER + "\n0.0,1.0,1.0,1.0\n1.0,nan,1.0,1.0\n")
+    return inf_time, nan_amp
+
+
 def test_propagate_error_paths(tmp_path):
     missing = run_cli("propagate", "--schedule", str(tmp_path / "nope.csv"))
     assert missing.returncode == 2
@@ -190,6 +199,11 @@ def test_propagate_error_paths(tmp_path):
     short = tmp_path / "short.csv"
     short.write_text(SCHEDULE_HEADER + "\n0.0,1.0\n")
     assert run_cli("propagate", "--schedule", str(short)).returncode == 2
+
+    for bad in non_finite_csvs(tmp_path):
+        proc = run_cli("propagate", "--schedule", str(bad))
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
 
     assert run_cli("propagate").returncode == 2
 
@@ -241,9 +255,13 @@ def test_validate_full_force_weak_factor(tmp_path):
     assert payload["hierarchy_ok"] is False
 
 
-def test_validate_full_missing_schedule():
+def test_validate_full_missing_schedule(tmp_path):
     assert run_cli("validate-full", "--schedule", "/does/not/exist.csv").returncode == 2
     assert run_cli("validate-full").returncode == 2
+    for bad in non_finite_csvs(tmp_path):
+        proc = run_cli("validate-full", "--schedule", str(bad))
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
 
 
 def test_check_suite_passes():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ghzforge.fullmodel import (
     FullModelParams,
+    _integrate_full,
     HierarchyViolation,
     MANIFOLD,
     PAIR_COUNTS,
@@ -205,3 +206,15 @@ def test_reduction_at_moderate_factor():
         "effective_vs_full_infidelity",
         "detunings",
     }
+
+
+@pytest.mark.parametrize("chunk", [32768, 1000])
+def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
+    monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
+    params = params_for_factor(row1_schedule(), 3.0)
+    psi, leak, steps, dt = _integrate_full(params)
+    ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params, chunk)
+    assert 5000 < steps < 7000
+    assert (steps, dt) == (ref_steps, ref_dt)
+    assert np.array_equal(psi, ref_psi)
+    assert abs(leak - ref_leak) <= 4 * np.finfo(float).eps

@@ -98,9 +98,8 @@ def test_propagate_input_validation():
         propagate(good, target="bell")
     with pytest.raises(ValueError):
         propagate(good, steps=0)
-    bad = PulseSchedule(times=np.array([0.0, 1.0]), values=np.array([[np.inf, 0, 0], [0, 0, 0]]))
     with pytest.raises(NonFiniteSchedule):
-        propagate(bad)
+        PulseSchedule(times=np.array([0.0, 1.0]), values=np.array([[np.inf, 0, 0], [0, 0, 0]]))
 
 
 def test_ghz_fidelity_examples():
