@@ -4,13 +4,15 @@
 Synthesizes one schedule, then embeds it in the three-atom model at a
 range of hierarchy factors (strong drive at factor times the scheduled
 peak, blockade and strong-tone detuning at 2 factor^2 times it).  For
-each factor the full model is integrated and compared with the
-four-level effective prediction, yielding the infidelity and the
-leakage out of the permutation-symmetric manifold.
+each factor the full model is integrated on its permutation-symmetric
+4x4 block and compared with the four-level effective prediction,
+yielding the infidelity.
 
-The infidelity should fall roughly like 1/factor^2; the leakage stays
-at the floating-point floor because the symmetric drive never couples
-to the antisymmetric states.  Writes one CSV row per factor.
+The infidelity should fall roughly like 1/factor^2.  The leakage
+column is 0: the symmetric drive never couples to the antisymmetric
+states, so the block integration cannot leave the manifold.  A factor
+that needs more steps than the integrator's cap is refused as a usage
+error.  Writes one CSV row per factor.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import csv
 import sys
 import time
 
-from ghzforge.fullmodel import params_for_factor, validate_reduction
+from ghzforge.fullmodel import TooManySteps, params_for_factor, validate_reduction
 from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
 
 FIELDS = (
@@ -87,7 +89,10 @@ def main(argv=None):
     for factor in args.factors:
         start = time.perf_counter()
         params = params_for_factor(schedule, factor, steps_per_cycle=args.steps_per_cycle)
-        report = validate_reduction(params, force=True)
+        try:
+            report = validate_reduction(params, force=True)
+        except TooManySteps as exc:
+            parser.error(f"factor {factor:g}: {exc}")
         rows.append(
             {
                 "factor": repr(float(factor)),

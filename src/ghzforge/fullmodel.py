@@ -9,6 +9,14 @@ shifts.  Integrating this model from the symmetric single-excitation
 state and comparing against the four-level effective prediction
 quantifies the quality of the reduction as the scale hierarchy widens.
 
+The three atoms are driven identically, so the Hamiltonian commutes with
+atom permutations and maps the symmetric manifold (ggg, W, W', rrr) onto
+itself exactly.  The integration therefore runs on the 4x4 block of the
+Hamiltonian on that manifold, whose couplings are the projections of
+the eight-level operators; the state cannot leave the manifold, so the
+reported leakage is exactly zero.  The eight-level Hamiltonian stays
+available through full_hamiltonian.
+
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
 bit.  The strong drive sits *below* the single-atom transition, so its
@@ -24,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import _midpoint_states, propagate
+from .propagate import _MAX_STEPS, _midpoint_states, propagate
 from .synthesis import PulseSchedule
 
 __all__ = [
     "HierarchyViolation",
+    "TooManySteps",
     "FullModelParams",
     "ReductionReport",
     "PAIR_COUNTS",
@@ -60,6 +69,10 @@ class HierarchyViolation(ValueError):
     """Parameters do not satisfy the requested scale hierarchy."""
 
 
+class TooManySteps(ValueError):
+    """The full model would need more steps than the integrator allows."""
+
+
 def _raising_operator() -> np.ndarray:
     """Sum over atoms of |excited><ground|, acting identically on all three."""
     op = np.zeros((8, 8))
@@ -83,6 +96,11 @@ _RRR8[7] = 1.0
 
 # Columns embed the effective basis (ggg, W, W', rrr) into the full space.
 MANIFOLD = np.stack([_GGG8, _W8, _WPRIME8, _RRR8], axis=1)
+
+# Both operators map the symmetric manifold onto itself, so their
+# projections are the exact couplings of the 4x4 block.
+_RAISING4 = MANIFOLD.T @ RAISING @ MANIFOLD
+_PAIRS4 = MANIFOLD.T @ np.diag(PAIR_COUNTS) @ MANIFOLD
 
 
 def embed_state(state4: np.ndarray) -> np.ndarray:
@@ -152,20 +170,26 @@ def _tone_amplitudes(params: FullModelParams, times: np.ndarray) -> np.ndarray:
     return np.concatenate([strong, scheduled], axis=1)
 
 
-def _hamiltonians(times: np.ndarray, params: FullModelParams) -> np.ndarray:
-    """The 8x8 interaction-picture Hamiltonians at the given times."""
+def _hamiltonians(
+    times: np.ndarray, params: FullModelParams, raising: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Interaction-picture Hamiltonians at the given times.
+
+    raising and pairs are the raising operator and the pair-count matrix
+    of the space the Hamiltonians act on: the eight-level space or the
+    4x4 symmetric block.
+    """
     amps = _tone_amplitudes(params, times)
     freqs = tone_frequencies(params)
     drive = np.sum(amps * np.exp(-1j * freqs[None, :] * times[:, None]), axis=1)
-    hams = drive[:, None, None] * RAISING[None, :, :]
+    hams = drive[:, None, None] * raising[None, :, :]
     hams = hams + hams.conj().transpose(0, 2, 1)
-    hams[:, np.arange(8), np.arange(8)] += params.blockade * PAIR_COUNTS
-    return hams
+    return hams + params.blockade * pairs
 
 
 def full_hamiltonian(t: float, params: FullModelParams) -> np.ndarray:
     """The 8x8 interaction-picture Hamiltonian at one time."""
-    return _hamiltonians(np.atleast_1d(float(t)), params)[0]
+    return _hamiltonians(np.atleast_1d(float(t)), params, RAISING, np.diag(PAIR_COUNTS))[0]
 
 
 def hierarchy_ratios(params: FullModelParams) -> tuple[float, float]:
@@ -246,30 +270,38 @@ class ReductionReport:
         }
 
 
-def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, float, int, float]:
-    """Integrate the full model from the embedded single-excitation state.
+def _step_grid(params: FullModelParams) -> tuple[int, float]:
+    """Step count and step size of the full-model integration.
 
-    Returns (final_state, leakage_max, steps, dt).  The stiff scale is
-    the fastest interaction-picture phase, so the step size resolves
-    detuning0 + 2 blockade with steps_per_cycle points per unit phase.
+    The stiff scale is the fastest interaction-picture phase, so the
+    step size resolves detuning0 + 2 blockade with steps_per_cycle
+    points per unit phase.  Raises TooManySteps, before anything is
+    allocated, when that needs more than the integrator's step cap.
     """
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
-    n = max(1, math.ceil(duration * stiff * params.steps_per_cycle))
-    dt = duration / n
+    cycles = duration * stiff * params.steps_per_cycle
+    if not cycles <= _MAX_STEPS:
+        raise TooManySteps(
+            f"the full model needs {cycles:.4g} steps, more than the cap of {_MAX_STEPS}"
+        )
+    n = max(1, math.ceil(cycles))
+    return n, duration / n
 
-    psi = embed_state(np.array([0.0, 1.0, 0.0, 0.0]))
-    leak_max = 0.0
 
+def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
+    """Integrate the full model from the single-excitation state.
+
+    Runs on the 4x4 symmetric block, one chunk of _CHUNK steps at a
+    time.  Returns (final_state, steps, dt) with the state in the
+    (ggg, W, W', rrr) basis; MANIFOLD lifts it into the full space.
+    """
+    n, dt = _step_grid(params)
+    psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         mids = (done + np.arange(min(_CHUNK, n - done)) + 0.5) * dt
-        states = _midpoint_states(_hamiltonians(mids, params), dt, psi)
-        proj = states @ MANIFOLD
-        kept = np.sum(proj.real**2 + proj.imag**2, axis=1)
-        leak_max = max(leak_max, float(np.max(1.0 - kept)))
-        psi = states[-1]
-
-    return psi, leak_max, n, dt
+        psi = _midpoint_states(_hamiltonians(mids, params, _RAISING4, _PAIRS4), dt, psi)[-1]
+    return psi, n, dt
 
 
 def validate_reduction(
@@ -293,22 +325,24 @@ def validate_reduction(
             f"{required_factor}; pass force=True to integrate anyway"
         )
 
-    psi_full, leak_max, steps, dt = _integrate_full(params)
+    psi_block, steps, dt = _integrate_full(params)
 
     effective = propagate(params.schedule, target="ghz")
     d1, d2, d3 = params.detunings
     v = params.blockade
     duration = params.schedule.duration
     frame = np.array([0.0, d1, d1 + d2 + v, d1 + d2 + d3 + 3.0 * v])
-    predicted = MANIFOLD @ (np.exp(-1j * frame * duration) * effective.states[-1])
-    infidelity = 1.0 - float(abs(np.vdot(predicted, psi_full)) ** 2)
+    predicted = np.exp(-1j * frame * duration) * effective.states[-1]
+    infidelity = 1.0 - float(abs(np.vdot(predicted, psi_block)) ** 2)
 
     return ReductionReport(
         hierarchy_factor=min(upper, lower),
         ratio_upper=upper,
         ratio_lower=lower,
         hierarchy_ok=ok,
-        leakage_max=leak_max,
+        # the block integration cannot leave the symmetric manifold; the
+        # field stays for payload compatibility
+        leakage_max=0.0,
         effective_vs_full_infidelity=infidelity,
         steps=steps,
         dt=dt,
@@ -335,15 +369,18 @@ def compare_factors(
     against the first: the perturbative prediction is that a wider
     hierarchy tracks the effective model more closely.
     "monotone_improvement" is a deprecated alias of
-    "infidelity_decreased", kept for payload compatibility.
+    "infidelity_decreased", kept for payload compatibility.  Raises
+    TooManySteps before integrating anything when a factor needs more
+    steps than the cap.
     """
+    runs = [(f, params_for_factor(schedule, f, steps_per_cycle)) for f in factors]
+    for _, params in runs:
+        _step_grid(params)  # refuse an oversized factor before integrating any
     reports = [
         validate_reduction(
-            params_for_factor(schedule, f, steps_per_cycle),
-            required_factor=f if min_factor is None else min_factor,
-            force=force,
+            params, required_factor=f if min_factor is None else min_factor, force=force
         )
-        for f in factors
+        for f, params in runs
     ]
     trend = {
         "infidelity_decreased": reports[-1].effective_vs_full_infidelity

@@ -82,6 +82,26 @@ def schroedinger_residual(curve: FourierCurve, hamiltonian: np.ndarray, t: float
     return float(np.max(np.abs(1j * du - hamiltonian @ curve.unitary(t))))
 
 
+def midpoint_states_reference(hams: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
+    """Apply exp(-i H_k dt) for each Hermitian H_k in turn, starting from psi0.
+
+    The per-step loop the package kernel replaced: one propagator and one
+    renormalization per step, in order.  Returns the state after every
+    step, shape (len(hams), dim).
+    """
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * evals * dt)
+    # for real symmetric Hamiltonians conj() is a no-op view
+    adjoints = evecs.conj().transpose(0, 2, 1)
+    states = np.empty((len(hams), len(psi0)), dtype=complex)
+    psi = psi0
+    for k in range(len(hams)):
+        psi = evecs[k] @ (phases[k] * (adjoints[k] @ psi))
+        psi /= math.sqrt(float(np.sum(psi.real**2 + psi.imag**2)))
+        states[k] = psi
+    return states
+
+
 def full_model_reference(params, chunk: int = 32768):
     """Per-step full-model integration with the leakage projected every step.
 

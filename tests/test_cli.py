@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
-from ghzforge.cli import SCHEDULE_HEADER, read_schedule_csv
+from ghzforge.cli import SCHEDULE_HEADER, main, read_schedule_csv
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIG = REPO / "configs" / "row1_constant.json"
@@ -15,12 +17,15 @@ SHIPPED_CSV = REPO / "configs" / "row1_constant.csv"
 
 
 def run_cli(*args, cwd=None):
+    # the child imports the package from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ghzforge.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=240,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -253,6 +258,20 @@ def test_validate_full_force_weak_factor(tmp_path):
     assert forced.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["hierarchy_ok"] is False
+
+
+def test_validate_full_step_cap(capsys):
+    # factor 1e5 passes the hierarchy check but needs about 7e12 steps
+    for extra in ((), ("--force",)):
+        start = time.perf_counter()
+        code = main([
+            "validate-full", "--schedule", str(SHIPPED_CSV),
+            "--factor", "100000", "--compare-factor", "0", *extra,
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "steps" in err and "4194304" in err
 
 
 def test_validate_full_missing_schedule(tmp_path):

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,11 +8,16 @@ from hypothesis import strategies as st
 
 from ghzforge.fullmodel import (
     FullModelParams,
+    _PAIRS4,
+    _RAISING4,
+    _hamiltonians,
     _integrate_full,
     HierarchyViolation,
     MANIFOLD,
     PAIR_COUNTS,
+    RAISING,
     TONE_WEIGHTS,
+    TooManySteps,
     derived_detunings,
     embed_state,
     full_hamiltonian,
@@ -146,6 +154,19 @@ def test_embedding_and_manifold():
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-14
 
 
+def _max_rel(lhs, rhs):
+    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+
+
+def test_symmetric_block_reduction_identities():
+    for op8, op4 in ((RAISING, _RAISING4), (np.diag(PAIR_COUNTS), _PAIRS4)):
+        assert _max_rel(op8 @ MANIFOLD, MANIFOLD @ op4) <= 1e-14
+    for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
+        for t in (0.0, 0.21, 0.5, 0.77, 1.0):
+            block = _hamiltonians(np.array([t]), params, _RAISING4, _PAIRS4)[0]
+            assert _max_rel(full_hamiltonian(t, params) @ MANIFOLD, MANIFOLD @ block) <= 1e-14
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(blockade=-1.0)
@@ -212,9 +233,28 @@ def test_reduction_at_moderate_factor():
 def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
     params = params_for_factor(row1_schedule(), 3.0)
-    psi, leak, steps, dt = _integrate_full(params)
+    psi, steps, dt = _integrate_full(params)
     ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params, chunk)
     assert 5000 < steps < 7000
     assert (steps, dt) == (ref_steps, ref_dt)
-    assert np.array_equal(psi, ref_psi)
-    assert abs(leak - ref_leak) <= 4 * np.finfo(float).eps
+    assert np.max(np.abs(MANIFOLD @ psi - ref_psi)) <= 1e-11
+    assert ref_leak <= 1e-14
+
+
+def test_step_cap_refuses_before_allocating():
+    # factor 1e5 passes the hierarchy check but needs about 7e12 steps
+    params = params_for_factor(row1_schedule(), 1e5)
+    assert min(hierarchy_ratios(params)) >= 1e5
+    assert issubclass(TooManySteps, ValueError)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManySteps, match="steps"):
+            validate_reduction(params, required_factor=1e5)
+        with pytest.raises(TooManySteps, match="steps"):
+            validate_reduction(params, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20

@@ -13,6 +13,9 @@ from ghzforge.propagate import (
     NonFiniteSchedule,
     NotNormalized,
     ZeroArea,
+    _BLOCK,
+    _PIECE,
+    _midpoint_states,
     extract_ghz_phase,
     ghz_fidelity,
     normalize_to_area,
@@ -210,6 +213,36 @@ def test_convergence_failure_when_capped(monkeypatch):
     wild = PulseSchedule(times=times, values=values)
     with pytest.raises(ConvergenceFailure):
         propagate(wild, steps=8)
+
+
+def _random_ladder(rng, n):
+    amp = rng.normal(0.0, 2.0, (n, 3))
+    hams = np.zeros((n, 4, 4))
+    for k in range(3):
+        hams[:, k, k + 1] = hams[:, k + 1, k] = amp[:, k]
+    return hams
+
+
+def _random_hermitian(rng, n):
+    m = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return m + m.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 7],
+)
+@pytest.mark.parametrize("build", [_random_ladder, _random_hermitian])
+def test_midpoint_states_match_per_step_reference(steps, build):
+    rng = np.random.default_rng(steps)
+    hams = build(rng, steps)
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 /= np.linalg.norm(psi0)
+    got = _midpoint_states(hams, 0.05, psi0)
+    ref = oracles.midpoint_states_reference(hams, 0.05, psi0)
+    assert got.shape == ref.shape == (steps, 4)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
 
 
 @given(
