@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GeneratorSet, build_generators
+from .unitary import _SERIES_CUTOFF
 
 __all__ = [
     "ConstraintViolation",
@@ -32,7 +33,6 @@ __all__ = [
     "vectorial_from_rabi",
 ]
 
-_SERIES_CUTOFF = 1e-6
 DEFAULT_CONSTRAINT_TOL = 1e-9
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import _MAX_STEPS, _midpoint_states, propagate
+from .propagate import _MAX_STEPS, TooManySteps, _midpoint_states, propagate
 from .synthesis import PulseSchedule
 
 __all__ = [
@@ -67,10 +67,6 @@ _CHUNK = 32768
 
 class HierarchyViolation(ValueError):
     """Parameters do not satisfy the requested scale hierarchy."""
-
-
-class TooManySteps(ValueError):
-    """The full model would need more steps than the integrator allows."""
 
 
 def _raising_operator() -> np.ndarray:

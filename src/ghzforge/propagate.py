@@ -1,12 +1,18 @@
 """Schroedinger integration under a pulse schedule, fidelities, and areas.
 
-The integrator exponentiates the Hermitian Hamiltonian at each step
-midpoint through an eigendecomposition, so every step is exactly
-unitary and the scheme is second order in the step size.  The step
-propagators are multiplied in fixed-size blocks, and the state is
-renormalized at each block start.  Convergence is certified, not
-assumed: the step count doubles until the final fidelity moves by less
-than a configurable threshold.
+The ladder Hamiltonian at each step midpoint is w_L . L + w_R . R for
+the two commuting spin-1/2 families of ``algebra``, so its exponential
+is a left and a right 2x2 rotation with closed-form Cayley-Klein
+coefficients (``unitary.cayley_klein``), not an eigendecomposition.
+Every step is exactly unitary and the scheme is second order in the step
+size.  The running products of the steps come from a log-depth scan,
+and the states are read off them through the generators' exact entries.
+Convergence is certified, not assumed: the step count doubles until the
+final fidelity moves by less than a configurable threshold.
+
+``_midpoint_states`` is the general midpoint kernel for any Hermitian
+Hamiltonians, by eigendecomposition; the full model in ``fullmodel``
+runs on it.
 """
 
 from __future__ import annotations
@@ -16,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ggg_state, ghz_state, rrr_state, w_state
+from .algebra import build_generators, ggg_state, ghz_state, rrr_state, w_state
 from .synthesis import EndpointSolution, NonFiniteSchedule, PulseProfile, PulseSchedule
+from .unitary import cayley_klein
 
 __all__ = [
     "NonFiniteSchedule",
     "NotNormalized",
+    "TooManySteps",
     "AmplitudeTooSmall",
     "ZeroArea",
     "ConvergenceFailure",
@@ -41,10 +49,24 @@ _PHASE_AMPLITUDE_FLOOR = 0.1
 # _PIECE steps at a time so temporaries stay small.
 _BLOCK = 32
 _PIECE = 32 * _BLOCK
+# The ladder scans its running products _SCAN_PIECE steps at a time, so
+# temporaries stay bounded however long the run.
+_SCAN_PIECE = 8192
+
+# Rows mu of (x0 - 2i x . L) and (y0 - 2i y . R) as coefficient stacks:
+# the identity, then -2i times each generator.  Their entries are 0, +-1
+# and +-i, so products with them are exact.
+_GENS = build_generators()
+_LEFT_UNITS = np.concatenate([np.eye(4)[None], -2j * _GENS.left])
+_RIGHT_UNITS = np.concatenate([np.eye(4)[None], -2j * _GENS.right])
 
 
 class NotNormalized(ValueError):
     """A state that must be normalized is not."""
+
+
+class TooManySteps(ValueError):
+    """A run would need more steps than the integrator allows."""
 
 
 class AmplitudeTooSmall(ValueError):
@@ -93,12 +115,14 @@ def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def _midpoint_states(hams: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
     """Apply exp(-i H_k dt) for each Hermitian H_k in turn, starting from psi0.
 
-    Returns the state after every step, shape (len(hams), dim).  Each
-    propagator comes from an eigendecomposition, so every step is
-    exactly unitary.  The steps are taken in pieces of _PIECE: within a
-    piece the propagators are multiplied into running products over
-    blocks of _BLOCK steps, batched across blocks, and the state is
-    carried from block to block and renormalized at each block start.
+    The full model's step kernel; the ladder takes closed-form steps in
+    _integrate instead.  Returns the state after every step, shape
+    (len(hams), dim).  Each propagator comes from an eigendecomposition,
+    so every step is exactly unitary.  The steps are taken in pieces of
+    _PIECE: within a piece the propagators are multiplied into running
+    products over blocks of _BLOCK steps, batched across blocks, and the
+    state is carried from block to block and renormalized at each block
+    start.
     """
     n, dim = len(hams), len(psi0)
     states = np.empty((n, dim), dtype=complex)
@@ -128,23 +152,97 @@ def _midpoint_states(hams: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarra
     return states
 
 
+def _compose(a2, b2, a1, b1):
+    """Cayley-Klein pair of the product U2 @ U1, each U = [[a, -b*], [b, a*]]."""
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+
+
+def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive running products along the last axis, later factors on the left.
+
+    A work-efficient log-depth scan (Blelloch, Prefix Sums and Their
+    Applications, 1990): adjacent pairs are multiplied, the pair
+    products are scanned recursively, and each even entry is completed
+    by the scanned pair before it.
+    """
+    n = a.shape[-1]
+    if n == 1:
+        return a, b
+    even = slice(0, n - n % 2, 2)
+    pairs = _compose(a[..., 1::2], b[..., 1::2], a[..., even], b[..., even])
+    pair_a, pair_b = _running_products(*pairs)
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
+    out_a[..., 1::2], out_b[..., 1::2] = pair_a, pair_b
+    rest = (n - 1) // 2
+    out_a[..., 2::2], out_b[..., 2::2] = _compose(
+        a[..., 2::2], b[..., 2::2], pair_a[..., :rest], pair_b[..., :rest]
+    )
+    return out_a, out_b
+
+
+def _step_factors(
+    schedule: PulseSchedule, edges: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pairs of the midpoint steps between consecutive grid edges.
+
+    The ladder Hamiltonian is w_L . L + w_R . R with w_L = (o1 + o3, o2, 0)
+    and w_R = (o1 - o3, o2, 0) (``dynamics.vectorial_from_rabi``), so the
+    step exp(-i H dt) is a left and a right rotation.  Returns (diag, off)
+    of shape (2, len(edges) - 1): the left factors in row 0, the right
+    ones in row 1.
+    """
+    amp = schedule.values_at(0.5 * (edges[:-1] + edges[1:]))
+    vec = np.zeros((2, len(amp), 3))
+    vec[0, :, 0] = amp[:, 0] + amp[:, 2]
+    vec[1, :, 0] = amp[:, 0] - amp[:, 2]
+    vec[:, :, 1] = amp[:, 1]
+    vec *= dt
+    step = cayley_klein(vec)
+    return step.diag, step.off
+
+
 def _integrate(schedule: PulseSchedule, initial: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-exponential integration on a uniform grid.
+    """Midpoint-rule integration of the ladder on a uniform grid.
+
+    Each step exp(-i H dt), with H taken at the step midpoint, is a left
+    and a right SU(2) rotation in closed form (_step_factors), not an
+    eigendecomposition.  Their running products come from a log-depth
+    scan over pieces of _SCAN_PIECE steps, each piece multiplied by the
+    renormalized product of all earlier ones.  With a = x0 - i x3 and
+    b = -i x1 + x2 for the left product and y likewise for the right
+    one, the state after step k is (x0 - 2i x . L)(y0 - 2i y . R) psi0.
 
     Returns (times, states) with states.shape == (steps + 1, 4).
     """
     grid = np.linspace(0.0, schedule.duration, steps + 1)
     dt = schedule.duration / steps
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    amp = schedule.values_at(mids)
-
-    hams = np.zeros((steps, 4, 4))
-    hams[:, 0, 1] = hams[:, 1, 0] = amp[:, 0]
-    hams[:, 1, 2] = hams[:, 2, 1] = amp[:, 1]
-    hams[:, 2, 3] = hams[:, 3, 2] = amp[:, 2]
-
     psi0 = np.asarray(initial, dtype=complex)
-    return grid, np.concatenate([psi0[None, :], _midpoint_states(hams, dt, psi0)])
+    unit = psi0 / math.sqrt(np.vdot(psi0, psi0).real)
+    # row 4 mu + nu is (left unit mu)(right unit nu) psi0, as 8 real columns
+    images = np.einsum("mij,njk,k->mni", _LEFT_UNITS, _RIGHT_UNITS, unit)
+    images = images.reshape(16, 4).view(np.float64)
+
+    states = np.empty((steps + 1, 4), dtype=complex)
+    states[0] = psi0
+    carry_a = np.ones((2, 1), dtype=complex)
+    carry_b = np.zeros((2, 1), dtype=complex)
+    for start in range(0, steps, _SCAN_PIECE):
+        stop = min(start + _SCAN_PIECE, steps)
+        a, b = _running_products(*_step_factors(schedule, grid[start : stop + 1], dt))
+        a, b = _compose(a, b, carry_a, carry_b)
+        # the step factors' roundoff in |a|^2 + |b|^2 is biased and adds up
+        # over the steps unless the products are renormalized
+        scale = 1.0 / np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+        a *= scale
+        b *= scale
+        carry_a, carry_b = a[:, -1:].copy(), b[:, -1:].copy()
+        # quaternion components (x0, x1, x2, x3) of both products, and the
+        # products x_mu y_nu that weight the rows of images
+        quat = np.stack([a.real, -b.imag, b.real, -a.imag])
+        coeffs = (quat[:, None, 0] * quat[None, :, 1]).reshape(16, -1)
+        np.matmul(coeffs.T, images, out=states[start + 1 : stop + 1].view(np.float64))
+    return grid, states
 
 
 def _best_phase_fidelity(state: np.ndarray) -> float:
@@ -173,6 +271,8 @@ def propagate(
         raise ValueError(f"unknown target {target!r}")
     if steps < 1:
         raise ValueError("step count must be positive")
+    if steps > _MAX_STEPS:
+        raise TooManySteps(f"{steps} steps are more than the cap of {_MAX_STEPS}")
 
     def final_metric(state: np.ndarray) -> float:
         if target == "w":

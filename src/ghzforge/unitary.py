@@ -4,8 +4,11 @@ Every unitary reachable by the effective dynamics factorizes as a left
 rotation times a right rotation, each parametrized by a rotation vector
 in R^3.  Because the families are spin-1/2, both factors have half-angle
 closed forms and the whole map reduces to a pair of 2x2 Cayley-Klein
-coefficient sets.  No matrix exponential is ever needed at runtime; a
-dense eigendecomposition oracle lives in the test suite instead.
+coefficient sets.  The half-angle formula works elementwise on arrays of
+rotation vectors, so the same code serves single rotations and the
+per-step factors of the ladder integrator in ``propagate``.  No matrix
+exponential is ever needed at runtime; a dense eigendecomposition
+oracle lives in the test suite instead.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ __all__ = [
     "transformed_pseudospin_states",
 ]
 
-# Below this rotation angle the sin(|v|/2)/|v| factor switches to its
-# Taylor series to avoid 0/0 at the origin.
+# Below this rotation angle the sin(|v|/2)/|v| factor (and the rate
+# coefficients of dynamics.rotation_rate) switch to their Taylor series to
+# avoid 0/0 at the origin.
 _SERIES_CUTOFF = 1e-6
 
 
@@ -53,11 +57,12 @@ class CayleyKlein:
 
     ``diag`` is the upper-left entry and ``off`` the lower-left one;
     together they satisfy |diag|^2 + |off|^2 = 1 and determine the whole
-    matrix.
+    matrix [[diag, -conj(off)], [off, conj(diag)]].  For a batch of
+    rotations both fields are complex arrays of the batch shape.
     """
 
-    diag: complex
-    off: complex
+    diag: complex | np.ndarray
+    off: complex | np.ndarray
 
     def as_matrix(self) -> np.ndarray:
         return np.array(
@@ -65,25 +70,29 @@ class CayleyKlein:
         )
 
 
-def _half_sinc(norm: float) -> float:
-    # sin(n/2)/n, series below the cutoff
-    if norm < _SERIES_CUTOFF:
-        n2 = norm * norm
-        return 0.5 - n2 / 48.0 + n2 * n2 / 3840.0
-    return np.sin(norm / 2.0) / norm
+def _half_sinc(norm: float | np.ndarray) -> np.ndarray:
+    """sin(n/2)/n elementwise, by its Taylor series below the cutoff."""
+    norm = np.asarray(norm, dtype=float)
+    n2 = norm * norm
+    out = np.asarray(0.5 - n2 / 48.0 + n2 * n2 / 3840.0)
+    np.divide(np.sin(norm / 2.0), norm, out=out, where=norm >= _SERIES_CUTOFF)
+    return out
 
 
 def cayley_klein(vec: np.ndarray) -> CayleyKlein:
     """Cayley-Klein coefficients of the rotation e^{-i vec . spin}.
 
-    At vec = 0 the smooth limit (1, 0) is returned.
+    ``vec`` has shape (3,) or (..., 3); a batch gives array fields of
+    shape (...).  At vec = 0 the smooth limit (1, 0) is returned.
     """
     v = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(v))
+    norm = np.linalg.norm(v, axis=-1)
     k = _half_sinc(norm)
-    diag = np.cos(norm / 2.0) - 1j * v[2] * k
-    off = (-1j * v[0] + v[1]) * k
-    return CayleyKlein(diag=complex(diag), off=complex(off))
+    diag = np.cos(norm / 2.0) - 1j * v[..., 2] * k
+    off = (-1j * v[..., 0] + v[..., 1]) * k
+    if v.ndim == 1:
+        return CayleyKlein(diag=complex(diag), off=complex(off))
+    return CayleyKlein(diag=diag, off=off)
 
 
 def _exp_factor(vec: np.ndarray, triple: np.ndarray) -> np.ndarray:

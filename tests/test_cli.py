@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,21 @@ def test_validate_full_step_cap(capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "steps" in err and "4194304" in err
+
+
+def test_propagate_step_cap(capsys):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["propagate", "--schedule", str(SHIPPED_CSV), "--steps", "50000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "50000000 steps" in err and "4194304" in err
 
 
 def test_validate_full_missing_schedule(tmp_path):

@@ -1,20 +1,33 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghzforge.algebra import build_generators, ghz_state, w_state
+from ghzforge.algebra import (
+    build_generators,
+    ggg_state,
+    ghz_state,
+    rrr_state,
+    w_state,
+    wprime_state,
+)
 from ghzforge.dynamics import RabiTriple, ladder_hamiltonian
 from ghzforge.propagate import (
     AmplitudeTooSmall,
     ConvergenceFailure,
     NonFiniteSchedule,
     NotNormalized,
+    TooManySteps,
     ZeroArea,
     _BLOCK,
+    _MAX_STEPS,
     _PIECE,
+    _SCAN_PIECE,
+    _integrate,
     _midpoint_states,
     extract_ghz_phase,
     ghz_fidelity,
@@ -215,12 +228,15 @@ def test_convergence_failure_when_capped(monkeypatch):
         propagate(wild, steps=8)
 
 
-def _random_ladder(rng, n):
-    amp = rng.normal(0.0, 2.0, (n, 3))
-    hams = np.zeros((n, 4, 4))
+def _ladder_hams(amp):
+    hams = np.zeros((len(amp), 4, 4))
     for k in range(3):
         hams[:, k, k + 1] = hams[:, k + 1, k] = amp[:, k]
     return hams
+
+
+def _random_ladder(rng, n):
+    return _ladder_hams(rng.normal(0.0, 2.0, (n, 3)))
 
 
 def _random_hermitian(rng, n):
@@ -243,6 +259,118 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert got.shape == ref.shape == (steps, 4)
     assert np.max(np.abs(got - ref)) <= 1e-12
     assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
+
+
+def _integrate_against_reference(schedule, steps, psi0):
+    """_integrate and the per-step eigendecomposition loop on the same grid."""
+    times, states = _integrate(schedule, psi0, steps)
+    dt = schedule.duration / steps
+    mids = 0.5 * (times[:-1] + times[1:])
+    ref = oracles.midpoint_states_reference(_ladder_hams(schedule.values_at(mids)), dt, psi0)
+    assert np.array_equal(times, np.linspace(0.0, schedule.duration, steps + 1))
+    assert states.shape == (steps + 1, 4)
+    assert np.array_equal(states[0], psi0)
+    return states[1:], ref
+
+
+def _random_state(rng):
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return psi0 / np.linalg.norm(psi0)
+
+
+@pytest.mark.parametrize(
+    "steps", [1, _SCAN_PIECE - 1, _SCAN_PIECE, _SCAN_PIECE + 1, 3 * _SCAN_PIECE + 7]
+)
+def test_integrate_matches_per_step_reference(steps):
+    rng = np.random.default_rng(steps)
+    times = np.linspace(0.0, 1.3, 23)
+    values = rng.normal(0.0, 2.0, (len(times), 3))
+    assert np.linalg.matrix_rank(values) == 3
+    got, ref = _integrate_against_reference(
+        PulseSchedule(times=times, values=values), steps, _random_state(rng)
+    )
+    assert np.max(np.abs(got - ref)) <= 1e-11
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
+
+
+def test_integrate_matches_reference_on_stiff_schedule():
+    rng = np.random.default_rng(80)
+    times = np.linspace(0.0, 1.0, 9)
+    values = np.zeros((9, 3))
+    values[::2, 0] = 80.0
+    values[1::2, 1] = -80.0
+    values[:, 2] = 80.0 * np.sign(rng.normal(size=9))
+    got, ref = _integrate_against_reference(
+        PulseSchedule(times=times, values=values), 2 * _SCAN_PIECE + 3, _random_state(rng)
+    )
+    assert np.max(np.abs(got - ref)) <= 1e-11
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
+
+
+def test_integrate_zero_schedule_is_exact():
+    schedule = constant_schedule(np.zeros(3))
+    for state in (ggg_state(), w_state(), wprime_state(), rrr_state()):
+        _, states = _integrate(schedule, state, _SCAN_PIECE + 5)
+        assert np.array_equal(states, np.tile(state, (_SCAN_PIECE + 6, 1)))
+
+
+def test_rank2_perturbation_takes_integrated_path():
+    # A synthesized schedule is rank 1; bending it with a second amplitude
+    # direction makes the Hamiltonians at different times fail to commute,
+    # so only an integrator can get it right.
+    base = row1_schedule("trapezoid")
+    direction = np.cross(base.values[len(base.values) // 2], [0.0, 0.0, 1.0])
+    bump = np.sin(2.0 * np.pi * base.times / base.duration)
+    values = base.values + bump[:, None] * direction / np.linalg.norm(direction)
+    singular = np.linalg.svd(values, compute_uv=False)
+    assert singular[1] > 0.1 * singular[0]
+    schedule = PulseSchedule(times=base.times, values=values)
+    result = propagate(schedule)
+    dt = schedule.duration / result.steps
+    mids = 0.5 * (result.times[:-1] + result.times[1:])
+    ref = oracles.midpoint_states_reference(_ladder_hams(schedule.values_at(mids)), dt, w_state())
+    assert np.max(np.abs(result.states[1:] - ref)) <= 1e-11
+    assert abs(result.final_fidelity - propagate(base).final_fidelity) > 1e-3
+
+
+def test_norms_stay_at_roundoff_over_long_runs():
+    # Roundoff in the closed-form step factors is biased; without
+    # renormalized running products the norms drift by about 1e-12 over
+    # 8192 steps, and the certification delta, a difference of two
+    # fidelities stationary at 1, reads that drift instead of about 1e-15.
+    for kind in ("constant", "trapezoid"):
+        result = propagate(row1_schedule(kind))
+        assert result.steps == 8192
+        norms = np.linalg.norm(result.states, axis=1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-14
+        assert result.certification_delta <= 1e-13
+
+
+def test_ladder_path_takes_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on the ladder path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    result = propagate(row1_schedule())
+    assert result.final_fidelity >= 0.999
+
+
+def test_step_cap_refuses_before_allocating():
+    schedule = row1_schedule()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for steps in (_MAX_STEPS + 1, 50_000_000):
+            with pytest.raises(TooManySteps, match=str(_MAX_STEPS)):
+                propagate(schedule, steps=steps)
+            with pytest.raises(TooManySteps):
+                propagate(schedule, steps=steps, certify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert issubclass(TooManySteps, ValueError)
 
 
 @given(

@@ -45,6 +45,19 @@ def test_cayley_klein_unit_row(vec):
     assert abs(abs(ck.diag) ** 2 + abs(ck.off) ** 2 - 1.0) <= 1e-12
 
 
+def test_batched_cayley_klein_matches_scalar_calls():
+    rng = np.random.default_rng(7)
+    direction = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    near_cutoff = [direction * s for s in (0.0, 0.999e-6, 1e-6, 1.001e-6)]
+    vecs = np.concatenate([near_cutoff, rng.uniform(-8, 8, (41, 3))])
+    batch = cayley_klein(vecs.reshape(5, 9, 3))
+    assert batch.diag.shape == batch.off.shape == (5, 9)
+    for vec, diag, off in zip(vecs, batch.diag.ravel(), batch.off.ravel()):
+        single = cayley_klein(vec)
+        assert isinstance(single.diag, complex) and isinstance(single.off, complex)
+        assert diag == single.diag and off == single.off
+
+
 def test_series_branch_matches_direct_ratio():
     # Inside the small-angle branch the coefficients must agree with the
     # naively computed sin ratio, which is still well conditioned there.
