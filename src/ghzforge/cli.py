@@ -435,6 +435,7 @@ def _check_exp_map(gens) -> tuple[bool, str]:
 
 
 def _check_constraint_residuals() -> tuple[bool, str]:
+    times = np.linspace(0.0, 1.0, 250)
     worst = 0.0
     for signs in DEFAULT_SIGN_ORDER:
         endpoint = solve_endpoints(signs)
@@ -443,10 +444,8 @@ def _check_constraint_residuals() -> tuple[bool, str]:
                 kind=kind, duration=1.0, theta_final=endpoint.theta_left_final
             )
             curve = build_curve(endpoint, profile)
-            for t in np.linspace(0.0, 1.0, 250):
-                rates = dynamics.vectorial_rabi(curve.sample(float(t)))
-                report = dynamics.check_constraints(rates)
-                worst = max(worst, report.max_residual)
+            rates = dynamics.vectorial_rabi(curve.sample(times))
+            worst = max(worst, dynamics.check_constraints(rates).max_residual)
     return worst <= 1e-9, f"max residual {worst:.2e}"
 
 

@@ -54,9 +54,13 @@ class RabiTriple:
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One point of a parameter curve with its velocity."""
+    """One point of a parameter curve with its velocity.
 
-    t: float
+    For a batch of points, ``t`` is an array and the vectors are stacked
+    (..., 3).
+    """
+
+    t: float | np.ndarray
     left: np.ndarray
     right: np.ndarray
     left_dot: np.ndarray
@@ -120,21 +124,24 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
           + (n - sin n)/n^3 * (vec . vdot) vec
 
     with n = |vec|; near n = 0 the three coefficients switch to series.
+    ``vec`` and ``vec_dot`` have shape (3,) or (..., 3), and so does the
+    result; a batch gives the same values as one call per row.
     """
     v = np.asarray(vec, dtype=float)
     vd = np.asarray(vec_dot, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < _SERIES_CUTOFF:
-        n2 = n * n
-        c1 = 1.0 - n2 / 6.0
-        c2 = 0.5 - n2 / 24.0
-        c3 = 1.0 / 6.0 - n2 / 120.0
-    else:
-        sn = np.sin(n)
-        c1 = sn / n
-        c2 = 2.0 * np.sin(n / 2.0) ** 2 / (n * n)
-        c3 = (n - sn) / n**3
-    return c1 * vd + c2 * np.cross(v, vd) + c3 * float(v @ vd) * v
+    n = np.linalg.norm(v, axis=-1)[..., None]
+    n2 = n * n
+    series = n < _SERIES_CUTOFF
+    safe = np.where(series, 1.0, n)
+    sn = np.sin(safe)
+    c1 = np.where(series, 1.0 - n2 / 6.0, sn / safe)
+    c2 = np.where(series, 0.5 - n2 / 24.0, 2.0 * np.sin(safe / 2.0) ** 2 / (safe * safe))
+    c3 = np.where(series, 1.0 / 6.0 - n2 / 120.0, (safe - sn) / (safe * safe * safe))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    xd, yd, zd = vd[..., 0], vd[..., 1], vd[..., 2]
+    cross = np.stack([y * zd - z * yd, z * xd - x * zd, x * yd - y * xd], axis=-1)
+    dot = (x * xd + y * yd + z * zd)[..., None]
+    return c1 * vd + c2 * cross + c3 * dot * v
 
 
 def vectorial_rabi(sample: CurveSample) -> VectorialRabi:
@@ -149,10 +156,13 @@ def check_constraints(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL)
     """Residuals of the realizability conditions on the rotation rates.
 
     Real ladder drives require both z rates to vanish and the two y
-    rates to coincide.  Returns the three residuals in that order.
+    rates to coincide.  Returns the three residuals in that order, along
+    the last axis when the rates are stacked (..., 3).
     """
-    residuals = np.array(
-        [rates.left[2], rates.right[2], rates.left[1] - rates.right[1]], dtype=float
+    left = np.asarray(rates.left, dtype=float)
+    right = np.asarray(rates.right, dtype=float)
+    residuals = np.stack(
+        [left[..., 2], right[..., 2], left[..., 1] - right[..., 1]], axis=-1
     )
     return ConstraintReport(residuals=residuals, tol=tol)
 

@@ -6,7 +6,9 @@ slaving of the right polar angle to the left one.  What remains is a
 boundary problem: the polar/azimuth values at the final time must both
 satisfy the GHZ endpoint conditions and be compatible with the slaving
 ratio integrated from the common starting point at the north pole.  That
-reduces to one scalar root per sign branch, found by bracketed search.
+reduces to one scalar root per sign branch, found by Brent's bracketed
+zero-finder in plain Python floats (``_brent_root``), so the package needs
+nothing beyond numpy at runtime.
 
 Two pulse families are provided for the polar angle: a constant rate and
 a trapezoidal rate that switches on and off continuously.
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import w_state
 from .dynamics import CurveSample
@@ -61,6 +62,10 @@ DEFAULT_SIGN_ORDER = (
 
 _ROOT_EPS = 1e-12
 _ENDPOINT_TOL = 1e-9
+# Brent search settings: absolute and relative root tolerance, iteration cap.
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAX_ITER = 100
 
 
 class NoSolution(ValueError):
@@ -146,13 +151,11 @@ class EndpointSolution:
         }
 
 
-def _spherical(theta: float, phi: float, pole: int = 1) -> np.ndarray:
-    return RADIUS * np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            pole * math.cos(theta),
-        ]
+def _spherical(theta, phi: float, pole: int = 1) -> np.ndarray:
+    """Point of the radius-pi sphere, shape (..., 3) for an array of theta."""
+    sin_t = np.sin(theta)
+    return RADIUS * np.stack(
+        [sin_t * np.cos(phi), sin_t * np.sin(phi), pole * np.cos(theta)], axis=-1
     )
 
 
@@ -171,6 +174,63 @@ def _boundary_mismatch(a3: float, q3: int) -> float:
         math.sin(theta_right) / math.cos(theta_right)
     )
     return theta_right + slope * theta_left
+
+
+def _brent_root(f, lo: float, hi: float) -> float:
+    """Root of f in the sign-changing bracket [lo, hi] by Brent's method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4, in the formulation of scipy.optimize.brentq, operation for
+    operation: each step tries inverse quadratic extrapolation (secant
+    when only two points are distinct), falls back to bisection when the
+    trial step is too long or the previous ones shrank too slowly, and
+    stops once half the bracket is below (xtol + rtol |x|) / 2.  Python
+    floats are IEEE doubles, so the iterates match brentq's bit for bit.
+    Raises NoSolution on a bracket without a sign change or when the
+    iteration cap is reached.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoSolution(f"no sign change of the mismatch on [{lo!r}, {hi!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoSolution(
+        f"root search did not converge in {_ROOT_MAX_ITER} iterations, last iterate {xcur!r}"
+    )
 
 
 def solve_endpoints(signs: tuple[int, int, int], branch: str = "auto") -> EndpointSolution:
@@ -199,7 +259,7 @@ def solve_endpoints(signs: tuple[int, int, int], branch: str = "auto") -> Endpoi
             f"signs ({q1:+d}, {q2:+d}, {q3:+d}) admit no endpoint root in the "
             f"{branch} branch"
         )
-    a3 = brentq(_boundary_mismatch, lo, hi, args=(q3,), xtol=1e-15, rtol=8.9e-16)
+    a3 = _brent_root(lambda a: _boundary_mismatch(a, q3), lo, hi)
 
     theta_left = math.acos(a3)
     theta_right = math.acos(q3 * math.sqrt(max(0.0, 0.5 - a3 * a3)))
@@ -345,38 +405,37 @@ class SphericalCurve:
     def theta_right(self, times) -> np.ndarray:
         return self.endpoint.curve_slope * self.profile.angle(times)
 
-    def vectors_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        th_l = float(self.profile.angle(t))
+    def vectors_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Both rotation vectors at a time or an array of times, (..., 3)."""
+        th_l = self.profile.angle(t)
         th_r = self.endpoint.curve_slope * th_l
         return (
             _spherical(th_l, self.endpoint.phi_left, self.pole),
             _spherical(th_r, self.endpoint.phi_right, self.pole),
         )
 
-    def velocities_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        rate_l = float(self.profile.rate(t))
+    def velocities_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        rate_l = self.profile.rate(t)[..., None]
         rate_r = self.endpoint.curve_slope * rate_l
-        th_l = float(self.profile.angle(t))
+        th_l = self.profile.angle(t)
         th_r = self.endpoint.curve_slope * th_l
         return (
             _spherical_tangent(th_l, self.endpoint.phi_left, self.pole) * rate_l,
             _spherical_tangent(th_r, self.endpoint.phi_right, self.pole) * rate_r,
         )
 
-    def sample(self, t: float) -> CurveSample:
+    def sample(self, t) -> CurveSample:
+        """The curve point at t; an array of times gives stacked (..., 3) fields."""
         left, right = self.vectors_at(t)
         left_dot, right_dot = self.velocities_at(t)
         return CurveSample(t=t, left=left, right=right, left_dot=left_dot, right_dot=right_dot)
 
 
-def _spherical_tangent(theta: float, phi: float, pole: int) -> np.ndarray:
+def _spherical_tangent(theta, phi: float, pole: int) -> np.ndarray:
     # derivative of _spherical with respect to theta
-    return RADIUS * np.array(
-        [
-            math.cos(theta) * math.cos(phi),
-            math.cos(theta) * math.sin(phi),
-            -pole * math.sin(theta),
-        ]
+    cos_t = np.cos(theta)
+    return RADIUS * np.stack(
+        [cos_t * np.cos(phi), cos_t * np.sin(phi), -pole * np.sin(theta)], axis=-1
     )
 
 

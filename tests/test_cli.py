@@ -17,17 +17,21 @@ SHIPPED_CONFIG = REPO / "configs" / "row1_constant.json"
 SHIPPED_CSV = REPO / "configs" / "row1_constant.csv"
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     # the child imports the package from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ghzforge.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=240,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "ghzforge.cli", *args, cwd=cwd)
 
 
 def test_endpoints_default_table():
@@ -297,6 +301,41 @@ def test_validate_full_missing_schedule(tmp_path):
         proc = run_cli("validate-full", "--schedule", str(bad))
         assert proc.returncode == 2
         assert "non-finite" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = run_python("-c", (
+        "import sys, ghzforge.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from ghzforge.cli import main
+out, shipped = sys.argv[1], sys.argv[2]
+runs = [
+    ["endpoints", "--out", f"{out}/endpoints.json"],
+    ["synthesize", "--duration", "1", "--out", f"{out}/constant.csv"],
+    ["synthesize", "--profile", "trapezoid", "--duration", "1", "--out", f"{out}/trapezoid.csv"],
+    ["propagate", "--schedule", f"{out}/constant.csv", "--out", f"{out}/forward.json"],
+    ["propagate", "--schedule", f"{out}/trapezoid.csv", "--reverse", "--out", f"{out}/reverse.json"],
+    ["validate-full", "--schedule", shipped, "--factor", "10", "--compare-factor", "0",
+     "--steps-per-cycle", "2", "--out", f"{out}/full.json"],
+    ["check"],
+]
+print("codes", [main(argv) for argv in runs])
+"""
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    proc = run_python("-c", _WITHOUT_SCIPY, str(tmp_path), str(SHIPPED_CSV))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "codes [0, 0, 0, 0, 0, 0, 0]"
+    assert "5/5 checks passed" in proc.stdout
 
 
 def test_check_suite_passes():

@@ -85,6 +85,38 @@ def test_rotation_rate_against_finite_difference():
         assert oracles.schroedinger_residual(curve, ham, t, 1e-6) <= 1e-8
 
 
+def test_rotation_rate_batch_matches_scalar_calls():
+    # rows on both sides of the series cutoff, at zero, and far from it
+    rng = np.random.default_rng(11)
+    norms = [0.0, 1e-9, 0.999e-6, 1e-6, 1.001e-6, 1e-3, 1.0, np.pi, 9.0]
+    dirs = rng.normal(size=(len(norms), 3))
+    vecs = dirs / np.linalg.norm(dirs, axis=1)[:, None] * np.array(norms)[:, None]
+    vecs = np.concatenate([vecs, rng.uniform(-5.0, 5.0, (40, 3))])
+    vdots = rng.normal(size=vecs.shape)
+    batch = rotation_rate(vecs, vdots)
+    assert batch.shape == vecs.shape
+    for k in range(len(vecs)):
+        single = rotation_rate(vecs[k], vdots[k])
+        assert single.shape == (3,)
+        assert np.array_equal(batch[k], single), k
+    grid = rotation_rate(vecs.reshape(7, 7, 3), vdots.reshape(7, 7, 3))
+    assert np.array_equal(grid.reshape(-1, 3), batch)
+
+
+def test_check_constraints_stacked():
+    rng = np.random.default_rng(12)
+    left, right = rng.normal(size=(2, 5, 3))
+    report = check_constraints(VectorialRabi(left=left, right=right))
+    assert report.residuals.shape == (5, 3)
+    for k in range(5):
+        single = check_constraints(VectorialRabi(left=left[k], right=right[k]))
+        assert np.array_equal(report.residuals[k], single.residuals)
+    assert report.max_residual == max(
+        check_constraints(VectorialRabi(left=left[k], right=right[k])).max_residual
+        for k in range(5)
+    )
+
+
 def test_vectorial_rabi_wraps_both_vectors():
     sample = CurveSample(
         t=0.0,

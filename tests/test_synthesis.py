@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghzforge import synthesis
+from ghzforge.cli import main
 from ghzforge.dynamics import check_constraints, vectorial_rabi
 from ghzforge.synthesis import (
     DEFAULT_SIGN_ORDER,
@@ -88,10 +91,92 @@ def test_branch_selector():
     auto = solve_endpoints((1, -1, 1))
     forced = solve_endpoints((1, -1, 1), branch="negative")
     assert forced.theta_left_final == pytest.approx(auto.theta_left_final, abs=1e-14)
-    with pytest.raises(NoSolution):
+    with pytest.raises(
+        NoSolution, match=r"^signs \(\+1, -1, \+1\) admit no endpoint root in the positive branch$"
+    ):
         solve_endpoints((1, -1, 1), branch="positive")
     with pytest.raises(NoSolution):
         solve_endpoints((1, 1, -1), branch="negative")
+
+
+def _branch_brackets():
+    """(mismatch, lo, hi) for both sign branches, as solve_endpoints builds them."""
+    edge = 1.0 / math.sqrt(2.0)
+    return [
+        (lambda a: synthesis._boundary_mismatch(a, 1), -edge + 1e-12, -1e-12),
+        (lambda a: synthesis._boundary_mismatch(a, -1), 1e-12, edge - 1e-12),
+    ]
+
+
+def _random_bracketed(rng: random.Random):
+    """A smooth function with one root inside a random bracket around it."""
+    root = rng.uniform(-3.0, 3.0)
+    a, b = rng.uniform(0.2, 5.0), rng.uniform(-2.0, 2.0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        f = lambda x: math.tanh(a * (x - root)) + 0.1 * b * (x - root) ** 3
+    elif kind == 1:
+        f = lambda x: (x - root) * (1.0 + b * b + math.sin(a * x))
+    elif kind == 2:
+        f = lambda x: math.expm1(a * (x - root)) + b * b * (x - root)
+    else:
+        f = lambda x: a * (x - root) ** 3 + 1e-3 * b * b * (x - root)
+    lo, hi = root - rng.uniform(1e-3, 4.0), root + rng.uniform(1e-3, 4.0)
+    return (f, hi, lo) if rng.random() < 0.5 else (f, lo, hi)
+
+
+def test_brent_root_matches_brentq_bitwise():
+    optimize = pytest.importorskip("scipy.optimize")
+    tol = dict(xtol=synthesis._ROOT_XTOL, rtol=synthesis._ROOT_RTOL)
+    cases = _branch_brackets()
+    rng = random.Random(8)
+    while len(cases) < 1002:
+        f, lo, hi = _random_bracketed(rng)
+        if f(lo) * f(hi) < 0.0:
+            cases.append((f, lo, hi))
+    for f, lo, hi in cases:
+        got = synthesis._brent_root(f, lo, hi)
+        assert got == optimize.brentq(f, lo, hi, **tol), (lo, hi)
+
+
+def test_brent_root_endpoint_zeros():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.5
+
+    assert synthesis._brent_root(f, 0.5, 2.0) == 0.5
+    assert synthesis._brent_root(f, -1.0, 0.5) == 0.5
+    assert calls == [0.5, 2.0, -1.0, 0.5]
+
+
+def test_brent_root_rejects_same_sign():
+    with pytest.raises(NoSolution, match="no sign change"):
+        synthesis._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brent_root_iteration_cap(monkeypatch, capsys):
+    monkeypatch.setattr(synthesis, "_ROOT_MAX_ITER", 3)
+    f, lo, hi = _branch_brackets()[0]
+    with pytest.raises(NoSolution, match="did not converge in 3 iterations"):
+        synthesis._brent_root(f, lo, hi)
+    assert main(["endpoints"]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_curve_sample_batch_matches_pointwise():
+    for kind in ("constant", "trapezoid"):
+        profile = PulseProfile(kind=kind, duration=1.3, theta_final=ROW1.theta_left_final)
+        for pole in (1, -1):
+            curve = build_curve(ROW1, profile, pole)
+            times = np.linspace(0.0, 1.3, 37)
+            batch = curve.sample(times)
+            for k, t in enumerate(times):
+                point = curve.sample(float(t))
+                for field in ("left", "right", "left_dot", "right_dot"):
+                    assert getattr(point, field).shape == (3,)
+                    assert np.array_equal(getattr(batch, field)[k], getattr(point, field))
 
 
 def test_invalid_signs_rejected():
