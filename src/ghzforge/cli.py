@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -130,10 +131,16 @@ def load_config(path: str | None) -> dict:
     raw = json.loads(file.read_text())
     if not isinstance(raw, dict):
         raise ValueError("config file must contain a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    for key in raw:
-        if key not in known:
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in raw.items():
+        if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        # a JSON true is no int here, and an int fills a float field
+        kind = float if type(value) is int and float in allowed else type(value)
+        if kind not in allowed:
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise ValueError(f"config key {key!r} must be {expected}, not {value!r}")
     for key in _PATH_KEYS:
         value = raw.get(key)
         if isinstance(value, str) and not Path(value).is_absolute():

@@ -42,14 +42,18 @@ class ConstraintViolation(ValueError):
 
 @dataclass(frozen=True)
 class RabiTriple:
-    """Real Rabi amplitudes of the three ladder transitions."""
+    """Real Rabi amplitudes of the three ladder transitions.
 
-    omega1: float
-    omega2: float
-    omega3: float
+    For a batch, the three fields are arrays of one shape.
+    """
+
+    omega1: float | np.ndarray
+    omega2: float | np.ndarray
+    omega3: float | np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.omega1, self.omega2, self.omega3], dtype=float)
+        """The amplitudes stacked along the last axis, shape (..., 3)."""
+        return np.stack([self.omega1, self.omega2, self.omega3], axis=-1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -168,21 +172,28 @@ def check_constraints(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL)
 
 
 def rabi_from_vectorial(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL) -> RabiTriple:
-    """Rabi amplitudes realizing constraint-satisfying rotation rates."""
+    """Rabi amplitudes realizing constraint-satisfying rotation rates.
+
+    Rates stacked (..., 3) give a RabiTriple of arrays.
+    """
     report = check_constraints(rates, tol)
     if not report.passed:
         raise ConstraintViolation(
             f"rotation rates violate the ladder constraints, max residual {report.max_residual:.3e}"
         )
+    left = np.asarray(rates.left, dtype=float)
+    right = np.asarray(rates.right, dtype=float)
     return RabiTriple(
-        omega1=0.5 * (rates.left[0] + rates.right[0]),
-        omega2=0.5 * (rates.left[1] + rates.right[1]),
-        omega3=0.5 * (rates.left[0] - rates.right[0]),
+        omega1=0.5 * (left[..., 0] + right[..., 0]),
+        omega2=0.5 * (left[..., 1] + right[..., 1]),
+        omega3=0.5 * (left[..., 0] - right[..., 0]),
     )
 
 
 def vectorial_from_rabi(rabi: RabiTriple) -> VectorialRabi:
-    """Inverse of rabi_from_vectorial on the constraint surface."""
-    left = np.array([rabi.omega1 + rabi.omega3, rabi.omega2, 0.0])
-    right = np.array([rabi.omega1 - rabi.omega3, rabi.omega2, 0.0])
+    """Inverse of rabi_from_vectorial on the constraint surface, batched like it."""
+    amp = rabi.as_array()
+    zero = np.zeros_like(amp[..., 1])
+    left = np.stack([amp[..., 0] + amp[..., 2], amp[..., 1], zero], axis=-1)
+    right = np.stack([amp[..., 0] - amp[..., 2], amp[..., 1], zero], axis=-1)
     return VectorialRabi(left=left, right=right)

@@ -9,10 +9,6 @@ size.  The running products of the steps come from a log-depth scan,
 and the states are read off them through the generators' exact entries.
 Convergence is certified, not assumed: the step count doubles until the
 final fidelity moves by less than a configurable threshold.
-
-``_midpoint_states`` is the general midpoint kernel for any Hermitian
-Hamiltonians, by eigendecomposition; the full model in ``fullmodel``
-runs on it.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import build_generators, ggg_state, ghz_state, rrr_state, w_state
+from .dynamics import RabiTriple, vectorial_from_rabi
 from .synthesis import EndpointSolution, NonFiniteSchedule, PulseProfile, PulseSchedule
 from .unitary import cayley_klein
 
@@ -45,10 +42,6 @@ DEFAULT_STEPS = 4096
 CERTIFY_TOL = 1e-8
 _MAX_STEPS = 1 << 22
 _PHASE_AMPLITUDE_FLOOR = 0.1
-# Step kernel sizes: running products over blocks of _BLOCK steps, built
-# _PIECE steps at a time so temporaries stay small.
-_BLOCK = 32
-_PIECE = 32 * _BLOCK
 # The ladder scans its running products _SCAN_PIECE steps at a time, so
 # temporaries stay bounded however long the run.
 _SCAN_PIECE = 8192
@@ -112,46 +105,6 @@ def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vec
 
 
-def _midpoint_states(hams: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H_k dt) for each Hermitian H_k in turn, starting from psi0.
-
-    The full model's step kernel; the ladder takes closed-form steps in
-    _integrate instead.  Returns the state after every step, shape
-    (len(hams), dim).  Each propagator comes from an eigendecomposition,
-    so every step is exactly unitary.  The steps are taken in pieces of
-    _PIECE: within a piece the propagators are multiplied into running
-    products over blocks of _BLOCK steps, batched across blocks, and the
-    state is carried from block to block and renormalized at each block
-    start.
-    """
-    n, dim = len(hams), len(psi0)
-    states = np.empty((n, dim), dtype=complex)
-    psi = np.asarray(psi0, dtype=complex)
-    for start in range(0, n, _PIECE):
-        piece = hams[start : start + _PIECE]
-        count = len(piece)
-        nblocks = -(-count // _BLOCK)
-        evals, evecs = np.linalg.eigh(piece)
-        # identities pad the last block; their states are dropped
-        prods = np.empty((nblocks * _BLOCK, dim, dim), dtype=complex)
-        prods[count:] = np.eye(dim)
-        np.matmul(
-            evecs * np.exp(-1j * evals * dt)[:, None, :],
-            evecs.conj().transpose(0, 2, 1),
-            out=prods[:count],
-        )
-        prods = prods.reshape(nblocks, _BLOCK, dim, dim)
-        for j in range(1, _BLOCK):
-            prods[:, j] = prods[:, j] @ prods[:, j - 1]
-        out = np.empty((nblocks, _BLOCK, dim), dtype=complex)
-        for b in range(nblocks):
-            psi = psi / math.sqrt(np.vdot(psi, psi).real)
-            out[b] = prods[b] @ psi
-            psi = out[b, -1]
-        states[start : start + count] = out.reshape(-1, dim)[:count]
-    return states
-
-
 def _compose(a2, b2, a1, b1):
     """Cayley-Klein pair of the product U2 @ U1, each U = [[a, -b*], [b, a*]]."""
     return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
@@ -186,19 +139,15 @@ def _step_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pairs of the midpoint steps between consecutive grid edges.
 
-    The ladder Hamiltonian is w_L . L + w_R . R with w_L = (o1 + o3, o2, 0)
-    and w_R = (o1 - o3, o2, 0) (``dynamics.vectorial_from_rabi``), so the
-    step exp(-i H dt) is a left and a right rotation.  Returns (diag, off)
-    of shape (2, len(edges) - 1): the left factors in row 0, the right
-    ones in row 1.
+    The ladder Hamiltonian is w_L . L + w_R . R with the rotation rates
+    of ``dynamics.vectorial_from_rabi``, so the step exp(-i H dt) is a
+    left and a right rotation.  Returns (diag, off) of shape
+    (2, len(edges) - 1): the left factors in row 0, the right ones in
+    row 1.
     """
     amp = schedule.values_at(0.5 * (edges[:-1] + edges[1:]))
-    vec = np.zeros((2, len(amp), 3))
-    vec[0, :, 0] = amp[:, 0] + amp[:, 2]
-    vec[1, :, 0] = amp[:, 0] - amp[:, 2]
-    vec[:, :, 1] = amp[:, 1]
-    vec *= dt
-    step = cayley_klein(vec)
+    rates = vectorial_from_rabi(RabiTriple(*amp.T))
+    step = cayley_klein(np.stack([rates.left, rates.right]) * dt)
     return step.diag, step.off
 
 

@@ -357,6 +357,31 @@ def test_config_file_with_flag_override(tmp_path):
     assert run_cli("synthesize", "--config", str(unknown)).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("synthesize", {"samples": "1000"}),
+        ("propagate", {"schedule": str(SHIPPED_CSV), "steps": 1.5}),
+        ("validate-full", {"schedule": str(SHIPPED_CSV), "factor": "10"}),
+        ("propagate", {"schedule": str(SHIPPED_CSV), "reverse": 1}),
+        ("synthesize", {"q1": True}),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    bad_key = list(config)[-1]
+    assert f"config key {bad_key!r}" in capsys.readouterr().err
+
+
+def test_config_accepts_int_for_float_and_null_for_optional(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"duration": 1, "samples": 3, "q1": None, "tau": 0}))
+    assert main(["synthesize", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+
 def test_physical_units_scaling(tmp_path):
     plain = run_cli("synthesize", "--duration", "1", "--samples", "3")
     scaled = run_cli(

@@ -117,6 +117,22 @@ def test_check_constraints_stacked():
     )
 
 
+def test_rabi_maps_batch_match_scalar_calls():
+    rng = np.random.default_rng(13)
+    amp = rng.normal(0.0, 3.0, (6, 5, 3))
+    rates = vectorial_from_rabi(RabiTriple(*np.moveaxis(amp, -1, 0)))
+    assert rates.left.shape == rates.right.shape == (6, 5, 3)
+    triples = rabi_from_vectorial(rates)
+    assert triples.as_array().shape == (6, 5, 3)
+    for idx in np.ndindex(6, 5):
+        single = vectorial_from_rabi(RabiTriple(*(float(o) for o in amp[idx])))
+        assert np.array_equal(rates.left[idx], single.left), idx
+        assert np.array_equal(rates.right[idx], single.right), idx
+        back = rabi_from_vectorial(single)
+        assert np.array_equal(triples.as_array()[idx], back.as_array()), idx
+        assert back.as_array().shape == (3,)
+
+
 def test_vectorial_rabi_wraps_both_vectors():
     sample = CurveSample(
         t=0.0,

@@ -229,7 +229,9 @@ def test_reduction_at_moderate_factor():
     }
 
 
-@pytest.mark.parametrize("chunk", [32768, 1000])
+# 6,351 steps: one chunk, then chunks of 1000 and of 999, each leaving an
+# odd remainder
+@pytest.mark.parametrize("chunk", [32768, 1000, 999])
 def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
     params = params_for_factor(row1_schedule(), 3.0)
@@ -239,6 +241,20 @@ def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     assert (steps, dt) == (ref_steps, ref_dt)
     assert np.max(np.abs(MANIFOLD @ psi - ref_psi)) <= 1e-11
     assert ref_leak <= 1e-14
+
+
+def test_integrate_full_memory_stays_bounded():
+    # a kernel that keeps the state after every step of a 32768-step
+    # chunk peaks at 27.9 MiB here
+    params = params_for_factor(row1_schedule(), 20.0)
+    tracemalloc.start()
+    try:
+        _, steps, _ = _integrate_full(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps > 250_000
+    assert peak < 8 << 20
 
 
 def test_step_cap_refuses_before_allocating():

@@ -16,6 +16,7 @@ from ghzforge.algebra import (
     wprime_state,
 )
 from ghzforge.dynamics import RabiTriple, ladder_hamiltonian
+from ghzforge.fullmodel import _CHUNK, _step_product
 from ghzforge.propagate import (
     AmplitudeTooSmall,
     ConvergenceFailure,
@@ -23,12 +24,9 @@ from ghzforge.propagate import (
     NotNormalized,
     TooManySteps,
     ZeroArea,
-    _BLOCK,
     _MAX_STEPS,
-    _PIECE,
     _SCAN_PIECE,
     _integrate,
-    _midpoint_states,
     extract_ghz_phase,
     ghz_fidelity,
     normalize_to_area,
@@ -246,19 +244,21 @@ def _random_hermitian(rng, n):
 
 @pytest.mark.parametrize(
     "steps",
-    [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 7],
+    [1, 2, 3, 5, 31, 32, 33, 1023, 1024, 1025, 3079, _CHUNK - 1, _CHUNK, _CHUNK + 1],
 )
 @pytest.mark.parametrize("build", [_random_ladder, _random_hermitian])
 def test_midpoint_states_match_per_step_reference(steps, build):
+    # the full model's product of midpoint steps, applied once, against
+    # the last state of the per-step loop
     rng = np.random.default_rng(steps)
     hams = build(rng, steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    got = _midpoint_states(hams, 0.05, psi0)
-    ref = oracles.midpoint_states_reference(hams, 0.05, psi0)
-    assert got.shape == ref.shape == (steps, 4)
-    assert np.max(np.abs(got - ref)) <= 1e-12
-    assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
+    prod = _step_product(hams, 0.05)
+    ref = oracles.midpoint_states_reference(hams, 0.05, psi0)[-1]
+    assert prod.shape == (4, 4)
+    assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
+    assert np.max(np.abs(prod.conj().T @ prod - np.eye(4))) <= 1e-12
 
 
 def _integrate_against_reference(schedule, steps, psi0):
