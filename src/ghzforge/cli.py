@@ -379,7 +379,9 @@ def cmd_validate_full(cfg: RunConfig) -> int:
 
     start = time.perf_counter()
     factors = (cfg.factor,)
-    if cfg.compare_factor is not None and cfg.compare_factor > 0:
+    # 0 disables the comparison; params_for_factor refuses any other
+    # factor that is not positive and finite
+    if cfg.compare_factor is not None and cfg.compare_factor != 0:
         factors += (cfg.compare_factor,)
     reports, trend = compare_factors(
         schedule, factors, cfg.steps_per_cycle, min_factor=cfg.min_factor, force=cfg.force

@@ -18,6 +18,13 @@ reported leakage is exactly zero; each chunk of midpoint steps reaches
 the state as one 4x4 product.  The eight-level Hamiltonian stays
 available through full_hamiltonian.
 
+On the block the drive enters as H = c R + c* R^T + V P, with R the
+spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
+phase is generated by the excitation number N = diag(0, 1, 2, 3): with
+c = r e^{i phi}, H = e^{i phi N} S(r) e^{-i phi N}, where
+S(r) = r (R + R^T) + V P is real, symmetric and tridiagonal.  Each step
+exponentiates the real S(r) dt and twists the result back by the phase.
+
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
 bit.  The strong drive sits *below* the single-atom transition, so its
@@ -99,6 +106,11 @@ MANIFOLD = np.stack([_GGG8, _W8, _WPRIME8, _RRR8], axis=1)
 # projections are the exact couplings of the 4x4 block.
 _RAISING4 = MANIFOLD.T @ RAISING @ MANIFOLD
 _PAIRS4 = MANIFOLD.T @ np.diag(PAIR_COUNTS) @ MANIFOLD
+# The block Hamiltonian at drive modulus r, in the gauge that removes the
+# drive phase, is r _LADDER4 + V _PAIRS4; every entry is non-negative.
+_LADDER4 = _RAISING4 + _RAISING4.T
+# Entry [j, l] is the index of u^(j - l) in the powers (u^-3, ..., u^3).
+_LAGS = np.subtract.outer(np.arange(4), np.arange(4)) + 3
 
 
 def embed_state(state4: np.ndarray) -> np.ndarray:
@@ -137,10 +149,10 @@ class FullModelParams:
     steps_per_cycle: int = DEFAULT_STEPS_PER_CYCLE
 
     def __post_init__(self):
-        if self.blockade <= 0 or self.detuning0 <= 0:
-            raise ValueError("blockade and detuning0 must be positive")
-        if self.stark_amp < 0:
-            raise ValueError("stark_amp must be non-negative")
+        if not (0 < self.blockade < math.inf and 0 < self.detuning0 < math.inf):
+            raise ValueError("blockade and detuning0 must be positive and finite")
+        if not 0 <= self.stark_amp < math.inf:
+            raise ValueError("stark_amp must be non-negative and finite")
         if self.steps_per_cycle < 1:
             raise ValueError("steps_per_cycle must be at least 1")
 
@@ -168,6 +180,13 @@ def _tone_amplitudes(params: FullModelParams, times: np.ndarray) -> np.ndarray:
     return np.concatenate([strong, scheduled], axis=1)
 
 
+def _drive(times: np.ndarray, params: FullModelParams) -> np.ndarray:
+    """Complex drive c(t) that multiplies the raising operator, shape (len(times),)."""
+    amps = _tone_amplitudes(params, times)
+    freqs = tone_frequencies(params)
+    return np.sum(amps * np.exp(-1j * freqs[None, :] * times[:, None]), axis=1)
+
+
 def _hamiltonians(
     times: np.ndarray, params: FullModelParams, raising: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
@@ -177,10 +196,7 @@ def _hamiltonians(
     of the space the Hamiltonians act on: the eight-level space or the
     4x4 symmetric block.
     """
-    amps = _tone_amplitudes(params, times)
-    freqs = tone_frequencies(params)
-    drive = np.sum(amps * np.exp(-1j * freqs[None, :] * times[:, None]), axis=1)
-    hams = drive[:, None, None] * raising[None, :, :]
+    hams = _drive(times, params)[:, None, None] * raising[None, :, :]
     hams = hams + hams.conj().transpose(0, 2, 1)
     return hams + params.blockade * pairs
 
@@ -216,8 +232,8 @@ def params_for_factor(
     the large scales are 2 factor^2 times it, which keeps both layer
     ratios at or above the factor.
     """
-    if factor <= 0:
-        raise ValueError("hierarchy factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"hierarchy factor must be positive and finite, not {factor!r}")
     peak = float(np.max(np.abs(schedule.values)))
     if peak == 0.0:
         raise ValueError("cannot scale parameters to an all-zero schedule")
@@ -287,16 +303,65 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
     return n, duration / n
 
 
-def _step_product(hams: np.ndarray, dt: float) -> np.ndarray:
-    """Product of the steps exp(-i H_k dt) over k, later steps on the left.
+def _cos_sin(x: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos X and sin X of a stack of real symmetric X, so exp(-iX) = cos X - i sin X.
 
-    Each propagator comes from an eigendecomposition, so every step is
-    exactly unitary.  Adjacent pairs are multiplied in log depth (the
-    up-sweep of Blelloch, Prefix Sums and Their Applications, 1990); an
-    odd last step is carried up to the next level unpaired.
+    theta bounds the infinity norm of every X.  Both are Taylor series in
+    X^2, summed by Horner steps (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)); when theta > 1, X is halved s = ceil(log2 theta) times and
+    the result squared s times (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970 (2009)).
     """
-    evals, evecs = np.linalg.eigh(hams)
-    prods = (evecs * np.exp(-1j * evals * dt)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    x = x * 0.5**s
+    # the smallest degree m >= 1 whose first dropped term,
+    # theta^(2m+2)/(2m+2)!, is at most 2^-53; m <= 9 once theta <= 1
+    m = 1
+    while (theta * 0.5**s) ** (2 * m + 2) / math.factorial(2 * m + 2) > 2.0**-53:
+        m += 1
+    # row 0: (-1)^k / (2k)!, the cos series; row 1: (-1)^k / (2k+1)!, sin X / X
+    coeffs = np.array(
+        [[(-1) ** k / math.factorial(2 * k + odd) for k in range(m + 1)] for odd in (0, 1)]
+    )
+    eye = np.eye(4)
+    y = x @ x
+    poly = coeffs[:, m, None, None, None] * y
+    poly += np.multiply.outer(coeffs[:, m - 1], eye)[:, None]
+    for k in range(m - 2, -1, -1):
+        poly = poly @ y
+        poly += np.multiply.outer(coeffs[:, k], eye)[:, None]
+    cos, sin = poly[0], poly[1] @ x
+    for _ in range(s):
+        cos, sin = cos @ cos - sin @ sin, cos @ sin + sin @ cos
+    return cos, sin
+
+
+def _step_product(drive: np.ndarray, dt: float, blockade: float) -> np.ndarray:
+    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+
+    H_k = c_k R + c_k* R^T + V P is e^{i phi_k N} S(r_k) e^{-i phi_k N}
+    with c_k = r_k e^{i phi_k} (see the module docstring), so each step is
+    the real exponential E_k = exp(-i S(r_k) dt) twisted back entrywise:
+    U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
+    c_k = 0.  Adjacent pairs are multiplied in log depth (the up-sweep of
+    Blelloch, Prefix Sums and Their Applications, 1990); an odd last
+    step is carried up to the next level unpaired.
+    """
+    r = np.abs(drive)
+    x = (r * dt)[:, None, None] * _LADDER4 + (blockade * dt) * _PAIRS4
+    # every entry of X grows with r, so the step of largest r has the
+    # largest infinity norm
+    theta = float(np.max(np.sum(x[np.argmax(r)], axis=1)))
+    cos, sin = _cos_sin(x, theta)
+    u = np.ones_like(drive)
+    np.divide(drive, r, out=u, where=r > 0)
+    u2 = u * u
+    u3 = u2 * u
+    powers = np.stack([u3.conj(), u2.conj(), u.conj(), np.ones_like(u), u, u2, u3], axis=1)
+    prods = np.empty(cos.shape, dtype=complex)
+    prods.real = cos
+    prods.imag = -sin
+    prods *= powers[:, _LAGS]
     while len(prods) > 1:
         even = len(prods) - len(prods) % 2
         prods = np.concatenate([prods[1:even:2] @ prods[0:even:2], prods[even:]])
@@ -306,16 +371,17 @@ def _step_product(hams: np.ndarray, dt: float) -> np.ndarray:
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block, applying each chunk of _CHUNK
-    midpoint steps as one _step_product and renormalizing after it.
-    Returns (final_state, steps, dt) with the state in the
-    (ggg, W, W', rrr) basis; MANIFOLD lifts it into the full space.
+    Runs on the 4x4 symmetric block: builds the drive at the midpoints of
+    each chunk of _CHUNK steps, applies the chunk as one _step_product
+    and renormalizes after it.  Returns (final_state, steps, dt) with the
+    state in the (ggg, W, W', rrr) basis; MANIFOLD lifts it into the
+    full space.
     """
     n, dt = _step_grid(params)
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         mids = (done + np.arange(min(_CHUNK, n - done)) + 0.5) * dt
-        psi = _step_product(_hamiltonians(mids, params, _RAISING4, _PAIRS4), dt) @ psi
+        psi = _step_product(_drive(mids, params), dt, params.blockade) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 
@@ -324,6 +390,8 @@ def validate_reduction(
     params: FullModelParams,
     required_factor: float = DEFAULT_FACTOR,
     force: bool = False,
+    *,
+    _effective: np.ndarray | None = None,
 ) -> ReductionReport:
     """Integrate the full model and score it against the effective one.
 
@@ -331,7 +399,9 @@ def validate_reduction(
     schedule, lifted into the full space with the accumulated
     frame-alignment phases of the four levels.  Raises
     HierarchyViolation when the scale ratios fall below
-    required_factor, unless force is set.
+    required_factor, unless force is set.  compare_factors passes the
+    effective final state it shares between factors as _effective;
+    when it is None the schedule is propagated here.
     """
     upper, lower = hierarchy_ratios(params)
     ok = min(upper, lower) >= required_factor
@@ -343,12 +413,13 @@ def validate_reduction(
 
     psi_block, steps, dt = _integrate_full(params)
 
-    effective = propagate(params.schedule, target="ghz")
+    if _effective is None:
+        _effective = propagate(params.schedule, target="ghz").states[-1]
     d1, d2, d3 = params.detunings
     v = params.blockade
     duration = params.schedule.duration
     frame = np.array([0.0, d1, d1 + d2 + v, d1 + d2 + d3 + 3.0 * v])
-    predicted = np.exp(-1j * frame * duration) * effective.states[-1]
+    predicted = np.exp(-1j * frame * duration) * _effective
     infidelity = 1.0 - float(abs(np.vdot(predicted, psi_block)) ** 2)
 
     return ReductionReport(
@@ -380,9 +451,10 @@ def compare_factors(
     """Run the reduction check at several hierarchy factors.
 
     Each run must reach min_factor, or its own factor when min_factor
-    is None (force skips the check as in validate_reduction).  Returns
-    the per-factor reports plus trend flags comparing the last run
-    against the first: the perturbative prediction is that a wider
+    is None (force skips the check as in validate_reduction).  The
+    effective model is propagated once and scores every factor.
+    Returns the per-factor reports plus trend flags comparing the last
+    run against the first: the perturbative prediction is that a wider
     hierarchy tracks the effective model more closely.
     "monotone_improvement" is a deprecated alias of
     "infidelity_decreased", kept for payload compatibility.  Raises
@@ -392,9 +464,13 @@ def compare_factors(
     runs = [(f, params_for_factor(schedule, f, steps_per_cycle)) for f in factors]
     for _, params in runs:
         _step_grid(params)  # refuse an oversized factor before integrating any
+    effective = propagate(schedule, target="ghz").states[-1]
     reports = [
         validate_reduction(
-            params, required_factor=f if min_factor is None else min_factor, force=force
+            params,
+            required_factor=f if min_factor is None else min_factor,
+            force=force,
+            _effective=effective,
         )
         for f, params in runs
     ]

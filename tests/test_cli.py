@@ -279,6 +279,53 @@ def test_validate_full_step_cap(capsys):
         assert "steps" in err and "4194304" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--compare-factor", "nan"), "not nan"),
+        (("--compare-factor", "-5"), "not -5.0"),
+        (("--compare-factor", "inf"), "not inf"),
+        (("--factor", "nan", "--compare-factor", "0"), "not nan"),
+        (("--factor", "inf", "--compare-factor", "0"), "not inf"),
+        (("--factor", "-1", "--compare-factor", "0"), "not -1.0"),
+    ],
+)
+def test_validate_full_bad_factor_is_usage_error(flags, message, capsys):
+    start = time.perf_counter()
+    code = main(["validate-full", "--schedule", str(SHIPPED_CSV), *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "hierarchy factor must be positive and finite" in err and message in err
+
+
+@pytest.mark.parametrize("compare, code", [(-5, 2), (0, 0), (None, 0)])
+def test_validate_full_config_compare_factor(compare, code, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schedule": str(SHIPPED_CSV), "factor": 3, "min_factor": 3,
+        "steps_per_cycle": 2, "compare_factor": compare,
+    }))
+    assert main(["validate-full", "--config", str(cfg)]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert json.loads(out)["comparison"] is None
+
+
+def test_validate_full_runs_without_eigh(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on the validate-full path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    code = main([
+        "validate-full", "--schedule", str(SHIPPED_CSV), "--factor", "3", "--min-factor", "3",
+        "--compare-factor", "4", "--steps-per-cycle", "2",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["comparison"]["hierarchy_factor"] >= 4.0
+
+
 def test_propagate_step_cap(capsys):
     start = time.perf_counter()
     tracemalloc.start()

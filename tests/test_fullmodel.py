@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from ghzforge.fullmodel import (
     FullModelParams,
     _PAIRS4,
     _RAISING4,
+    _drive,
     _hamiltonians,
     _integrate_full,
     HierarchyViolation,
@@ -23,6 +25,7 @@ from ghzforge.fullmodel import (
     full_hamiltonian,
     hierarchy_ratios,
     params_for_factor,
+    compare_factors,
     tone_frequencies,
     validate_reduction,
 )
@@ -178,6 +181,34 @@ def test_params_validation():
         make_params(stark=-0.5)
 
 
+@pytest.mark.parametrize("scale", ["blockade", "detuning0", "stark"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_scales(scale, value):
+    with pytest.raises(ValueError, match="finite"):
+        make_params(**{scale: value})
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -5.0, 0.0])
+def test_params_for_factor_rejects_bad_factor(factor):
+    with pytest.raises(ValueError, match="positive and finite"):
+        params_for_factor(row1_schedule(), factor)
+
+
+def test_gauge_identity_of_block_hamiltonian():
+    # H = c R + c* R^T + V P equals e^{i phi N} S(|c|) e^{-i phi N} with
+    # the real S(r) = r (R + R^T) + V P and N the excitation number
+    rng = np.random.default_rng(11)
+    for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
+        times = rng.uniform(0.0, params.schedule.duration, 50)
+        drive = _drive(times, params)
+        hams = _hamiltonians(times, params, _RAISING4, _PAIRS4)
+        ladder = _RAISING4 + _RAISING4.T
+        real = np.abs(drive)[:, None, None] * ladder + params.blockade * _PAIRS4
+        twist = np.exp(1j * np.angle(drive)[:, None] * np.arange(4))
+        rebuilt = twist[:, :, None] * real * twist.conj()[:, None, :]
+        assert _max_rel(hams, rebuilt) <= 1e-14
+
+
 def test_params_for_factor_scaling():
     schedule = row1_schedule()
     peak = float(np.max(np.abs(schedule.values)))
@@ -205,6 +236,30 @@ def test_zero_drive_keeps_state_constant():
     report = validate_reduction(params, required_factor=0.0)
     assert report.leakage_max <= 1e-14
     assert report.effective_vs_full_infidelity <= 1e-10
+
+
+def test_compare_factors_propagates_once(monkeypatch):
+    import ghzforge.fullmodel as fullmodel_module
+
+    original = fullmodel_module.propagate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fullmodel_module, "propagate", counting)
+    schedule = row1_schedule()
+    reports, _ = compare_factors(schedule, (3.0, 4.0), steps_per_cycle=2, min_factor=3.0)
+    assert len(calls) == 1 and len(reports) == 2
+
+    # the shared effective run scores each factor as a run of its own does
+    monkeypatch.setattr(fullmodel_module, "propagate", original)
+    single = [
+        validate_reduction(params_for_factor(schedule, f, 2), required_factor=3.0).as_dict()
+        for f in (3.0, 4.0)
+    ]
+    assert [r.as_dict() for r in reports] == single
 
 
 def test_reduction_at_moderate_factor():

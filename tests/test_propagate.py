@@ -233,29 +233,62 @@ def _ladder_hams(amp):
     return hams
 
 
+# The symmetric block of the full model: drive c on the spin-3/2 ladder,
+# blockade V on the pair counts.
+_BLOCK_RAISING = np.diag([math.sqrt(3.0), 2.0, math.sqrt(3.0)], -1)
+_BLOCK_PAIRS = np.diag([0.0, 0.0, 1.0, 3.0])
+
+
+def _block_hams(drive, blockade):
+    hams = drive[:, None, None] * _BLOCK_RAISING
+    return hams + hams.conj().transpose(0, 2, 1) + blockade * _BLOCK_PAIRS
+
+
+# Each builder returns (drive, blockade, dt).  A real drive makes the
+# block a real ladder; a complex one makes it a general Hermitian block.
 def _random_ladder(rng, n):
-    return _ladder_hams(rng.normal(0.0, 2.0, (n, 3)))
+    return rng.normal(0.0, 1.0, n) + 0j, rng.uniform(0.5, 2.0), 0.02
 
 
 def _random_hermitian(rng, n):
-    m = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-    return m + m.conj().transpose(0, 2, 1)
+    return rng.normal(0.0, 1.0, n) + 1j * rng.normal(0.0, 1.0, n), rng.uniform(0.5, 2.0), 0.02
+
+
+def _zero_drive(rng, n):
+    return np.zeros(n, dtype=complex), rng.uniform(0.5, 2.0), 0.02
+
+
+def _mixed_drive(rng, n):
+    drive, blockade, dt = _random_hermitian(rng, n)
+    drive[rng.random(n) < 0.5] = 0.0
+    return drive, blockade, dt
+
+
+def _long_steps(rng, n):
+    # steps of norm well above 1, so the exponential halves and squares
+    drive, blockade, _ = _random_hermitian(rng, n)
+    return drive, blockade, 0.6
 
 
 @pytest.mark.parametrize(
     "steps",
     [1, 2, 3, 5, 31, 32, 33, 1023, 1024, 1025, 3079, _CHUNK - 1, _CHUNK, _CHUNK + 1],
 )
-@pytest.mark.parametrize("build", [_random_ladder, _random_hermitian])
+@pytest.mark.parametrize(
+    "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
+)
 def test_midpoint_states_match_per_step_reference(steps, build):
     # the full model's product of midpoint steps, applied once, against
     # the last state of the per-step loop
     rng = np.random.default_rng(steps)
-    hams = build(rng, steps)
+    drive, blockade, dt = build(rng, steps)
+    hams = _block_hams(drive, blockade)
+    theta = dt * np.max(np.sum(np.abs(hams), axis=-1))
+    assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(hams, 0.05)
-    ref = oracles.midpoint_states_reference(hams, 0.05, psi0)[-1]
+    prod = _step_product(drive, dt, blockade)
+    ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
     assert np.max(np.abs(prod.conj().T @ prod - np.eye(4))) <= 1e-12
