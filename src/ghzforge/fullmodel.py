@@ -450,9 +450,10 @@ def compare_factors(
 ) -> tuple[list[ReductionReport], dict]:
     """Run the reduction check at several hierarchy factors.
 
-    Each run must reach min_factor, or its own factor when min_factor
-    is None (force skips the check as in validate_reduction).  The
-    effective model is propagated once and scores every factor.
+    Each run must reach min_factor, which must be positive and finite,
+    or its own factor when min_factor is None (force skips the check as
+    in validate_reduction).  The effective model is propagated once and
+    scores every factor.
     Returns the per-factor reports plus trend flags comparing the last
     run against the first: the perturbative prediction is that a wider
     hierarchy tracks the effective model more closely.
@@ -461,6 +462,10 @@ def compare_factors(
     TooManySteps before integrating anything when a factor needs more
     steps than the cap.
     """
+    if min_factor is not None and not 0 < min_factor < math.inf:
+        raise ValueError(
+            f"minimum hierarchy factor must be positive and finite, not {min_factor!r}"
+        )
     runs = [(f, params_for_factor(schedule, f, steps_per_cycle)) for f in factors]
     for _, params in runs:
         _step_grid(params)  # refuse an oversized factor before integrating any

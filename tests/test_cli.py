@@ -148,7 +148,11 @@ def test_propagate_shipped_config(tmp_path):
     assert payload["final_fidelity"] >= 0.999
     assert abs(payload["ghz_phase"] - np.pi / 2.0) < 1e-6
     assert payload["target"] == "ghz"
-    assert len(payload["times"]) == len(payload["fidelity_trace"]) == payload["steps"] + 1
+    # one row per knot of the schedule, and at least the config's 4096 steps,
+    # an equal number in each of its 999 segments
+    knots = len(SHIPPED_CSV.read_text().splitlines()) - 1
+    assert len(payload["times"]) == len(payload["fidelity_trace"]) == knots == 1000
+    assert payload["steps"] >= 4096 and payload["steps"] % (knots - 1) == 0
     assert payload["certification_delta"] < 1e-8
 
     again = tmp_path / "again.json"
@@ -297,6 +301,25 @@ def test_validate_full_bad_factor_is_usage_error(flags, message, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "hierarchy factor must be positive and finite" in err and message in err
+
+
+@pytest.mark.parametrize("value, shown", [("-5", "-5.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+def test_validate_full_bad_min_factor_is_usage_error(value, shown, tmp_path, capsys):
+    message = f"minimum hierarchy factor must be positive and finite, not {shown}"
+    start = time.perf_counter()
+    code = main([
+        "validate-full", "--schedule", str(SHIPPED_CSV), "--factor", "3",
+        "--min-factor", value, "--compare-factor", "0",
+    ])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": str(SHIPPED_CSV), "factor": 3,
+                               "min_factor": float(value), "compare_factor": 0}))
+    assert main(["validate-full", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("compare, code", [(-5, 2), (0, 0), (None, 0)])

@@ -69,6 +69,7 @@ def test_zero_schedule_is_static():
 def test_constant_schedule_matches_exact_exponential():
     values = np.array([0.7, -0.4, 1.1])
     result = propagate(constant_schedule(values, duration=2.0), steps=256, certify=False)
+    assert result.steps == 15 * 18  # at least 256 steps, 18 in each of 15 segments
     ham = ladder_hamiltonian(RabiTriple(*values))
     exact = oracles.expm_eig(ham * 2.0) @ w_state()
     assert np.max(np.abs(result.states[-1] - exact)) <= 1e-10
@@ -89,7 +90,7 @@ def test_trace_bounds_and_norms():
     assert np.max(result.fidelity_trace) <= 1.0 + 1e-12
     norms = np.linalg.norm(result.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
-    assert len(result.times) == result.steps + 1
+    assert len(result.times) == len(result.fidelity_trace) == 1000
 
 
 def test_reverse_returns_w():
@@ -294,16 +295,50 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert np.max(np.abs(prod.conj().T @ prod - np.eye(4))) <= 1e-12
 
 
-def _integrate_against_reference(schedule, steps, psi0):
-    """_integrate and the per-step eigendecomposition loop on the same grid."""
-    times, states = _integrate(schedule, psi0, steps)
-    dt = schedule.duration / steps
-    mids = 0.5 * (times[:-1] + times[1:])
-    ref = oracles.midpoint_states_reference(_ladder_hams(schedule.values_at(mids)), dt, psi0)
-    assert np.array_equal(times, np.linspace(0.0, schedule.duration, steps + 1))
-    assert states.shape == (steps + 1, 4)
+def _cf4_exponent_hams(schedule, sub):
+    """Hamiltonian times duration of every CF4 exponential, in the order applied.
+
+    Built apart from the kernel: the amplitudes come from values_at at
+    the Gauss nodes of each of the sub equal steps per segment.
+    """
+    times = schedule.times
+    h = np.repeat(np.diff(times) / sub, sub)
+    starts = (times[:-1, None] + np.diff(times)[:, None] * np.arange(sub) / sub).ravel()
+    early = schedule.values_at(starts + (0.5 - math.sqrt(3.0) / 6.0) * h)
+    late = schedule.values_at(starts + (0.5 + math.sqrt(3.0) / 6.0) * h)
+    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+    first = (a2 * early + a1 * late) * h[:, None]
+    second = (a1 * early + a2 * late) * h[:, None]
+    return _ladder_hams(np.stack([first, second], axis=1).reshape(-1, 3))
+
+
+def _integrate_against_reference(schedule, sub, psi0):
+    """_integrate and the per-exponential eigendecomposition loop, at the knots."""
+    states = _integrate(schedule, psi0, sub)
+    ref = oracles.midpoint_states_reference(_cf4_exponent_hams(schedule, sub), 1.0, psi0)
+    assert states.shape == (len(schedule.times), 4)
     assert np.array_equal(states[0], psi0)
-    return states[1:], ref
+    return states[1:], ref[2 * sub - 1 :: 2 * sub]
+
+
+def _knot_reference(schedule, psi0, sub=512):
+    """States at the knots by the midpoint rule at sub and sub/2 steps per segment.
+
+    The midpoint rule is symmetric, so its error is even in the step and
+    the Richardson combination (4 fine - coarse) / 3 cancels its leading
+    term.  Against the same combination at twice the steps, it moved by
+    8e-14 on the random 23-knot schedule and 2e-13 on the 50-sample bump,
+    far below the CF4 errors of 4e-10 and up that it measures here.
+    """
+    def midpoint(n):
+        times = schedule.times
+        h = np.repeat(np.diff(times) / n, n)
+        mids = (times[:-1, None] + np.diff(times)[:, None] * (np.arange(n) + 0.5) / n).ravel()
+        hams = _ladder_hams(schedule.values_at(mids)) * h[:, None, None]
+        states = oracles.midpoint_states_reference(hams, 1.0, psi0)[n - 1 :: n]
+        return np.vstack([psi0, states])
+
+    return (4.0 * midpoint(sub) - midpoint(sub // 2)) / 3.0
 
 
 def _random_state(rng):
@@ -311,28 +346,54 @@ def _random_state(rng):
     return psi0 / np.linalg.norm(psi0)
 
 
-@pytest.mark.parametrize(
-    "steps", [1, _SCAN_PIECE - 1, _SCAN_PIECE, _SCAN_PIECE + 1, 3 * _SCAN_PIECE + 7]
-)
+def _random_schedule(rng, segments):
+    # unequal segments over [0, 1.3], so each has its own step length
+    gaps = rng.uniform(0.5, 1.5, segments)
+    times = np.concatenate([[0.0], np.cumsum(gaps)]) * (1.3 / np.sum(gaps))
+    values = rng.normal(0.0, 2.0, (segments + 1, 3))
+    return PulseSchedule(times=times, values=values)
+
+
+def _bump_schedule(samples):
+    # A synthesized schedule is rank 1; bending it with a second amplitude
+    # direction makes the Hamiltonians at different times fail to commute,
+    # so only an integrator can get it right.
+    base = row1_schedule("trapezoid", samples=samples)
+    direction = np.cross(base.values[len(base.values) // 2], [0.0, 0.0, 1.0])
+    bump = np.sin(2.0 * np.pi * base.times / base.duration)
+    values = base.values + bump[:, None] * direction / np.linalg.norm(direction)
+    singular = np.linalg.svd(values, compute_uv=False)
+    assert singular[1] > 0.1 * singular[0]
+    return PulseSchedule(times=base.times, values=values)
+
+
+# Total step counts on both sides of the scan's piece boundaries, each
+# split into segments x steps per segment so that knots fall at every
+# step, every few steps, and at offsets that move from piece to piece.
+_SPLITS = {1: 1, _SCAN_PIECE - 1: 1, _SCAN_PIECE: 256, _SCAN_PIECE + 1: 3, 3 * _SCAN_PIECE + 7: 403}
+
+
+@pytest.mark.parametrize("steps", list(_SPLITS))
 def test_integrate_matches_per_step_reference(steps):
     rng = np.random.default_rng(steps)
-    times = np.linspace(0.0, 1.3, 23)
-    values = rng.normal(0.0, 2.0, (len(times), 3))
-    assert np.linalg.matrix_rank(values) == 3
-    got, ref = _integrate_against_reference(
-        PulseSchedule(times=times, values=values), steps, _random_state(rng)
-    )
+    sub = _SPLITS[steps]
+    schedule = _random_schedule(rng, steps // sub)
+    assert (len(schedule.times) - 1) * sub == steps
+    assert np.linalg.matrix_rank(schedule.values) == min(3, len(schedule.times))
+    got, ref = _integrate_against_reference(schedule, sub, _random_state(rng))
     assert np.max(np.abs(got - ref)) <= 1e-11
     assert np.max(np.abs(np.linalg.norm(got, axis=1) - np.linalg.norm(ref, axis=1))) <= 1e-12
 
 
 def test_integrate_matches_reference_on_stiff_schedule():
     rng = np.random.default_rng(80)
-    times = np.linspace(0.0, 1.0, 9)
-    values = np.zeros((9, 3))
+    times = np.linspace(0.0, 1.0, 3)
+    values = np.zeros((3, 3))
     values[::2, 0] = 80.0
     values[1::2, 1] = -80.0
-    values[:, 2] = 80.0 * np.sign(rng.normal(size=9))
+    values[:, 2] = 80.0 * np.sign(rng.normal(size=3))
+    # 2 segments of 2 _SCAN_PIECE + 3 steps: three of the five scan pieces
+    # hold no knot
     got, ref = _integrate_against_reference(
         PulseSchedule(times=times, values=values), 2 * _SCAN_PIECE + 3, _random_state(rng)
     )
@@ -343,37 +404,87 @@ def test_integrate_matches_reference_on_stiff_schedule():
 def test_integrate_zero_schedule_is_exact():
     schedule = constant_schedule(np.zeros(3))
     for state in (ggg_state(), w_state(), wprime_state(), rrr_state()):
-        _, states = _integrate(schedule, state, _SCAN_PIECE + 5)
-        assert np.array_equal(states, np.tile(state, (_SCAN_PIECE + 6, 1)))
+        # 15 segments of 547 steps cross a scan piece boundary mid-segment
+        states = _integrate(schedule, state, 547)
+        assert np.array_equal(states, np.tile(state, (16, 1)))
+
+
+def test_rank1_trapezoid_is_exact_at_every_knot():
+    # Under a rank-1 schedule H(t) = f(t) H0, so the state at knot t_i is
+    # exp(-i H0 F(t_i)) psi0 with F the integral of the piecewise-linear f,
+    # which the trapezoid rule gives exactly.
+    schedule = row1_schedule("trapezoid")
+    direction = schedule.values[np.argmax(np.linalg.norm(schedule.values, axis=1))]
+    direction = direction / np.linalg.norm(direction)
+    f = schedule.values @ direction
+    assert np.max(np.abs(schedule.values - np.outer(f, direction))) <= 1e-15
+    area = np.concatenate([[0.0], np.cumsum(np.diff(schedule.times) * (f[:-1] + f[1:]) / 2.0)])
+    ham = ladder_hamiltonian(RabiTriple(*direction))
+    exact = np.array([oracles.expm_eig(ham * F) @ w_state() for F in area])
+
+    result = propagate(schedule)
+    assert result.steps == 2 * (len(schedule.times) - 1)
+    assert np.array_equal(result.times, schedule.times)
+    assert np.max(np.abs(result.states - exact)) <= 1e-13
+    exact_trace = np.abs(exact @ ghz_state(result.ghz_phase).conj()) ** 2
+    assert np.max(np.abs(result.fidelity_trace - exact_trace)) <= 1e-13
+
+
+def _assert_certificate_tracks_knot_error(schedule):
+    # The certificate is a Richardson estimate of the largest state error at
+    # any knot.  It is exact only in the limit of small steps: on random
+    # 23-knot schedules it fell up to 0.23% short of the error (seed 2).
+    result = propagate(schedule)
+    error = np.max(np.linalg.norm(result.states - _knot_reference(schedule, w_state()), axis=1))
+    assert abs(result.certification_delta - error) <= 0.01 * error
+    assert result.certification_delta < 1e-8
+    return result
 
 
 def test_rank2_perturbation_takes_integrated_path():
-    # A synthesized schedule is rank 1; bending it with a second amplitude
-    # direction makes the Hamiltonians at different times fail to commute,
-    # so only an integrator can get it right.
-    base = row1_schedule("trapezoid")
-    direction = np.cross(base.values[len(base.values) // 2], [0.0, 0.0, 1.0])
-    bump = np.sin(2.0 * np.pi * base.times / base.duration)
-    values = base.values + bump[:, None] * direction / np.linalg.norm(direction)
-    singular = np.linalg.svd(values, compute_uv=False)
-    assert singular[1] > 0.1 * singular[0]
-    schedule = PulseSchedule(times=base.times, values=values)
-    result = propagate(schedule)
-    dt = schedule.duration / result.steps
-    mids = 0.5 * (result.times[:-1] + result.times[1:])
-    ref = oracles.midpoint_states_reference(_ladder_hams(schedule.values_at(mids)), dt, w_state())
-    assert np.max(np.abs(result.states[1:] - ref)) <= 1e-11
-    assert abs(result.final_fidelity - propagate(base).final_fidelity) > 1e-3
+    schedule = _bump_schedule(50)
+    result = _assert_certificate_tracks_knot_error(schedule)
+    assert result.steps == 2 * (len(schedule.times) - 1)
+    base = propagate(row1_schedule("trapezoid", samples=50))
+    assert abs(result.final_fidelity - base.final_fidelity) > 1e-3
+
+
+def _random_23_knots(seed):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.3, 23)
+    return PulseSchedule(times=times, values=rng.normal(0.0, 2.0, (len(times), 3)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_certificate_tracks_knot_error_on_random_schedule(seed):
+    result = _assert_certificate_tracks_knot_error(_random_23_knots(seed))
+    assert result.steps > 2 * 22
+
+
+def test_cf4_steps_are_fourth_order():
+    # Halving the step of a fourth-order scheme divides its error by 16;
+    # a second-order one, such as CF4 with its exponentials swapped,
+    # divides it by 4.
+    schedule = _random_23_knots(1)
+    ref = _knot_reference(schedule, w_state())
+    errors = [
+        np.max(np.linalg.norm(_integrate(schedule, w_state(), sub) - ref, axis=1))
+        for sub in (1, 2, 4)
+    ]
+    assert errors[-1] > 1e-9
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0
 
 
 def test_norms_stay_at_roundoff_over_long_runs():
     # Roundoff in the closed-form step factors is biased; without
-    # renormalized running products the norms drift by about 1e-12 over
-    # 8192 steps, and the certification delta, a difference of two
-    # fidelities stationary at 1, reads that drift instead of about 1e-15.
+    # renormalized running products the norms drift over long runs, and
+    # the certification delta would read that drift instead of roundoff.
     for kind in ("constant", "trapezoid"):
-        result = propagate(row1_schedule(kind))
-        assert result.steps == 8192
+        schedule = row1_schedule(kind)
+        result = propagate(schedule, steps=3 * _SCAN_PIECE)
+        segments = len(schedule.times) - 1
+        assert result.steps == 2 * segments * math.ceil(3 * _SCAN_PIECE / segments)
         norms = np.linalg.norm(result.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-14
         assert result.certification_delta <= 1e-13
