@@ -24,13 +24,13 @@ import json
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import algebra, dynamics, unitary
-from .fullmodel import compare_factors
+from .fullmodel import DEFAULT_FACTOR, DEFAULT_STEPS_PER_CYCLE, compare_factors
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
@@ -87,14 +87,13 @@ class RunConfig:
     initial: str = "w"
     reverse: bool = False
     steps: int = DEFAULT_STEPS
-    factor: float = 10.0
+    factor: float = DEFAULT_FACTOR
     compare_factor: float | None = 30.0
-    min_factor: float = 10.0
+    min_factor: float = DEFAULT_FACTOR
     force: bool = False
-    steps_per_cycle: int = 50
+    steps_per_cycle: int = DEFAULT_STEPS_PER_CYCLE
     out: str | None = None
     trace_csv: str | None = None
-    physical_units: bool = False
     omega_ref: float | None = None
     normalize_area: float | None = None
     reference_schedule: str | None = None
@@ -115,8 +114,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value not in (1, -1):
                 raise ValueError(f"{name} must be +1 or -1")
-        if self.physical_units and self.omega_ref is None:
-            raise ValueError("--physical-units requires --omega-ref")
         if self.omega_ref is not None and not self.omega_ref > 0:
             raise ValueError("omega_ref must be positive")
 
@@ -167,15 +164,10 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def write_schedule_csv(schedule: PulseSchedule, out: str | None, omega_ref: float | None) -> None:
-    """Write the schedule as CSV; omega_ref converts to physical units."""
-    scale_t = 1.0 if omega_ref is None else 1.0 / omega_ref
-    scale_o = 1.0 if omega_ref is None else omega_ref
+def write_schedule_csv(schedule: PulseSchedule, out: str | None) -> None:
     lines = [SCHEDULE_HEADER]
     for t, (o1, o2, o3) in zip(schedule.times, schedule.values):
-        lines.append(
-            f"{_fmt(t * scale_t)},{_fmt(o1 * scale_o)},{_fmt(o2 * scale_o)},{_fmt(o3 * scale_o)}"
-        )
+        lines.append(f"{_fmt(t)},{_fmt(o1)},{_fmt(o2)},{_fmt(o3)}")
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -214,11 +206,6 @@ def write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _endpoint_payload(solution) -> dict:
-    d = solution.as_dict()
-    return {key: (int(v) if isinstance(v, int) else float(v)) for key, v in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +259,7 @@ def cmd_endpoints(cfg: RunConfig) -> int:
             f"{sol.ghz_phase:10.6f}"
         )
     if cfg.out is not None:
-        write_json({"endpoints": [_endpoint_payload(s) for s in rows]}, cfg.out)
+        write_json({"endpoints": [asdict(s) for s in rows]}, cfg.out)
     _info(f"solved {len(rows)} endpoint(s) in {time.perf_counter() - start:.3f}s")
     return EXIT_OK
 
@@ -299,7 +286,21 @@ def _synthesize_schedule(cfg: RunConfig) -> PulseSchedule:
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     schedule = _synthesize_schedule(cfg)
-    write_schedule_csv(schedule, cfg.out, cfg.omega_ref if cfg.physical_units else None)
+    written = schedule
+    if cfg.omega_ref is not None:
+        # the schedule's own checks refuse an omega_ref whose scaling
+        # overflows or collapses the times or amplitudes
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                written = PulseSchedule(
+                    times=schedule.times * (1.0 / cfg.omega_ref),
+                    values=schedule.values * cfg.omega_ref,
+                )
+        except ValueError as exc:
+            raise ValueError(
+                f"omega_ref {cfg.omega_ref!r} makes the schedule invalid: {exc}"
+            ) from None
+    write_schedule_csv(written, cfg.out)
     area = squared_area(schedule)
     peak_rate = float(np.max(np.abs(schedule.profile.rate(schedule.times))))
     plateau = [float(a) * cfg.pole for a in plateau_amplitudes(schedule.endpoint, theta_rate=peak_rate)]
@@ -352,7 +353,7 @@ def cmd_propagate(cfg: RunConfig) -> int:
         "final_fidelity": float(result.final_fidelity),
         "ghz_phase": None if result.ghz_phase is None else float(result.ghz_phase),
         "area": float(result.area),
-        "endpoint": None if schedule.endpoint is None else _endpoint_payload(schedule.endpoint),
+        "endpoint": None if schedule.endpoint is None else asdict(schedule.endpoint),
         "profile": None if schedule.profile is None else schedule.profile.as_dict(),
         "target": result.target,
         "steps": int(result.steps),
@@ -386,8 +387,8 @@ def cmd_validate_full(cfg: RunConfig) -> int:
     reports, trend = compare_factors(
         schedule, factors, cfg.steps_per_cycle, min_factor=cfg.min_factor, force=cfg.force
     )
-    payload = reports[0].as_dict()
-    payload["comparison"] = {**reports[-1].as_dict(), **trend} if len(reports) > 1 else None
+    payload = asdict(reports[0])
+    payload["comparison"] = {**asdict(reports[-1]), **trend} if len(reports) > 1 else None
     _info(f"validated in {time.perf_counter() - start:.1f}s")
     write_json(payload, cfg.out)
     return EXIT_OK
@@ -522,9 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--target-area", type=float, dest="target_area", default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--physical-units", action="store_true", dest="physical_units", default=None)
     p.add_argument("--omega-ref", type=float, dest="omega_ref", default=None,
-                   help="reference Rabi frequency in MHz for --physical-units")
+                   help="reference Rabi frequency in MHz; writes the CSV in physical units")
     p.add_argument("--out", help="CSV path (stdout when omitted)")
 
     p = sub.add_parser("propagate", help="integrate a schedule CSV")
@@ -545,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--factor", type=float, default=None)
     p.add_argument("--compare-factor", type=float, dest="compare_factor", default=None,
-                   help="second hierarchy factor for the trend flags (0 disables)")
+                   help="second hierarchy factor for the trend flag (0 disables)")
     p.add_argument("--min-factor", type=float, dest="min_factor", default=None,
-                   help="smallest acceptable scale separation (default 10)")
+                   help=f"smallest acceptable scale separation (default {DEFAULT_FACTOR:g})")
     p.add_argument("--force", action="store_true", default=None)
     p.add_argument("--steps-per-cycle", type=int, dest="steps_per_cycle", default=None)
     p.add_argument("--out", help="report JSON path (stdout when omitted)")

@@ -14,9 +14,9 @@ atom permutations and maps the symmetric manifold (ggg, W, W', rrr) onto
 itself exactly.  The integration therefore runs on the 4x4 block of the
 Hamiltonian on that manifold, whose couplings are the projections of
 the eight-level operators; the state cannot leave the manifold, so the
-reported leakage is exactly zero; each chunk of midpoint steps reaches
-the state as one 4x4 product.  The eight-level Hamiltonian stays
-available through full_hamiltonian.
+report's leakage_max is exactly zero; each chunk of midpoint steps
+reaches the state as one 4x4 product.  The eight-level Hamiltonian
+stays available through full_hamiltonian.
 
 On the block the drive enters as H = c R + c* R^T + V P, with R the
 spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
@@ -187,23 +187,10 @@ def _drive(times: np.ndarray, params: FullModelParams) -> np.ndarray:
     return np.sum(amps * np.exp(-1j * freqs[None, :] * times[:, None]), axis=1)
 
 
-def _hamiltonians(
-    times: np.ndarray, params: FullModelParams, raising: np.ndarray, pairs: np.ndarray
-) -> np.ndarray:
-    """Interaction-picture Hamiltonians at the given times.
-
-    raising and pairs are the raising operator and the pair-count matrix
-    of the space the Hamiltonians act on: the eight-level space or the
-    4x4 symmetric block.
-    """
-    hams = _drive(times, params)[:, None, None] * raising[None, :, :]
-    hams = hams + hams.conj().transpose(0, 2, 1)
-    return hams + params.blockade * pairs
-
-
 def full_hamiltonian(t: float, params: FullModelParams) -> np.ndarray:
-    """The 8x8 interaction-picture Hamiltonian at one time."""
-    return _hamiltonians(np.atleast_1d(float(t)), params, RAISING, np.diag(PAIR_COUNTS))[0]
+    """The 8x8 interaction-picture Hamiltonian c R + c* R^T + V P at one time."""
+    ham = _drive(np.atleast_1d(float(t)), params)[0] * RAISING
+    return ham + ham.conj().T + params.blockade * np.diag(PAIR_COUNTS)
 
 
 def hierarchy_ratios(params: FullModelParams) -> tuple[float, float]:
@@ -263,25 +250,6 @@ class ReductionReport:
     detuning0: float
     stark_amp: float
     detunings: tuple[float, float, float]
-    stark_envelope: str = "constant"
-
-    def as_dict(self) -> dict:
-        return {
-            "hierarchy_factor": self.hierarchy_factor,
-            "ratio_upper": self.ratio_upper,
-            "ratio_lower": self.ratio_lower,
-            "hierarchy_ok": self.hierarchy_ok,
-            "leakage_max": self.leakage_max,
-            "effective_vs_full_infidelity": self.effective_vs_full_infidelity,
-            "steps": self.steps,
-            "dt": self.dt,
-            "duration": self.duration,
-            "blockade": self.blockade,
-            "detuning0": self.detuning0,
-            "stark_amp": self.stark_amp,
-            "detunings": list(self.detunings),
-            "stark_envelope": self.stark_envelope,
-        }
 
 
 def _step_grid(params: FullModelParams) -> tuple[int, float]:
@@ -428,7 +396,7 @@ def validate_reduction(
         ratio_lower=lower,
         hierarchy_ok=ok,
         # the block integration cannot leave the symmetric manifold; the
-        # field stays for payload compatibility
+        # field stays because the benchmark's validate gate reads it
         leakage_max=0.0,
         effective_vs_full_infidelity=infidelity,
         steps=steps,
@@ -454,13 +422,11 @@ def compare_factors(
     or its own factor when min_factor is None (force skips the check as
     in validate_reduction).  The effective model is propagated once and
     scores every factor.
-    Returns the per-factor reports plus trend flags comparing the last
-    run against the first: the perturbative prediction is that a wider
-    hierarchy tracks the effective model more closely.
-    "monotone_improvement" is a deprecated alias of
-    "infidelity_decreased", kept for payload compatibility.  Raises
-    TooManySteps before integrating anything when a factor needs more
-    steps than the cap.
+    Returns the per-factor reports plus the trend flag
+    "infidelity_decreased", comparing the last run against the first:
+    the perturbative prediction is that a wider hierarchy tracks the
+    effective model more closely.  Raises TooManySteps before
+    integrating anything when a factor needs more steps than the cap.
     """
     if min_factor is not None and not 0 < min_factor < math.inf:
         raise ValueError(
@@ -482,7 +448,5 @@ def compare_factors(
     trend = {
         "infidelity_decreased": reports[-1].effective_vs_full_infidelity
         < reports[0].effective_vs_full_infidelity,
-        "leakage_decreased": reports[-1].leakage_max < reports[0].leakage_max,
     }
-    trend["monotone_improvement"] = trend["infidelity_decreased"]
     return reports, trend

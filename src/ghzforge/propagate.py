@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import build_generators, ggg_state, ghz_state, rrr_state, w_state
 from .dynamics import RabiTriple, vectorial_from_rabi
-from .synthesis import EndpointSolution, NonFiniteSchedule, PulseProfile, PulseSchedule
+from .synthesis import NonFiniteSchedule, PulseProfile, PulseSchedule
 from .unitary import cayley_klein
 
 __all__ = [
@@ -104,8 +104,6 @@ class PropagationResult:
     steps: int
     certification_delta: float
     target: str
-    endpoint: EndpointSolution | None = None
-    profile: PulseProfile | None = None
 
 
 def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -225,7 +223,6 @@ def propagate(
     schedule: PulseSchedule,
     initial: np.ndarray | None = None,
     steps: int = DEFAULT_STEPS,
-    certify: bool = True,
     target: str = "ghz",
 ) -> PropagationResult:
     """Integrate a schedule and report fidelities against a target family.
@@ -234,8 +231,8 @@ def propagate(
     the run itself; target "w" scores against the single-excitation
     state (useful for reversed schedules).  The run takes at least
     ``steps`` CF4 steps, an equal number in each segment of the
-    schedule, and reports the states and the trace at the knots.  With
-    certify=True the steps per segment double until the largest state
+    schedule, and reports the states and the trace at the knots.  The
+    steps per segment double at least once, and until the largest state
     change over the knots, divided by 15, is below CERTIFY_TOL; that
     Richardson estimate of the state error at every knot is reported as
     certification_delta.
@@ -257,7 +254,7 @@ def propagate(
 
     states = _integrate(schedule, psi0, sub)
     delta = math.inf
-    while certify and delta >= CERTIFY_TOL:
+    while delta >= CERTIFY_TOL:
         if 2 * segments * sub > _MAX_STEPS:
             raise ConvergenceFailure(
                 f"knot state error estimate {delta:.3e} at {segments * sub} steps "
@@ -294,10 +291,8 @@ def propagate(
         ghz_phase=phase,
         area=squared_area(schedule),
         steps=segments * sub,
-        certification_delta=delta if certify else math.nan,
+        certification_delta=delta,
         target=target,
-        endpoint=schedule.endpoint,
-        profile=schedule.profile,
     )
 
 

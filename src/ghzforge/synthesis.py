@@ -17,7 +17,7 @@ a trapezoidal rate that switches on and off continuously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,18 +137,6 @@ class EndpointSolution:
             + math.cos(self.theta_right_final) ** 2
             - 0.5
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "theta_left_final": self.theta_left_final,
-            "theta_right_final": self.theta_right_final,
-            "phi_left": self.phi_left,
-            "phi_right": self.phi_right,
-            "q1": self.q1,
-            "q2": self.q2,
-            "q3": self.q3,
-            "ghz_phase": self.ghz_phase,
-        }
 
 
 def _spherical(theta, phi: float, pole: int = 1) -> np.ndarray:
@@ -288,17 +276,7 @@ def solve_endpoints(signs: tuple[int, int, int], branch: str = "auto") -> Endpoi
             f"conditions, residuals {solution.endpoint_residuals()}"
         )
 
-    phase = _reached_ghz_phase(solution)
-    return EndpointSolution(
-        theta_left_final=theta_left,
-        theta_right_final=theta_right,
-        phi_left=phi_left,
-        phi_right=phi_right,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        ghz_phase=phase,
-    )
+    return replace(solution, ghz_phase=_reached_ghz_phase(solution))
 
 
 def _reached_ghz_phase(solution: EndpointSolution) -> float:

@@ -106,7 +106,7 @@ def test_synthesize_usage_errors():
     assert run_cli("synthesize", "--duration", "1", "--tau", "0.6").returncode == 2
     assert run_cli("synthesize").returncode == 2
     assert run_cli("synthesize", "--duration", "1", "--target-area", "4").returncode == 2
-    assert run_cli("synthesize", "--duration", "1", "--physical-units").returncode == 2
+    assert run_cli("synthesize", "--duration", "1", "--omega-ref", "0").returncode == 2
 
 
 def test_synthesize_target_area():
@@ -250,7 +250,6 @@ def test_validate_full_quick(tmp_path):
     assert payload["comparison"] is None
     assert payload["leakage_max"] < 1e-10
     assert 0.0 < payload["effective_vs_full_infidelity"] < 0.5
-    assert payload["stark_envelope"] == "constant"
 
 
 def test_validate_full_force_weak_factor(tmp_path):
@@ -455,8 +454,7 @@ def test_config_accepts_int_for_float_and_null_for_optional(tmp_path, capsys):
 def test_physical_units_scaling(tmp_path):
     plain = run_cli("synthesize", "--duration", "1", "--samples", "3")
     scaled = run_cli(
-        "synthesize", "--duration", "1", "--samples", "3",
-        "--physical-units", "--omega-ref", "2.0",
+        "synthesize", "--duration", "1", "--samples", "3", "--omega-ref", "2.0",
     )
     plain_rows = [r.split(",") for r in plain.stdout.strip().splitlines()[1:]]
     scaled_rows = [r.split(",") for r in scaled.stdout.strip().splitlines()[1:]]
@@ -464,3 +462,47 @@ def test_physical_units_scaling(tmp_path):
         assert float(s[0]) == pytest.approx(float(p[0]) / 2.0, rel=1e-15)
         for i in (1, 2, 3):
             assert float(s[i]) == pytest.approx(float(p[i]) * 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320"])
+def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
+    # inf and 1e-320 pass the sign check but scale the times or the
+    # amplitudes out of the finite range; nothing may be written
+    out = tmp_path / "scaled.csv"
+    code = main(["synthesize", "--duration", "1", "--samples", "5",
+                 "--omega-ref", value, "--out", str(out)])
+    assert code == 2
+    assert "omega_ref" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PROPAGATE_KEYS = {
+    "times", "fidelity_trace", "final_fidelity", "ghz_phase", "area", "endpoint", "profile",
+    "target", "steps", "certification_delta", "reference_area",
+}
+REPORT_KEYS = {
+    "hierarchy_factor", "ratio_upper", "ratio_lower", "hierarchy_ok", "leakage_max",
+    "effective_vs_full_infidelity", "steps", "dt", "duration", "blockade", "detuning0",
+    "stark_amp", "detunings",
+}
+VALIDATE_TWO_FACTORS = [
+    "validate-full", "--factor", "3", "--min-factor", "3", "--compare-factor", "4",
+    "--steps-per-cycle", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, part, keys",
+    [
+        (["propagate"], None, PROPAGATE_KEYS),
+        (["propagate", "--reverse"], None, PROPAGATE_KEYS | {"forward_ghz_phase"}),
+        (VALIDATE_TWO_FACTORS, None, REPORT_KEYS | {"comparison"}),
+        (VALIDATE_TWO_FACTORS, "comparison", REPORT_KEYS | {"infidelity_decreased"}),
+    ],
+    ids=["propagate", "propagate-reverse", "validate-full", "validate-full-comparison"],
+)
+def test_payload_key_sets(argv, part, keys, capsys):
+    # a deleted payload field must not come back unnoticed
+    assert main([*argv, "--schedule", str(SHIPPED_CSV)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload if part is None else payload[part]) == keys

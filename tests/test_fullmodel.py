@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -12,7 +13,6 @@ from ghzforge.fullmodel import (
     _PAIRS4,
     _RAISING4,
     _drive,
-    _hamiltonians,
     _integrate_full,
     HierarchyViolation,
     MANIFOLD,
@@ -161,12 +161,18 @@ def _max_rel(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
 
+def _block_hamiltonians(times, params):
+    """The 4x4 block Hamiltonians c R + c* R^T + V P at the given times."""
+    hams = _drive(times, params)[:, None, None] * _RAISING4
+    return hams + hams.conj().transpose(0, 2, 1) + params.blockade * _PAIRS4
+
+
 def test_symmetric_block_reduction_identities():
     for op8, op4 in ((RAISING, _RAISING4), (np.diag(PAIR_COUNTS), _PAIRS4)):
         assert _max_rel(op8 @ MANIFOLD, MANIFOLD @ op4) <= 1e-14
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         for t in (0.0, 0.21, 0.5, 0.77, 1.0):
-            block = _hamiltonians(np.array([t]), params, _RAISING4, _PAIRS4)[0]
+            block = _block_hamiltonians(np.array([t]), params)[0]
             assert _max_rel(full_hamiltonian(t, params) @ MANIFOLD, MANIFOLD @ block) <= 1e-14
 
 
@@ -201,7 +207,7 @@ def test_gauge_identity_of_block_hamiltonian():
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         times = rng.uniform(0.0, params.schedule.duration, 50)
         drive = _drive(times, params)
-        hams = _hamiltonians(times, params, _RAISING4, _PAIRS4)
+        hams = _block_hamiltonians(times, params)
         ladder = _RAISING4 + _RAISING4.T
         real = np.abs(drive)[:, None, None] * ladder + params.blockade * _PAIRS4
         twist = np.exp(1j * np.angle(drive)[:, None] * np.arange(4))
@@ -256,10 +262,12 @@ def test_compare_factors_propagates_once(monkeypatch):
     # the shared effective run scores each factor as a run of its own does
     monkeypatch.setattr(fullmodel_module, "propagate", original)
     single = [
-        validate_reduction(params_for_factor(schedule, f, 2), required_factor=3.0).as_dict()
+        dataclasses.asdict(
+            validate_reduction(params_for_factor(schedule, f, 2), required_factor=3.0)
+        )
         for f in (3.0, 4.0)
     ]
-    assert [r.as_dict() for r in reports] == single
+    assert [dataclasses.asdict(r) for r in reports] == single
 
 
 def test_reduction_at_moderate_factor():
@@ -270,9 +278,8 @@ def test_reduction_at_moderate_factor():
     assert report.leakage_max <= 1e-12
     assert 0.0 <= report.effective_vs_full_infidelity < 0.2
     assert report.steps == pytest.approx(report.duration / report.dt, rel=1e-9)
-    assert report.stark_envelope == "constant"
 
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     assert set(payload) >= {
         "hierarchy_factor",
         "ratio_upper",
