@@ -8,11 +8,14 @@ Subcommands:
     validate-full  check the effective model against the full one
     check          run the structural invariant suite
 
-Every command accepts ``--config FILE`` (a JSON object whose keys match
-the long flag names with dashes replaced by underscores); explicit flags
-override config values.  Output payloads (CSV, JSON) are deterministic:
-identical inputs give bit-identical files, and progress messages with
-timings go to stderr only.
+Every command accepts ``--config FILE``, a JSON object whose keys match
+the long flag names with dashes replaced by underscores.  Each option is
+declared once, by its ``add_argument`` call.  A config value is checked
+against that declaration (JSON type, then choices) and becomes the
+command's default, so explicit flags override config values.  Ranges are
+checked where a value is used.  Output payloads (CSV, JSON) are
+deterministic: identical inputs give bit-identical files, and progress
+messages with timings go to stderr only.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,6 @@ from .synthesis import (
     PulseProfile,
     PulseSchedule,
     build_curve,
-    plateau_amplitudes,
     rabi_schedule,
     reverse_schedule,
     solve_endpoints,
@@ -69,91 +71,52 @@ REFERENCE_ENDPOINT_TABLE = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Merged command parameters from config file and flags."""
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: it takes --config and keeps its other options by dest."""
 
-    q1: int | None = None
-    q2: int | None = None
-    q3: int | None = None
-    branch: str = "auto"
-    pole: int = 1
-    profile: str = "constant"
-    tau: float = 1.0 / 3.0
-    duration: float | None = None
-    target_area: float | None = None
-    samples: int = 1000
-    schedule: str | None = None
-    initial: str = "w"
-    reverse: bool = False
-    steps: int = DEFAULT_STEPS
-    factor: float = DEFAULT_FACTOR
-    compare_factor: float | None = 30.0
-    min_factor: float = DEFAULT_FACTOR
-    force: bool = False
-    steps_per_cycle: int = DEFAULT_STEPS_PER_CYCLE
-    out: str | None = None
-    trace_csv: str | None = None
-    omega_ref: float | None = None
-    normalize_area: float | None = None
-    reference_schedule: str | None = None
-    pin_theta_left: float | None = None
-    pin_theta_right: float | None = None
-    pin_phi_left: float | None = None
-    pin_phi_right: float | None = None
-    pin_tol: float = 1e-4
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+        self.add_argument("--config")
 
-    def validate_common(self) -> None:
-        if self.samples < 2:
-            raise ValueError("sample count must be at least 2")
-        if not (0.0 <= self.tau < 0.5):
-            raise ValueError("tau must lie in [0, 1/2)")
-        if self.pole not in (1, -1):
-            raise ValueError("pole must be +1 or -1")
-        for name in ("q1", "q2", "q3"):
-            value = getattr(self, name)
-            if value is not None and value not in (1, -1):
-                raise ValueError(f"{name} must be +1 or -1")
-        if self.omega_ref is not None and not self.omega_ref > 0:
-            raise ValueError("omega_ref must be positive")
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest not in ("help", "config"):
+            self.options[action.dest] = action
+        return action
 
 
+# Options whose config value is a path, resolved against the config's directory.
 _PATH_KEYS = ("schedule", "out", "trace_csv", "reference_schedule")
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def load_config(path: str, options: dict[str, argparse.Action]) -> dict:
+    """A JSON config's values, each checked against the option it sets."""
     file = Path(path)
     raw = json.loads(file.read_text())
     if not isinstance(raw, dict):
         raise ValueError("config file must contain a JSON object")
-    hints = typing.get_type_hints(RunConfig)
     for key, value in raw.items():
-        if key not in hints:
+        action = options.get(key)
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        # a JSON true is no int here, and an int fills a float field
-        kind = float if type(value) is int and float in allowed else type(value)
-        if kind not in allowed:
-            expected = getattr(hints[key], "__name__", hints[key])
-            raise ValueError(f"config key {key!r} must be {expected}, not {value!r}")
+        # null fills an option whose default is None; for compare_factor it
+        # turns the comparison off, as 0 does
+        if value is None and (action.default is None or key == "compare_factor"):
+            continue
+        kind = bool if action.nargs == 0 else action.type or str
+        # a JSON true is no int here, and an int fills a float option
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"config key {key!r} must be one of {action.choices}, not {value!r}"
+            )
     for key in _PATH_KEYS:
         value = raw.get(key)
         if isinstance(value, str) and not Path(value).is_absolute():
             raw[key] = str(file.parent / value)
     return raw
-
-
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = load_config(getattr(args, "config", None))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = value
-    cfg = RunConfig(**merged)
-    cfg.validate_common()
-    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -212,17 +175,12 @@ def write_json(payload: dict, out: str | None) -> None:
 # subcommands
 
 
-def cmd_endpoints(cfg: RunConfig) -> int:
+def cmd_endpoints(cfg: argparse.Namespace) -> int:
     start = time.perf_counter()
-    rows = []
-    for signs in DEFAULT_SIGN_ORDER:
-        if cfg.q1 is not None and signs[0] != cfg.q1:
-            continue
-        if cfg.q2 is not None and signs[1] != cfg.q2:
-            continue
-        if cfg.q3 is not None and signs[2] != cfg.q3:
-            continue
-        rows.append(solve_endpoints(signs, branch=cfg.branch))
+    rows = [
+        solve_endpoints(signs) for signs in DEFAULT_SIGN_ORDER
+        if all(q is None or q == s for q, s in zip((cfg.q1, cfg.q2, cfg.q3), signs))
+    ]
 
     pins = {
         "theta_left_final": cfg.pin_theta_left,
@@ -232,20 +190,19 @@ def cmd_endpoints(cfg: RunConfig) -> int:
     }
     active_pins = {k: v for k, v in pins.items() if v is not None}
     if active_pins:
-        best = None
-        for sol in rows:
-            residual = max(abs(getattr(sol, k) - v) for k, v in active_pins.items())
-            if best is None or residual < best[0]:
-                best = (residual, sol)
-        if best is None or best[0] > cfg.pin_tol:
+        if not all(math.isfinite(v) for v in (*active_pins.values(), cfg.pin_tol)):
+            raise ValueError("pinned angles and pin_tol must be finite")
+        residuals = [
+            max(abs(getattr(sol, k) - v) for k, v in active_pins.items()) for sol in rows
+        ]
+        if not min(residuals) <= cfg.pin_tol:
             _info("no endpoint matches the pinned angles; nearest residuals:")
-            for sol in rows:
-                residual = max(abs(getattr(sol, k) - v) for k, v in active_pins.items())
+            for sol, residual in zip(rows, residuals):
                 _info(
                     f"  ({sol.q1:+d},{sol.q2:+d},{sol.q3:+d}) max |pinned - value| = {residual:.6e}"
                 )
             return EXIT_USAGE
-        rows = [best[1]]
+        rows = [rows[residuals.index(min(residuals))]]
 
     header = (
         f"{'q1':>3} {'q2':>3} {'q3':>3} {'theta_left_T':>13} {'theta_right_T':>14} "
@@ -264,11 +221,11 @@ def cmd_endpoints(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _synthesize_schedule(cfg: RunConfig) -> PulseSchedule:
+def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
     signs = (cfg.q1 if cfg.q1 is not None else 1,
              cfg.q2 if cfg.q2 is not None else -1,
              cfg.q3 if cfg.q3 is not None else 1)
-    endpoint = solve_endpoints(signs, branch=cfg.branch)
+    endpoint = solve_endpoints(signs)
     if (cfg.duration is None) == (cfg.target_area is None):
         raise ValueError("give exactly one of duration or target_area")
     duration = cfg.duration if cfg.duration is not None else 1.0
@@ -284,10 +241,12 @@ def _synthesize_schedule(cfg: RunConfig) -> PulseSchedule:
     return schedule
 
 
-def cmd_synthesize(cfg: RunConfig) -> int:
+def cmd_synthesize(cfg: argparse.Namespace) -> int:
     schedule = _synthesize_schedule(cfg)
     written = schedule
     if cfg.omega_ref is not None:
+        if not cfg.omega_ref > 0:
+            raise ValueError("omega_ref must be positive")
         # the schedule's own checks refuse an omega_ref whose scaling
         # overflows or collapses the times or amplitudes
         try:
@@ -301,13 +260,9 @@ def cmd_synthesize(cfg: RunConfig) -> int:
                 f"omega_ref {cfg.omega_ref!r} makes the schedule invalid: {exc}"
             ) from None
     write_schedule_csv(written, cfg.out)
-    area = squared_area(schedule)
-    peak_rate = float(np.max(np.abs(schedule.profile.rate(schedule.times))))
-    plateau = [float(a) * cfg.pole for a in plateau_amplitudes(schedule.endpoint, theta_rate=peak_rate)]
-    _info(
-        f"squared area A = {area!r}; plateau amplitudes "
-        f"({plateau[0]!r}, {plateau[1]!r}, {plateau[2]!r})"
-    )
+    peak = schedule.values[np.argmax(np.sum(schedule.values**2, axis=1))]
+    plateau = tuple(float(a) for a in peak)
+    _info(f"squared area A = {squared_area(schedule)!r}; plateau amplitudes {plateau!r}")
     return EXIT_OK
 
 
@@ -321,16 +276,16 @@ def _initial_state(name: str) -> np.ndarray:
     raise ValueError(f"unknown initial state {name!r} (use w, ggg, or ghz:PHASE)")
 
 
-def cmd_propagate(cfg: RunConfig) -> int:
+def cmd_propagate(cfg: argparse.Namespace) -> int:
     if cfg.schedule is None:
         raise ValueError("propagate needs --schedule FILE")
+    if cfg.normalize_area is not None and cfg.reference_schedule is not None:
+        raise ValueError("give at most one of normalize_area or reference_schedule")
     schedule = read_schedule_csv(cfg.schedule)
 
-    reference_area = None
+    reference_area = cfg.normalize_area
     if cfg.reference_schedule is not None:
         reference_area = squared_area(read_schedule_csv(cfg.reference_schedule))
-    if cfg.normalize_area is not None:
-        reference_area = cfg.normalize_area
     if reference_area is not None:
         schedule = normalize_to_area(schedule, reference_area)
 
@@ -353,8 +308,6 @@ def cmd_propagate(cfg: RunConfig) -> int:
         "final_fidelity": float(result.final_fidelity),
         "ghz_phase": None if result.ghz_phase is None else float(result.ghz_phase),
         "area": float(result.area),
-        "endpoint": None if schedule.endpoint is None else asdict(schedule.endpoint),
-        "profile": None if schedule.profile is None else schedule.profile.as_dict(),
         "target": result.target,
         "steps": int(result.steps),
         "certification_delta": float(result.certification_delta),
@@ -373,15 +326,15 @@ def cmd_propagate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate_full(cfg: RunConfig) -> int:
+def cmd_validate_full(cfg: argparse.Namespace) -> int:
     if cfg.schedule is None:
         raise ValueError("validate-full needs --schedule FILE")
     schedule = read_schedule_csv(cfg.schedule)
 
     start = time.perf_counter()
     factors = (cfg.factor,)
-    # 0 disables the comparison; params_for_factor refuses any other
-    # factor that is not positive and finite
+    # 0 (or a config null) disables the comparison; params_for_factor
+    # refuses any other factor that is not positive and finite
     if cfg.compare_factor is not None and cfg.compare_factor != 0:
         factors += (cfg.compare_factor,)
     reports, trend = compare_factors(
@@ -469,7 +422,7 @@ def _check_endpoint_table() -> tuple[bool, str]:
     return worst <= 1e-5, f"max relative deviation {worst:.2e}"
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     gens = algebra.build_generators()
     checks = [
         ("generator brackets and products", lambda: _check_brackets(gens)),
@@ -495,67 +448,62 @@ def _add_sign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q1", type=int, choices=(1, -1), default=None)
     p.add_argument("--q2", type=int, choices=(1, -1), default=None)
     p.add_argument("--q3", type=int, choices=(1, -1), default=None)
-    p.add_argument("--branch", choices=("auto", "negative", "positive"), default=None)
-    p.add_argument("--pole", type=int, choices=(1, -1), default=None,
+    p.add_argument("--pole", type=int, choices=(1, -1), default=1,
                    help="initial-point sign of the curve (+1 default, -1 mirrored)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The ghz-forge parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(prog="ghz-forge", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p = sub.add_parser("endpoints", help="solve and print admissible endpoints")
-    p.add_argument("--config")
     _add_sign_args(p)
-    p.add_argument("--pin-theta-left", type=float, dest="pin_theta_left", default=None)
-    p.add_argument("--pin-theta-right", type=float, dest="pin_theta_right", default=None)
-    p.add_argument("--pin-phi-left", type=float, dest="pin_phi_left", default=None)
-    p.add_argument("--pin-phi-right", type=float, dest="pin_phi_right", default=None)
-    p.add_argument("--pin-tol", type=float, dest="pin_tol", default=None)
+    p.add_argument("--pin-theta-left", type=float, default=None)
+    p.add_argument("--pin-theta-right", type=float, default=None)
+    p.add_argument("--pin-phi-left", type=float, default=None)
+    p.add_argument("--pin-phi-right", type=float, default=None)
+    p.add_argument("--pin-tol", type=float, default=1e-4)
     p.add_argument("--out", help="also write the table as JSON")
 
     p = sub.add_parser("synthesize", help="write a pulse-schedule CSV")
-    p.add_argument("--config")
     _add_sign_args(p)
-    p.add_argument("--profile", choices=("constant", "trapezoid"), default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--profile", choices=("constant", "trapezoid"), default="constant")
+    p.add_argument("--tau", type=float, default=1.0 / 3.0)
     p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--target-area", type=float, dest="target_area", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--omega-ref", type=float, dest="omega_ref", default=None,
+    p.add_argument("--target-area", type=float, default=None)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--omega-ref", type=float, default=None,
                    help="reference Rabi frequency in MHz; writes the CSV in physical units")
     p.add_argument("--out", help="CSV path (stdout when omitted)")
 
     p = sub.add_parser("propagate", help="integrate a schedule CSV")
-    p.add_argument("--config")
     p.add_argument("--schedule")
-    p.add_argument("--initial", default=None, help="w, ggg, or ghz:PHASE")
-    p.add_argument("--reverse", action="store_true", default=None,
+    p.add_argument("--initial", default="w", help="w, ggg, or ghz:PHASE")
+    p.add_argument("--reverse", action="store_true",
                    help="run forward, then the reversed schedule from the reached state")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--normalize-area", type=float, dest="normalize_area", default=None)
-    p.add_argument("--reference-schedule", dest="reference_schedule", default=None,
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--normalize-area", type=float, default=None)
+    p.add_argument("--reference-schedule", default=None,
                    help="normalize to the squared area of this schedule CSV")
-    p.add_argument("--trace-csv", dest="trace_csv", default=None)
+    p.add_argument("--trace-csv", default=None)
     p.add_argument("--out", help="result JSON path (stdout when omitted)")
 
     p = sub.add_parser("validate-full", help="full-model reduction check")
-    p.add_argument("--config")
     p.add_argument("--schedule")
-    p.add_argument("--factor", type=float, default=None)
-    p.add_argument("--compare-factor", type=float, dest="compare_factor", default=None,
+    p.add_argument("--factor", type=float, default=DEFAULT_FACTOR)
+    p.add_argument("--compare-factor", type=float, default=30.0,
                    help="second hierarchy factor for the trend flag (0 disables)")
-    p.add_argument("--min-factor", type=float, dest="min_factor", default=None,
+    p.add_argument("--min-factor", type=float, default=DEFAULT_FACTOR,
                    help=f"smallest acceptable scale separation (default {DEFAULT_FACTOR:g})")
-    p.add_argument("--force", action="store_true", default=None)
-    p.add_argument("--steps-per-cycle", type=int, dest="steps_per_cycle", default=None)
+    p.add_argument("--force", action="store_true")
+    p.add_argument("--steps-per-cycle", type=int, default=DEFAULT_STEPS_PER_CYCLE)
     p.add_argument("--out", help="report JSON path (stdout when omitted)")
 
-    p = sub.add_parser("check", help="run the structural invariant suite")
-    p.add_argument("--config")
+    sub.add_parser("check", help="run the structural invariant suite")
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -568,11 +516,18 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        if args.config is not None:
+            # config values become the chosen command's defaults, so flags
+            # override them when the arguments are parsed again
+            options = {k: a for command in commands.values() for k, a in command.options.items()}
+            chosen = commands[args.command]
+            config = load_config(args.config, options)
+            chosen.set_defaults(**{k: v for k, v in config.items() if k in chosen.options})
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ConvergenceFailure as exc:
         _info(f"numerical failure: {exc}")
         return EXIT_NUMERIC

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import build_generators, ggg_state, ghz_state, rrr_state, w_state
 from .dynamics import RabiTriple, vectorial_from_rabi
-from .synthesis import NonFiniteSchedule, PulseProfile, PulseSchedule
+from .synthesis import NonFiniteSchedule, PulseSchedule
 from .unitary import cayley_klein
 
 __all__ = [
@@ -108,8 +108,9 @@ class PropagationResult:
 
 def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     vec = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(vec) - 1.0) > tol:
-        raise NotNormalized(f"state norm is {np.linalg.norm(vec)!r}, expected 1")
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= tol:
+        raise NotNormalized(f"state norm is {norm!r}, expected 1")
     return vec
 
 
@@ -347,17 +348,4 @@ def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSched
     if current <= 0.0:
         raise ZeroArea("schedule has zero squared area, cannot rescale")
     lam = target_area / current
-    profile = schedule.profile
-    if profile is not None:
-        profile = PulseProfile(
-            kind=profile.kind,
-            duration=profile.duration / lam,
-            theta_final=profile.theta_final,
-            tau=profile.tau,
-        )
-    return PulseSchedule(
-        times=schedule.times / lam,
-        values=schedule.values * lam,
-        endpoint=schedule.endpoint,
-        profile=profile,
-    )
+    return PulseSchedule(times=schedule.times / lam, values=schedule.values * lam)

@@ -69,7 +69,7 @@ _ROOT_MAX_ITER = 100
 
 
 class NoSolution(ValueError):
-    """No admissible endpoint root in the requested branch."""
+    """No admissible endpoint root for a sign triple."""
 
 
 class ProfileMismatch(ValueError):
@@ -221,32 +221,21 @@ def _brent_root(f, lo: float, hi: float) -> float:
     )
 
 
-def solve_endpoints(signs: tuple[int, int, int], branch: str = "auto") -> EndpointSolution:
+def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
     """Solve the endpoint problem for one sign triple.
 
-    ``branch`` selects the half-interval searched for the scalar root:
-    "negative" and "positive" refer to the sign of cos(theta_left_final),
-    and "auto" picks the half that admits a root for the given q3.
-    Raises NoSolution when the forced branch has no sign change.
+    The scalar root is searched on the half-interval of cos(theta_left_final)
+    that admits one: negative for q3 = +1, positive for q3 = -1.  The other
+    half has no sign change of the mismatch for either q3.
     """
     q1, q2, q3 = (int(s) for s in signs)
     for q in (q1, q2, q3):
         if q not in (-1, 1):
             raise ValueError("sign entries must be +1 or -1")
-    if branch == "auto":
-        branch = "negative" if q3 > 0 else "positive"
-    if branch == "negative":
+    if q3 > 0:
         lo, hi = -1.0 / math.sqrt(2.0) + _ROOT_EPS, -_ROOT_EPS
-    elif branch == "positive":
-        lo, hi = _ROOT_EPS, 1.0 / math.sqrt(2.0) - _ROOT_EPS
     else:
-        raise ValueError(f"unknown branch selector {branch!r}")
-
-    if _boundary_mismatch(lo, q3) * _boundary_mismatch(hi, q3) > 0:
-        raise NoSolution(
-            f"signs ({q1:+d}, {q2:+d}, {q3:+d}) admit no endpoint root in the "
-            f"{branch} branch"
-        )
+        lo, hi = _ROOT_EPS, 1.0 / math.sqrt(2.0) - _ROOT_EPS
     a3 = _brent_root(lambda a: _boundary_mismatch(a, q3), lo, hi)
 
     theta_left = math.acos(a3)
@@ -351,14 +340,6 @@ class PulseProfile:
         down = self.theta_final - 0.5 * plateau * (self.duration - t) ** 2 / ramp
         return np.where(t <= ramp, up, np.where(t <= self.duration - ramp, mid, down))
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "duration": self.duration,
-            "theta_final": self.theta_final,
-            "tau": self.tau if self.kind == "trapezoid" else None,
-        }
-
 
 @dataclass(frozen=True)
 class SphericalCurve:
@@ -441,8 +422,6 @@ class PulseSchedule:
 
     times: np.ndarray
     values: np.ndarray
-    endpoint: EndpointSolution | None = None
-    profile: PulseProfile | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -489,9 +468,7 @@ def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:
     rate = curve.profile.rate(times)
     coeffs = plateau_amplitudes(curve.endpoint)
     values = float(curve.pole) * rate[:, None] * coeffs[None, :]
-    return PulseSchedule(
-        times=times, values=values, endpoint=curve.endpoint, profile=curve.profile
-    )
+    return PulseSchedule(times=times, values=values)
 
 
 def plateau_amplitudes(endpoint: EndpointSolution, theta_rate: float = 1.0) -> np.ndarray:
@@ -522,6 +499,4 @@ def reverse_schedule(schedule: PulseSchedule) -> PulseSchedule:
     return PulseSchedule(
         times=schedule.times[-1] - schedule.times[::-1],
         values=-schedule.values[::-1],
-        endpoint=schedule.endpoint,
-        profile=schedule.profile,
     )

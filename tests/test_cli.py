@@ -62,10 +62,31 @@ def test_endpoints_pins():
     assert "residual" in bad.stderr
 
 
-def test_endpoints_forced_branch_failure():
-    proc = run_cli("endpoints", "--q3", "1", "--branch", "positive")
-    assert proc.returncode == 2
-    assert "no endpoint root" in proc.stderr
+def test_endpoints_forced_branch_failure(tmp_path, capsys):
+    # the branch selector is gone: only the searched half-interval has a root
+    with pytest.raises(SystemExit) as exc:
+        main(["endpoints", "--q3", "1", "--branch", "positive"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"branch": "auto"}))
+    assert main(["endpoints", "--config", str(cfg)]) == 2
+    assert "unknown config key 'branch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--pin-theta-left", "nan"),
+        ("--pin-phi-right", "inf"),
+        ("--pin-theta-left", "1.92423", "--pin-tol", "nan"),
+        ("--pin-theta-left", "1.92423", "--pin-tol", "inf"),
+    ],
+)
+def test_endpoints_non_finite_pin_is_usage_error(flags, capsys):
+    assert main(["endpoints", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_endpoints_json_payload(tmp_path):
@@ -220,6 +241,25 @@ def test_propagate_error_paths(tmp_path):
         assert "non-finite" in proc.stderr
 
     assert run_cli("propagate").returncode == 2
+
+
+@pytest.mark.parametrize("phase", ["nan", "inf"])
+def test_propagate_non_finite_initial_phase_is_usage_error(phase, capsys):
+    assert main(["propagate", "--schedule", str(SHIPPED_CSV), "--initial", f"ghz:{phase}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "state norm is nan" in captured.err
+
+
+def test_propagate_normalize_area_with_reference_schedule_is_usage_error(tmp_path, capsys):
+    both = ["--normalize-area", "5", "--reference-schedule", str(SHIPPED_CSV)]
+    assert main(["propagate", "--schedule", str(SHIPPED_CSV), *both]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": str(SHIPPED_CSV), "normalize_area": 5.0}))
+    assert main(["propagate", "--config", str(cfg), *both[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("at most one of normalize_area or reference_schedule") == 2
 
 
 def test_propagate_reference_area(tmp_path):
@@ -434,6 +474,11 @@ def test_config_file_with_flag_override(tmp_path):
         ("validate-full", {"schedule": str(SHIPPED_CSV), "factor": "10"}),
         ("propagate", {"schedule": str(SHIPPED_CSV), "reverse": 1}),
         ("synthesize", {"q1": True}),
+        # values outside the flag's choices
+        ("synthesize", {"duration": 1, "profile": "bogus"}),
+        ("synthesize", {"duration": 1, "q1": 5}),
+        ("synthesize", {"duration": 1, "pole": 0}),
+        ("endpoints", {"q3": -1, "pole": -2}),
     ],
 )
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, config):
@@ -442,6 +487,17 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, co
     assert main([command, "--config", str(cfg)]) == 2
     bad_key = list(config)[-1]
     assert f"config key {bad_key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["endpoints", "synthesize", "propagate", "validate-full", "check"]
+)
+def test_command_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: ghz-forge {command} [-h] [--config CONFIG]")
 
 
 def test_config_accepts_int_for_float_and_null_for_optional(tmp_path, capsys):
@@ -477,8 +533,8 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
 
 
 PROPAGATE_KEYS = {
-    "times", "fidelity_trace", "final_fidelity", "ghz_phase", "area", "endpoint", "profile",
-    "target", "steps", "certification_delta", "reference_area",
+    "times", "fidelity_trace", "final_fidelity", "ghz_phase", "area", "target", "steps",
+    "certification_delta", "reference_area",
 }
 REPORT_KEYS = {
     "hierarchy_factor", "ratio_upper", "ratio_lower", "hierarchy_ok", "leakage_max",

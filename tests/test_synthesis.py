@@ -88,15 +88,20 @@ def test_ghz_phase_by_first_sign():
 
 
 def test_branch_selector():
-    auto = solve_endpoints((1, -1, 1))
-    forced = solve_endpoints((1, -1, 1), branch="negative")
-    assert forced.theta_left_final == pytest.approx(auto.theta_left_final, abs=1e-14)
-    with pytest.raises(
-        NoSolution, match=r"^signs \(\+1, -1, \+1\) admit no endpoint root in the positive branch$"
-    ):
-        solve_endpoints((1, -1, 1), branch="positive")
-    with pytest.raises(NoSolution):
-        solve_endpoints((1, 1, -1), branch="negative")
+    # solve_endpoints searches cos(theta_left) < 0 for q3 = +1 and > 0 for
+    # q3 = -1; on the other half the mismatch keeps one sign, so no choice
+    # of half-interval is left to make
+    edge = 1.0 / math.sqrt(2.0)
+    half = np.linspace(1e-12, edge - 1e-12, 4001)
+    for q3, unsearched in ((1, half), (-1, -half)):
+        values = [synthesis._boundary_mismatch(a, q3) for a in unsearched]
+        assert min(values) > 0.0, q3
+        with pytest.raises(NoSolution, match="no sign change"):
+            synthesis._brent_root(
+                lambda a: synthesis._boundary_mismatch(a, q3), unsearched[0], unsearched[-1]
+            )
+    for f, lo, hi in _branch_brackets():
+        assert f(lo) * f(hi) < 0.0
 
 
 def _branch_brackets():
