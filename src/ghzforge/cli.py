@@ -260,9 +260,9 @@ def cmd_synthesize(cfg: argparse.Namespace) -> int:
                 f"omega_ref {cfg.omega_ref!r} makes the schedule invalid: {exc}"
             ) from None
     write_schedule_csv(written, cfg.out)
-    peak = schedule.values[np.argmax(np.sum(schedule.values**2, axis=1))]
+    peak = written.values[np.argmax(np.sum(written.values**2, axis=1))]
     plateau = tuple(float(a) for a in peak)
-    _info(f"squared area A = {squared_area(schedule)!r}; plateau amplitudes {plateau!r}")
+    _info(f"squared area A = {squared_area(written)!r}; plateau amplitudes {plateau!r}")
     return EXIT_OK
 
 
@@ -272,7 +272,10 @@ def _initial_state(name: str) -> np.ndarray:
     if name == "ggg":
         return algebra.ggg_state()
     if name.startswith("ghz:"):
-        return algebra.ghz_state(float(name.split(":", 1)[1]))
+        phase = float(name.split(":", 1)[1])
+        if not math.isfinite(phase):
+            raise ValueError(f"initial GHZ phase must be finite, got {phase!r}")
+        return algebra.ghz_state(phase)
     raise ValueError(f"unknown initial state {name!r} (use w, ggg, or ghz:PHASE)")
 
 

@@ -106,10 +106,10 @@ class PropagationResult:
     target: str
 
 
-def _check_normalized(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_normalized(state: np.ndarray) -> np.ndarray:
     vec = np.asarray(state, dtype=complex)
     norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= 1e-9:
         raise NotNormalized(f"state norm is {norm!r}, expected 1")
     return vec
 

@@ -6,9 +6,8 @@ slaving of the right polar angle to the left one.  What remains is a
 boundary problem: the polar/azimuth values at the final time must both
 satisfy the GHZ endpoint conditions and be compatible with the slaving
 ratio integrated from the common starting point at the north pole.  That
-reduces to one scalar root per sign branch, found by Brent's bracketed
-zero-finder in plain Python floats (``_brent_root``), so the package needs
-nothing beyond numpy at runtime.
+reduces to one scalar root per sign branch, found by bisection in plain
+Python floats (``_bisect_root``) down to two adjacent floats.
 
 Two pulse families are provided for the polar angle: a constant rate and
 a trapezoidal rate that switches on and off continuously.
@@ -62,10 +61,6 @@ DEFAULT_SIGN_ORDER = (
 
 _ROOT_EPS = 1e-12
 _ENDPOINT_TOL = 1e-9
-# Brent search settings: absolute and relative root tolerance, iteration cap.
-_ROOT_XTOL = 1e-15
-_ROOT_RTOL = 8.9e-16
-_ROOT_MAX_ITER = 100
 
 
 class NoSolution(ValueError):
@@ -164,61 +159,32 @@ def _boundary_mismatch(a3: float, q3: int) -> float:
     return theta_right + slope * theta_left
 
 
-def _brent_root(f, lo: float, hi: float) -> float:
-    """Root of f in the sign-changing bracket [lo, hi] by Brent's method.
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f in the sign-changing bracket [lo, hi] by bisection.
 
-    Brent, *Algorithms for Minimization without Derivatives* (1973),
-    ch. 4, in the formulation of scipy.optimize.brentq, operation for
-    operation: each step tries inverse quadratic extrapolation (secant
-    when only two points are distinct), falls back to bisection when the
-    trial step is too long or the previous ones shrank too slowly, and
-    stops once half the bracket is below (xtol + rtol |x|) / 2.  Python
-    floats are IEEE doubles, so the iterates match brentq's bit for bit.
-    Raises NoSolution on a bracket without a sign change or when the
-    iteration cap is reached.
+    Halves the bracket until its midpoint rounds onto one of its ends, so
+    the ends are adjacent floats, and returns the end at which f is
+    positive; an end or a midpoint at which f is exactly 0 is returned at
+    once.  Raises NoSolution on a bracket without a sign change.
     """
-    xpre, xcur = lo, hi
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise NoSolution(f"no sign change of the mismatch on [{lo!r}, {hi!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    if f_lo > 0.0:
+        lo, hi = hi, lo
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid < 0.0:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NoSolution(
-        f"root search did not converge in {_ROOT_MAX_ITER} iterations, last iterate {xcur!r}"
-    )
+            hi = mid
+    return hi
 
 
 def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
@@ -236,7 +202,7 @@ def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
         lo, hi = -1.0 / math.sqrt(2.0) + _ROOT_EPS, -_ROOT_EPS
     else:
         lo, hi = _ROOT_EPS, 1.0 / math.sqrt(2.0) - _ROOT_EPS
-    a3 = _brent_root(lambda a: _boundary_mismatch(a, q3), lo, hi)
+    a3 = _bisect_root(lambda a: _boundary_mismatch(a, q3), lo, hi)
 
     theta_left = math.acos(a3)
     theta_right = math.acos(q3 * math.sqrt(max(0.0, 0.5 - a3 * a3)))
@@ -281,9 +247,9 @@ def _reached_ghz_phase(solution: EndpointSolution) -> float:
     return float((np.angle(psi[3]) - np.angle(psi[0])) % (2.0 * math.pi))
 
 
-def enumerate_endpoints(sign_order=DEFAULT_SIGN_ORDER) -> list[EndpointSolution]:
-    """All admissible endpoints, one per sign triple, in a fixed order."""
-    return [solve_endpoints(signs) for signs in sign_order]
+def enumerate_endpoints() -> list[EndpointSolution]:
+    """All admissible endpoints, one per sign triple, in DEFAULT_SIGN_ORDER."""
+    return [solve_endpoints(signs) for signs in DEFAULT_SIGN_ORDER]
 
 
 @dataclass(frozen=True)
@@ -311,16 +277,15 @@ class PulseProfile:
             raise ValueError("ramp fraction tau must lie in [0, 1/2)")
 
     def _ramp_and_plateau(self) -> tuple[float, float]:
-        """Trapezoid ramp length and plateau rate."""
-        ramp = self.tau * self.duration
-        plateau = self.theta_final / (self.duration * (1.0 - self.tau))
+        """Ramp length and plateau rate; a constant profile has no ramp."""
+        tau = self.tau if self.kind == "trapezoid" else 0.0
+        ramp = tau * self.duration
+        plateau = self.theta_final / (self.duration * (1.0 - tau))
         return ramp, plateau
 
     def rate(self, times: np.ndarray) -> np.ndarray:
         """d theta / dt at the given times (array in, array out)."""
         t = np.asarray(times, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.theta_final / self.duration)
         ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
             return np.full_like(t, plateau)
@@ -330,8 +295,6 @@ class PulseProfile:
     def angle(self, times: np.ndarray) -> np.ndarray:
         """theta(t), the running integral of rate()."""
         t = np.clip(np.asarray(times, dtype=float), 0.0, self.duration)
-        if self.kind == "constant":
-            return t * (self.theta_final / self.duration)
         ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
             return plateau * t
@@ -471,7 +434,7 @@ def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:
     return PulseSchedule(times=times, values=values)
 
 
-def plateau_amplitudes(endpoint: EndpointSolution, theta_rate: float = 1.0) -> np.ndarray:
+def plateau_amplitudes(endpoint: EndpointSolution) -> np.ndarray:
     """Rabi amplitudes per unit polar rate for an endpoint's azimuths."""
     sin_l = math.sin(endpoint.phi_left)
     cos_l = math.cos(endpoint.phi_left)
@@ -481,7 +444,7 @@ def plateau_amplitudes(endpoint: EndpointSolution, theta_rate: float = 1.0) -> n
             "cos(phi_right) is numerically zero, schedule amplitudes diverge"
         )
     tan_r = math.sin(endpoint.phi_right) / cos_r
-    return theta_rate * np.array(
+    return np.array(
         [
             -(sin_l + cos_l * tan_r),
             2.0 * cos_l,

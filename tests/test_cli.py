@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ghzforge.propagate import squared_area
 from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
 from ghzforge.cli import SCHEDULE_HEADER, main, read_schedule_csv
 
@@ -248,7 +249,7 @@ def test_propagate_non_finite_initial_phase_is_usage_error(phase, capsys):
     assert main(["propagate", "--schedule", str(SHIPPED_CSV), "--initial", f"ghz:{phase}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "state norm is nan" in captured.err
+    assert f"initial GHZ phase must be finite, got {phase}" in captured.err
 
 
 def test_propagate_normalize_area_with_reference_schedule_is_usage_error(tmp_path, capsys):
@@ -518,6 +519,14 @@ def test_physical_units_scaling(tmp_path):
         assert float(s[0]) == pytest.approx(float(p[0]) / 2.0, rel=1e-15)
         for i in (1, 2, 3):
             assert float(s[i]) == pytest.approx(float(p[i]) * 2.0, rel=1e-15)
+
+
+def test_synthesize_omega_ref_reports_written_area(tmp_path, capsys):
+    out = tmp_path / "scaled.csv"
+    assert main(["synthesize", "--duration", "1", "--samples", "5",
+                 "--omega-ref", "2.5", "--out", str(out)]) == 0
+    area = squared_area(read_schedule_csv(str(out)))
+    assert f"squared area A = {area!r};" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320"])

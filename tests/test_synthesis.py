@@ -97,7 +97,7 @@ def test_branch_selector():
         values = [synthesis._boundary_mismatch(a, q3) for a in unsearched]
         assert min(values) > 0.0, q3
         with pytest.raises(NoSolution, match="no sign change"):
-            synthesis._brent_root(
+            synthesis._bisect_root(
                 lambda a: synthesis._boundary_mismatch(a, q3), unsearched[0], unsearched[-1]
             )
     for f, lo, hi in _branch_brackets():
@@ -130,9 +130,7 @@ def _random_bracketed(rng: random.Random):
     return (f, hi, lo) if rng.random() < 0.5 else (f, lo, hi)
 
 
-def test_brent_root_matches_brentq_bitwise():
-    optimize = pytest.importorskip("scipy.optimize")
-    tol = dict(xtol=synthesis._ROOT_XTOL, rtol=synthesis._ROOT_RTOL)
+def test_bisect_root_ends_on_adjacent_floats():
     cases = _branch_brackets()
     rng = random.Random(8)
     while len(cases) < 1002:
@@ -140,34 +138,42 @@ def test_brent_root_matches_brentq_bitwise():
         if f(lo) * f(hi) < 0.0:
             cases.append((f, lo, hi))
     for f, lo, hi in cases:
-        got = synthesis._brent_root(f, lo, hi)
-        assert got == optimize.brentq(f, lo, hi, **tol), (lo, hi)
+        x = synthesis._bisect_root(f, lo, hi)
+        assert min(lo, hi) <= x <= max(lo, hi), (lo, hi)
+        assert f(x) >= 0.0, (lo, hi)
+        neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+        assert f(x) == 0.0 or min(f(y) for y in neighbours) < 0.0, (lo, hi)
 
 
-def test_brent_root_endpoint_zeros():
+def test_solve_endpoints_roots_frozen_bitwise():
+    # the roots the shipped payloads were written from, one per q3 branch
+    roots = (-0.346118051896701, 0.6166054606887881)
+    for (f, lo, hi), root, q3 in zip(_branch_brackets(), roots, (1, -1)):
+        assert synthesis._bisect_root(f, lo, hi) == root, q3
+        assert solve_endpoints((1, 1, q3)).theta_left_final == math.acos(root), q3
+
+
+def test_bisect_root_endpoint_zeros():
     calls = []
 
     def f(x):
         calls.append(x)
         return x - 0.5
 
-    assert synthesis._brent_root(f, 0.5, 2.0) == 0.5
-    assert synthesis._brent_root(f, -1.0, 0.5) == 0.5
+    assert synthesis._bisect_root(f, 0.5, 2.0) == 0.5
+    assert synthesis._bisect_root(f, -1.0, 0.5) == 0.5
     assert calls == [0.5, 2.0, -1.0, 0.5]
 
 
-def test_brent_root_rejects_same_sign():
+def test_bisect_root_rejects_same_sign():
     with pytest.raises(NoSolution, match="no sign change"):
-        synthesis._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        synthesis._bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_brent_root_iteration_cap(monkeypatch, capsys):
-    monkeypatch.setattr(synthesis, "_ROOT_MAX_ITER", 3)
-    f, lo, hi = _branch_brackets()[0]
-    with pytest.raises(NoSolution, match="did not converge in 3 iterations"):
-        synthesis._brent_root(f, lo, hi)
+def test_endpoints_without_sign_change_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(synthesis, "_boundary_mismatch", lambda a3, q3: 1.0)
     assert main(["endpoints"]) == 2
-    assert "did not converge" in capsys.readouterr().err
+    assert "no sign change" in capsys.readouterr().err
 
 
 def test_curve_sample_batch_matches_pointwise():
@@ -279,8 +285,7 @@ def test_rabi_schedule_constant_rows_equal():
 
 
 def test_plateau_amplitudes_frozen():
-    assert np.allclose(plateau_amplitudes(ROW1, theta_rate=1.0), ROW1_PLATEAU, atol=1e-12)
-    assert np.max(np.abs(plateau_amplitudes(ROW1, theta_rate=0.0))) == 0.0
+    assert np.allclose(plateau_amplitudes(ROW1), ROW1_PLATEAU, atol=1e-12)
 
 
 def test_rabi_schedule_trapezoid_edges_vanish():
