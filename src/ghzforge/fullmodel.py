@@ -70,8 +70,8 @@ TONE_WEIGHTS = np.array([1.0 / math.sqrt(3.0), 0.5, 1.0 / math.sqrt(3.0)])
 DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
 
-# Steps reduced to one product at a time; bounds the temporaries.
-_CHUNK = 4096
+# Steps reduced to one product at a time; sizes the buffers of _Workspace.
+_CHUNK = 2048
 
 
 class HierarchyViolation(ValueError):
@@ -111,6 +111,7 @@ _PAIRS4 = MANIFOLD.T @ np.diag(PAIR_COUNTS) @ MANIFOLD
 _LADDER4 = _RAISING4 + _RAISING4.T
 # Entry [j, l] is the index of u^(j - l) in the powers (u^-3, ..., u^3).
 _LAGS = np.subtract.outer(np.arange(4), np.arange(4)) + 3
+_EYE4 = np.eye(4)
 
 
 def embed_state(state4: np.ndarray) -> np.ndarray:
@@ -173,18 +174,35 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
 
 
-def _tone_amplitudes(params: FullModelParams, times: np.ndarray) -> np.ndarray:
-    """Per-atom tone amplitudes at the given times, shape (len(times), 4)."""
-    scheduled = params.schedule.values_at(times) * TONE_WEIGHTS[None, :]
-    strong = np.full((len(times), 1), params.stark_amp)
-    return np.concatenate([strong, scheduled], axis=1)
+def _drive(
+    times: np.ndarray,
+    params: FullModelParams,
+    tones: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
-
-def _drive(times: np.ndarray, params: FullModelParams) -> np.ndarray:
-    """Complex drive c(t) that multiplies the raising operator, shape (len(times),)."""
-    amps = _tone_amplitudes(params, times)
-    freqs = tone_frequencies(params)
-    return np.sum(amps * np.exp(-1j * freqs[None, :] * times[:, None]), axis=1)
+    Sums amplitude times e^{-i w t} over the four tones, pairwise as
+    np.sum adds four terms.  tones (len(times), 4) and out (len(times),),
+    both complex, are the buffers written; fresh ones are taken when None.
+    """
+    n = len(times)
+    tones = np.empty((n, 4), dtype=complex) if tones is None else tones
+    out = np.empty(n, dtype=complex) if out is None else out
+    tones.real = 0.0
+    for j, freq in enumerate(tone_frequencies(params)):
+        np.multiply(times, -freq, out=tones.imag[:, j])
+    np.exp(tones, out=tones)
+    tones[:, 0] *= params.stark_amp
+    schedule = params.schedule
+    for k in range(3):
+        amp = np.interp(times, schedule.times, schedule.values[:, k])
+        amp *= TONE_WEIGHTS[k]
+        tones[:, k + 1] *= amp
+    np.add(tones[:, 0], tones[:, 1], out=out)
+    np.add(tones[:, 2], tones[:, 3], out=tones[:, 2])
+    out += tones[:, 2]
+    return out
 
 
 def full_hamiltonian(t: float, params: FullModelParams) -> np.ndarray:
@@ -271,17 +289,52 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
     return n, duration / n
 
 
-def _cos_sin(x: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """Buffers for chunks of up to size steps, reused by every chunk of an integration.
+
+    A chunk of n steps works on the leading [:n] of each buffer; at
+    size 2,048 they take about 4 MiB.
+    """
+
+    def __init__(self, size: int):
+        self.offsets = np.arange(size) + 0.5
+        self.times = np.empty(size)
+        self.tones = np.empty((size, 4), dtype=complex)
+        self.drive = np.empty(size, dtype=complex)
+        self.r = np.empty(size)
+        self.nonzero = np.empty(size, dtype=bool)
+        # u = c / |c| and its powers up to 3, then (u^-3, ..., u^3)
+        self.u = np.empty((3, size), dtype=complex)
+        self.powers = np.empty((size, 7), dtype=complex)
+        self.x = np.empty((size, 4, 4))
+        self.y = np.empty((size, 4, 4))
+        # Horner ping-pong, each [cos series; sin X / X series]
+        self.series = np.empty((2, size, 8, 4))
+        self.sin = np.empty((size, 4, 4))
+        # the steps and their entrywise twists
+        self.steps = np.empty((size, 4, 4), dtype=complex)
+        self.twist = np.empty((size, 4, 4), dtype=complex)
+        # product tree ping-pong, each (real, imaginary) parts
+        self.parts = np.empty((2, size, 4, 4))
+        self.pairs = np.empty((2, (size + 1) // 2, 4, 4))
+
+
+def _cos_sin(x: np.ndarray, theta: float, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """cos X and sin X of a stack of real symmetric X, so exp(-iX) = cos X - i sin X.
 
     theta bounds the infinity norm of every X.  Both are Taylor series in
-    X^2, summed by Horner steps (Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)); when theta > 1, X is halved s = ceil(log2 theta) times and
+    Y = X^2, summed by Horner steps (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)) side by side: the 8x4 block [cos series; sin X / X series]
+    takes one block @ Y per degree, and sin X is its lower half times X.
+    When theta > 1, X is halved s = ceil(log2 theta) times in place and
     the result squared s times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 970 (2009)).
+    Appl. 31, 970 (2009)).  Only that branch takes fresh arrays;
+    otherwise cos is a view of ws.series and sin is ws.sin.
     """
+    n = len(x)
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
-    x = x * 0.5**s
+    if s:
+        x *= 0.5**s
     # the smallest degree m >= 1 whose first dropped term,
     # theta^(2m+2)/(2m+2)!, is at most 2^-53; m <= 9 once theta <= 1
     m = 1
@@ -291,65 +344,113 @@ def _cos_sin(x: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     coeffs = np.array(
         [[(-1) ** k / math.factorial(2 * k + odd) for k in range(m + 1)] for odd in (0, 1)]
     )
-    eye = np.eye(4)
-    y = x @ x
-    poly = coeffs[:, m, None, None, None] * y
-    poly += np.multiply.outer(coeffs[:, m - 1], eye)[:, None]
-    for k in range(m - 2, -1, -1):
-        poly = poly @ y
-        poly += np.multiply.outer(coeffs[:, k], eye)[:, None]
-    cos, sin = poly[0], poly[1] @ x
+    y = np.matmul(x, x, out=ws.y[:n])
+    poly, spare = ws.series[0, :n], ws.series[1, :n]
+    np.matmul(np.vstack([coeffs[0, m] * _EYE4, coeffs[1, m] * _EYE4]), y, out=poly)
+    for k in range(m - 1, -1, -1):
+        if k < m - 1:
+            np.matmul(poly, y, out=spare)
+            poly, spare = spare, poly
+        # entries [i, i] and [4 + i, i] of an 8x4 block lie 5i and 16 + 5i
+        # places into it
+        flat = poly.reshape(n, 32)
+        for i in range(0, 16, 5):
+            flat[:, i] += coeffs[0, k]
+            flat[:, 16 + i] += coeffs[1, k]
+    cos = poly[:, :4]
+    sin = np.matmul(poly[:, 4:], x, out=ws.sin[:n])
     for _ in range(s):
         cos, sin = cos @ cos - sin @ sin, cos @ sin + sin @ cos
     return cos, sin
 
 
-def _step_product(drive: np.ndarray, dt: float, blockade: float) -> np.ndarray:
+def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace) -> np.ndarray:
     """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
 
     H_k = c_k R + c_k* R^T + V P is e^{i phi_k N} S(r_k) e^{-i phi_k N}
     with c_k = r_k e^{i phi_k} (see the module docstring), so each step is
     the real exponential E_k = exp(-i S(r_k) dt) twisted back entrywise:
     U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
-    c_k = 0.  Adjacent pairs are multiplied in log depth (the up-sweep of
-    Blelloch, Prefix Sums and Their Applications, 1990); an odd last
-    step is carried up to the next level unpaired.
+    c_k = 0.  The twisted steps are split into real and imaginary stacks,
+    and adjacent pairs are multiplied in log depth, each pair by four
+    real products (the up-sweep of Blelloch, Prefix Sums and Their
+    Applications, 1990); an odd last step is copied up to the next level
+    unpaired.  Every stack lives in ws, which must hold len(drive) steps.
     """
-    r = np.abs(drive)
-    x = (r * dt)[:, None, None] * _LADDER4 + (blockade * dt) * _PAIRS4
+    n = len(drive)
+    r = np.abs(drive, out=ws.r[:n])
+    # u, u^2, u^3 on contiguous rows, where numpy's loops round as they
+    # do on fresh arrays; r divides as a complex number, stored in the
+    # row of u^2 until u^2 is taken
+    u, u2, u3 = ws.u[:, :n]
+    u[:] = 1.0
+    u2.real, u2.imag = r, 0.0
+    np.divide(drive, u2, out=u, where=np.greater(r, 0.0, out=ws.nonzero[:n]))
+    np.multiply(u, u, out=u2)
+    np.multiply(u2, u, out=u3)
+    powers = ws.powers[:n]
+    powers[:, 3] = 1.0
+    for j, power in enumerate((u, u2, u3), start=1):
+        powers[:, 3 + j] = power
+        np.conjugate(power, out=powers[:, 3 - j])
+
+    # X = r dt (R + R^T) + V dt P, entry by entry: V dt P is diagonal and
+    # the ladder has no diagonal
+    r *= dt
+    x = ws.x[:n]
+    x[:] = (blockade * dt) * _PAIRS4
+    for j, l in zip(*np.nonzero(_LADDER4)):
+        np.multiply(r, _LADDER4[j, l], out=x[:, j, l])
     # every entry of X grows with r, so the step of largest r has the
     # largest infinity norm
     theta = float(np.max(np.sum(x[np.argmax(r)], axis=1)))
-    cos, sin = _cos_sin(x, theta)
-    u = np.ones_like(drive)
-    np.divide(drive, r, out=u, where=r > 0)
-    u2 = u * u
-    u3 = u2 * u
-    powers = np.stack([u3.conj(), u2.conj(), u.conj(), np.ones_like(u), u, u2, u3], axis=1)
-    prods = np.empty(cos.shape, dtype=complex)
-    prods.real = cos
-    prods.imag = -sin
-    prods *= powers[:, _LAGS]
-    while len(prods) > 1:
-        even = len(prods) - len(prods) % 2
-        prods = np.concatenate([prods[1:even:2] @ prods[0:even:2], prods[even:]])
-    return prods[0]
+    cos, sin = _cos_sin(x, theta, ws)
+
+    steps, twist = ws.steps[:n], ws.twist[:n]
+    steps.real = cos
+    np.negative(sin, out=steps.imag)
+    np.take(powers, _LAGS, axis=1, out=twist, mode="clip")
+    steps *= twist
+    ws.parts[0, :n] = steps.real
+    ws.parts[1, :n] = steps.imag
+
+    level, up = ws.parts, ws.pairs
+    while n > 1:
+        half = n // 2
+        (a_re, a_im), (b_re, b_im) = level[:, 1 : 2 * half : 2], level[:, 0 : 2 * half : 2]
+        out_re, out_im, tmp = up[0, :half], up[1, :half], ws.y[:half]
+        np.matmul(a_re, b_re, out=out_re)
+        out_re -= np.matmul(a_im, b_im, out=tmp)
+        np.matmul(a_re, b_im, out=out_im)
+        out_im += np.matmul(a_im, b_re, out=tmp)
+        if n % 2:
+            up[:, half] = level[:, n - 1]
+        n = half + n % 2
+        level, up = up, level
+    prod = np.empty((4, 4), dtype=complex)
+    prod.real, prod.imag = level[0, 0], level[1, 0]
+    return prod
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block: builds the drive at the midpoints of
-    each chunk of _CHUNK steps, applies the chunk as one _step_product
-    and renormalizes after it.  Returns (final_state, steps, dt) with the
-    state in the (ggg, W, W', rrr) basis; MANIFOLD lifts it into the
-    full space.
+    Runs on the 4x4 symmetric block: for each chunk of _CHUNK steps,
+    builds the drive at the midpoints, applies the chunk as one
+    _step_product and renormalizes after it.  One _Workspace, taken
+    before the first chunk, holds every chunk-sized array.  Returns
+    (final_state, steps, dt) with the state in the (ggg, W, W', rrr)
+    basis; MANIFOLD lifts it into the full space.
     """
     n, dt = _step_grid(params)
+    ws = _Workspace(min(_CHUNK, n))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
-        mids = (done + np.arange(min(_CHUNK, n - done)) + 0.5) * dt
-        psi = _step_product(_drive(mids, params), dt, params.blockade) @ psi
+        count = min(_CHUNK, n - done)
+        mids = np.add(ws.offsets[:count], done, out=ws.times[:count])
+        mids *= dt
+        drive = _drive(mids, params, ws.tones[:count], ws.drive[:count])
+        psi = _step_product(drive, dt, params.blockade, ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

@@ -16,7 +16,7 @@ from ghzforge.fullmodel import (
     MANIFOLD,
     PAIR_COUNTS,
     RAISING,
-    _tone_amplitudes,
+    TONE_WEIGHTS,
     embed_state,
     tone_frequencies,
 )
@@ -124,7 +124,8 @@ def full_model_reference(params, chunk: int = 32768):
     while done < n:
         count = min(chunk, n - done)
         mids = (done + np.arange(count) + 0.5) * dt
-        amps = _tone_amplitudes(params, mids)
+        scheduled = params.schedule.values_at(mids) * TONE_WEIGHTS[None, :]
+        amps = np.concatenate([np.full((count, 1), params.stark_amp), scheduled], axis=1)
         drive = np.sum(amps * np.exp(-1j * freqs[None, :] * mids[:, None]), axis=1)
 
         hams = drive[:, None, None] * RAISING[None, :, :]

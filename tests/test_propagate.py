@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     wprime_state,
 )
 from ghzforge.dynamics import RabiTriple, ladder_hamiltonian
-from ghzforge.fullmodel import _CHUNK, _step_product
+from ghzforge.fullmodel import _CHUNK, _step_product, _Workspace
 from ghzforge.propagate import (
     AmplitudeTooSmall,
     ConvergenceFailure,
@@ -274,7 +274,10 @@ def _long_steps(rng, n):
 
 @pytest.mark.parametrize(
     "steps",
-    [1, 2, 3, 5, 31, 32, 33, 1023, 1024, 1025, 3079, _CHUNK - 1, _CHUNK, _CHUNK + 1],
+    # 4095 to 4097 sit around the chunk size of an earlier kernel and
+    # remain as deeper trees with odd remainders
+    [1, 2, 3, 5, 31, 32, 33, 1023, 1024, 1025, 3079]
+    + [_CHUNK - 1, _CHUNK, _CHUNK + 1, 4095, 4096, 4097],
 )
 @pytest.mark.parametrize(
     "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
@@ -289,11 +292,27 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(drive, dt, blockade)
+    prod = _step_product(drive, dt, blockade, _Workspace(len(drive)))
     ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
     assert np.max(np.abs(prod.conj().T @ prod - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
+)
+def test_step_product_reuses_workspace_exactly(build):
+    # a full chunk, an odd remainder, then a full chunk again through one
+    # workspace: a stale slice or a swapped ping-pong buffer would leave
+    # a trace of the earlier chunk in the later product
+    rng = np.random.default_rng(29)
+    ws = _Workspace(_CHUNK)
+    for steps in (_CHUNK, 999, _CHUNK):
+        drive, blockade, dt = build(rng, steps)
+        reused = _step_product(drive, dt, blockade, ws)
+        fresh = _step_product(drive, dt, blockade, _Workspace(steps))
+        assert np.array_equal(reused, fresh)
 
 
 def _cf4_exponent_hams(schedule, sub):
