@@ -88,17 +88,17 @@ def build_generators() -> GeneratorSet:
     return GeneratorSet(left=0.5 * left, right=0.5 * right)
 
 
-def _scalar_part(mat: np.ndarray, tol: float) -> float:
-    """Extract lambda from mat = lambda * identity, or raise."""
+def _scalar_part(mat: np.ndarray) -> float:
+    """Extract lambda from mat = lambda * identity (to 1e-12), or raise."""
     lam = np.mean(np.diag(mat)).real
-    if np.max(np.abs(mat - lam * np.eye(mat.shape[0]))) > tol:
+    if np.max(np.abs(mat - lam * np.eye(mat.shape[0]))) > 1e-12:
         raise NotScalarMultiple(
             "quadratic generator sum deviates from a scalar multiple of the identity"
         )
     return float(lam)
 
 
-def casimirs(gens: GeneratorSet, tol: float = 1e-12) -> tuple[float, float]:
+def casimirs(gens: GeneratorSet) -> tuple[float, float]:
     """Quadratic invariants (sum and difference) of the two families.
 
     Returns (I, J) with I*1 = sum_i (L_i^2 + R_i^2) and
@@ -107,8 +107,8 @@ def casimirs(gens: GeneratorSet, tol: float = 1e-12) -> tuple[float, float]:
     """
     sq_left = sum(g @ g for g in gens.left)
     sq_right = sum(g @ g for g in gens.right)
-    total = _scalar_part(sq_left + sq_right, tol)
-    diff = _scalar_part(sq_left - sq_right, tol)
+    total = _scalar_part(sq_left + sq_right)
+    diff = _scalar_part(sq_left - sq_right)
     return total, diff
 
 

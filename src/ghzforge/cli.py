@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, dynamics, unitary
-from .fullmodel import DEFAULT_FACTOR, DEFAULT_STEPS_PER_CYCLE, compare_factors
+from .fullmodel import DEFAULT_COMPARE_FACTOR, DEFAULT_FACTOR, DEFAULT_STEPS_PER_CYCLE, compare_factors
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
@@ -164,7 +164,7 @@ def read_schedule_csv(path: str) -> PulseSchedule:
 
 
 def write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -242,27 +242,28 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
 
 
 def cmd_synthesize(cfg: argparse.Namespace) -> int:
-    schedule = _synthesize_schedule(cfg)
-    written = schedule
+    written = _synthesize_schedule(cfg)
     if cfg.omega_ref is not None:
         if not cfg.omega_ref > 0:
             raise ValueError("omega_ref must be positive")
-        # the schedule's own checks refuse an omega_ref whose scaling
-        # overflows or collapses the times or amplitudes
+        # the schedule's own checks and squared_area refuse an omega_ref
+        # whose scaling overflows or collapses the times, amplitudes or area
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 written = PulseSchedule(
-                    times=schedule.times * (1.0 / cfg.omega_ref),
-                    values=schedule.values * cfg.omega_ref,
+                    times=written.times * (1.0 / cfg.omega_ref),
+                    values=written.values * cfg.omega_ref,
                 )
+            squared_area(written)
         except ValueError as exc:
             raise ValueError(
                 f"omega_ref {cfg.omega_ref!r} makes the schedule invalid: {exc}"
             ) from None
+    area = squared_area(written)
     write_schedule_csv(written, cfg.out)
     peak = written.values[np.argmax(np.sum(written.values**2, axis=1))]
     plateau = tuple(float(a) for a in peak)
-    _info(f"squared area A = {squared_area(written)!r}; plateau amplitudes {plateau!r}")
+    _info(f"squared area A = {area!r}; plateau amplitudes {plateau!r}")
     return EXIT_OK
 
 
@@ -394,7 +395,7 @@ def _check_exp_map(gens) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(100):
         pair = unitary.RotationPair(rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3))
-        closed = unitary.exp_map(pair, gens)
+        closed = unitary.exp_map(pair)
         reference = _eig_unitary(pair.left, gens.left) @ _eig_unitary(pair.right, gens.right)
         worst = max(worst, float(np.max(np.abs(closed - reference))))
     return worst <= 1e-10, f"max deviation {worst:.2e} over 100 random pairs"
@@ -451,8 +452,6 @@ def _add_sign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q1", type=int, choices=(1, -1), default=None)
     p.add_argument("--q2", type=int, choices=(1, -1), default=None)
     p.add_argument("--q3", type=int, choices=(1, -1), default=None)
-    p.add_argument("--pole", type=int, choices=(1, -1), default=1,
-                   help="initial-point sign of the curve (+1 default, -1 mirrored)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
@@ -472,6 +471,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
     p = sub.add_parser("synthesize", help="write a pulse-schedule CSV")
     _add_sign_args(p)
+    p.add_argument("--pole", type=int, choices=(1, -1), default=1,
+                   help="initial-point sign of the curve (+1 default, -1 mirrored)")
     p.add_argument("--profile", choices=("constant", "trapezoid"), default="constant")
     p.add_argument("--tau", type=float, default=1.0 / 3.0)
     p.add_argument("--duration", type=float, default=None)
@@ -496,7 +497,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     p = sub.add_parser("validate-full", help="full-model reduction check")
     p.add_argument("--schedule")
     p.add_argument("--factor", type=float, default=DEFAULT_FACTOR)
-    p.add_argument("--compare-factor", type=float, default=30.0,
+    p.add_argument("--compare-factor", type=float, default=DEFAULT_COMPARE_FACTOR,
                    help="second hierarchy factor for the trend flag (0 disables)")
     p.add_argument("--min-factor", type=float, default=DEFAULT_FACTOR,
                    help=f"smallest acceptable scale separation (default {DEFAULT_FACTOR:g})")

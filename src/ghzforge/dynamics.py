@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorSet, build_generators
-from .unitary import _SERIES_CUTOFF
+from .unitary import _GENS, _SERIES_CUTOFF
 
 __all__ = [
     "ConstraintViolation",
@@ -33,7 +32,7 @@ __all__ = [
     "vectorial_from_rabi",
 ]
 
-DEFAULT_CONSTRAINT_TOL = 1e-9
+CONSTRAINT_TOL = 1e-9
 
 
 class ConstraintViolation(ValueError):
@@ -82,7 +81,6 @@ class VectorialRabi:
 @dataclass(frozen=True)
 class ConstraintReport:
     residuals: np.ndarray
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -90,22 +88,20 @@ class ConstraintReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= CONSTRAINT_TOL
 
 
-def effective_hamiltonian(rabi: RabiTriple, gens: GeneratorSet | None = None) -> np.ndarray:
+def effective_hamiltonian(rabi: RabiTriple) -> np.ndarray:
     """Hermitian 4x4 Hamiltonian as a combination of the generators.
 
     O1 couples through the sum of the two x generators, O2 through the
     sum of the y generators, and O3 through the x difference.  Entrywise
     this equals the ladder form built by ladder_hamiltonian().
     """
-    if gens is None:
-        gens = build_generators()
     return (
-        rabi.omega1 * (gens.left[0] + gens.right[0])
-        + rabi.omega2 * (gens.left[1] + gens.right[1])
-        + rabi.omega3 * (gens.left[0] - gens.right[0])
+        rabi.omega1 * (_GENS.left[0] + _GENS.right[0])
+        + rabi.omega2 * (_GENS.left[1] + _GENS.right[1])
+        + rabi.omega3 * (_GENS.left[0] - _GENS.right[0])
     )
 
 
@@ -156,7 +152,7 @@ def vectorial_rabi(sample: CurveSample) -> VectorialRabi:
     )
 
 
-def check_constraints(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL) -> ConstraintReport:
+def check_constraints(rates: VectorialRabi) -> ConstraintReport:
     """Residuals of the realizability conditions on the rotation rates.
 
     Real ladder drives require both z rates to vanish and the two y
@@ -168,15 +164,15 @@ def check_constraints(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL)
     residuals = np.stack(
         [left[..., 2], right[..., 2], left[..., 1] - right[..., 1]], axis=-1
     )
-    return ConstraintReport(residuals=residuals, tol=tol)
+    return ConstraintReport(residuals=residuals)
 
 
-def rabi_from_vectorial(rates: VectorialRabi, tol: float = DEFAULT_CONSTRAINT_TOL) -> RabiTriple:
+def rabi_from_vectorial(rates: VectorialRabi) -> RabiTriple:
     """Rabi amplitudes realizing constraint-satisfying rotation rates.
 
     Rates stacked (..., 3) give a RabiTriple of arrays.
     """
-    report = check_constraints(rates, tol)
+    report = check_constraints(rates)
     if not report.passed:
         raise ConstraintViolation(
             f"rotation rates violate the ladder constraints, max residual {report.max_residual:.3e}"

@@ -69,6 +69,7 @@ TONE_WEIGHTS = np.array([1.0 / math.sqrt(3.0), 0.5, 1.0 / math.sqrt(3.0)])
 
 DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
+DEFAULT_COMPARE_FACTOR = 30.0
 
 # Steps reduced to one product at a time; sizes the buffers of _Workspace.
 _CHUNK = 2048
@@ -512,7 +513,7 @@ def validate_reduction(
 
 def compare_factors(
     schedule: PulseSchedule,
-    factors: tuple[float, ...] = (10.0, 30.0),
+    factors: tuple[float, ...],
     steps_per_cycle: int = DEFAULT_STEPS_PER_CYCLE,
     min_factor: float | None = None,
     force: bool = False,

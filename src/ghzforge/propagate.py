@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_generators, ggg_state, ghz_state, rrr_state, w_state
+from .algebra import ggg_state, ghz_state, rrr_state, w_state
 from .dynamics import RabiTriple, vectorial_from_rabi
 from .synthesis import NonFiniteSchedule, PulseSchedule
-from .unitary import cayley_klein
+from .unitary import _UNITS, _compose, _weights, cayley_klein
 
 __all__ = [
     "NonFiniteSchedule",
@@ -53,13 +53,6 @@ _SCAN_PIECE = 8192
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
-
-# Rows mu of (x0 - 2i x . L) and (y0 - 2i y . R) as coefficient stacks:
-# the identity, then -2i times each generator.  Their entries are 0, +-1
-# and +-i, so products with them are exact.
-_GENS = build_generators()
-_LEFT_UNITS = np.concatenate([np.eye(4)[None], -2j * _GENS.left])
-_RIGHT_UNITS = np.concatenate([np.eye(4)[None], -2j * _GENS.right])
 
 
 class NotNormalized(ValueError):
@@ -112,11 +105,6 @@ def _check_normalized(state: np.ndarray) -> np.ndarray:
     if not abs(norm - 1.0) <= 1e-9:
         raise NotNormalized(f"state norm is {norm!r}, expected 1")
     return vec
-
-
-def _compose(a2, b2, a1, b1):
-    """Cayley-Klein pair of the product U2 @ U1, each U = [[a, -b*], [b, a*]]."""
-    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
 
 def _running_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +169,8 @@ def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.nda
     (_step_factors), not an eigendecomposition.  The running products of
     the steps come from a log-depth scan over pieces of _SCAN_PIECE
     steps, each piece multiplied by the renormalized product of all
-    earlier ones.  With a = x0 - i x3 and b = -i x1 + x2 for the left
-    product and y likewise for the right one, the state after a step is
-    (x0 - 2i x . L)(y0 - 2i y . R) psi0; it is read out at the knots only.
+    earlier ones.  The states are read out at the knots only, as the unit
+    products of ``unitary`` applied to psi0 and weighted by both products.
 
     Returns the states at the knots, shape (len(schedule.times), 4).
     """
@@ -191,8 +178,7 @@ def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.nda
     psi0 = np.asarray(initial, dtype=complex)
     unit = psi0 / math.sqrt(np.vdot(psi0, psi0).real)
     # row 4 mu + nu is (left unit mu)(right unit nu) psi0, as 8 real columns
-    images = np.einsum("mij,njk,k->mni", _LEFT_UNITS, _RIGHT_UNITS, unit)
-    images = images.reshape(16, 4).view(np.float64)
+    images = (_UNITS @ unit).view(np.float64)
 
     states = np.empty((len(schedule.times), 4), dtype=complex)
     states[0] = psi0
@@ -211,12 +197,8 @@ def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.nda
         # the steps in this piece that end on a knot
         first = (-start - 1) % sub
         a, b = a[:, first::sub], b[:, first::sub]
-        # quaternion components (x0, x1, x2, x3) of both products, and the
-        # products x_mu y_nu that weight the rows of images
-        quat = np.stack([a.real, -b.imag, b.real, -a.imag])
-        coeffs = (quat[:, None, 0] * quat[None, :, 1]).reshape(16, -1)
         knot = (start + first + 1) // sub
-        np.matmul(coeffs.T, images, out=states[knot : knot + a.shape[1]].view(np.float64))
+        np.matmul(_weights(a, b).T, images, out=states[knot : knot + a.shape[1]].view(np.float64))
     return states
 
 
@@ -245,6 +227,7 @@ def propagate(
         raise ValueError(f"unknown target {target!r}")
     if steps < 1:
         raise ValueError("step count must be positive")
+    area = squared_area(schedule)
     segments = len(schedule.times) - 1
     sub = -(-steps // segments)
     if segments * sub > _MAX_STEPS:
@@ -290,7 +273,7 @@ def propagate(
         fidelity_trace=trace,
         final_fidelity=float(trace[-1]),
         ghz_phase=phase,
-        area=squared_area(schedule),
+        area=area,
         steps=segments * sub,
         certification_delta=delta,
         target=target,
@@ -325,13 +308,21 @@ def squared_area(schedule: PulseSchedule) -> float:
     """Integral of the summed squared amplitudes over the schedule.
 
     Exact for the piecewise-linear interpolation: each segment of a
-    linear amplitude contributes dt (a^2 + a b + b^2)/3.
+    linear amplitude contributes dt (a^2 + a b + b^2)/3.  An area that
+    overflows raises ValueError.
     """
     dt = np.diff(schedule.times)
     a = schedule.values[:-1]
     b = schedule.values[1:]
-    seg = dt[:, None] * (a * a + a * b + b * b) / 3.0
-    return float(math.fsum(seg.ravel()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = dt[:, None] * (a * a + a * b + b * b) / 3.0
+    try:
+        area = math.fsum(seg.ravel())
+    except OverflowError:
+        area = math.inf
+    if not math.isfinite(area):
+        raise ValueError(f"the squared area of the schedule is {area!r}, not finite")
+    return area
 
 
 def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSchedule:
@@ -348,4 +339,12 @@ def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSched
     if current <= 0.0:
         raise ZeroArea("schedule has zero squared area, cannot rescale")
     lam = target_area / current
-    return PulseSchedule(times=schedule.times / lam, values=schedule.values * lam)
+    # the schedule's own checks and squared_area refuse a target whose
+    # scaling overflows or collapses the times, amplitudes or area
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = PulseSchedule(times=schedule.times / lam, values=schedule.values * lam)
+        squared_area(scaled)
+    except ValueError as exc:
+        raise ValueError(f"target area {target_area!r} makes the schedule invalid: {exc}") from None
+    return scaled

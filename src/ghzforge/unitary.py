@@ -6,9 +6,10 @@ in R^3.  Because the families are spin-1/2, both factors have half-angle
 closed forms and the whole map reduces to a pair of 2x2 Cayley-Klein
 coefficient sets.  The half-angle formula works elementwise on arrays of
 rotation vectors, so the same code serves single rotations and the
-per-step factors of the ladder integrator in ``propagate``.  No matrix
-exponential is ever needed at runtime; a dense eigendecomposition
-oracle lives in the test suite instead.
+per-step factors of the ladder integrator in ``propagate``, which also
+takes its products and its readout from here.  No matrix exponential is
+ever needed at runtime; a dense eigendecomposition oracle lives in the
+test suite instead.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorSet, PseudospinBasis, build_generators, pseudospin_basis
+from .algebra import build_generators, pseudospin_basis
 
 __all__ = [
     "RotationPair",
@@ -31,6 +32,13 @@ __all__ = [
 # coefficients of dynamics.rotation_rate) switch to their Taylor series to
 # avoid 0/0 at the origin.
 _SERIES_CUTOFF = 1e-6
+
+# A rotation [[a, -b*], [b, a*]], a = x0 - i x3, b = -i x1 + x2, is x0 - 2i x . G.
+# Row 4 mu + nu of _UNITS is (left unit mu)(right unit nu), where the units are
+# 1 and -2i G_k; their entries are 0, +-1 and +-i, so products are exact.
+_GENS = build_generators()
+_LEFT, _RIGHT = (np.stack([np.eye(4), *(-2j * g)]) for g in (_GENS.left, _GENS.right))
+_UNITS = (_LEFT[:, None] @ _RIGHT).reshape(16, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -70,15 +78,6 @@ class CayleyKlein:
         )
 
 
-def _half_sinc(norm: float | np.ndarray) -> np.ndarray:
-    """sin(n/2)/n elementwise, by its Taylor series below the cutoff."""
-    norm = np.asarray(norm, dtype=float)
-    n2 = norm * norm
-    out = np.asarray(0.5 - n2 / 48.0 + n2 * n2 / 3840.0)
-    np.divide(np.sin(norm / 2.0), norm, out=out, where=norm >= _SERIES_CUTOFF)
-    return out
-
-
 def cayley_klein(vec: np.ndarray) -> CayleyKlein:
     """Cayley-Klein coefficients of the rotation e^{-i vec . spin}.
 
@@ -87,7 +86,10 @@ def cayley_klein(vec: np.ndarray) -> CayleyKlein:
     """
     v = np.asarray(vec, dtype=float)
     norm = np.linalg.norm(v, axis=-1)
-    k = _half_sinc(norm)
+    # k = sin(n/2)/n, by its Taylor series below the cutoff
+    n2 = norm * norm
+    k = np.asarray(0.5 - n2 / 48.0 + n2 * n2 / 3840.0)
+    np.divide(np.sin(norm / 2.0), norm, out=k, where=norm >= _SERIES_CUTOFF)
     diag = np.cos(norm / 2.0) - 1j * v[..., 2] * k
     off = (-1j * v[..., 0] + v[..., 1]) * k
     if v.ndim == 1:
@@ -95,30 +97,29 @@ def cayley_klein(vec: np.ndarray) -> CayleyKlein:
     return CayleyKlein(diag=diag, off=off)
 
 
-def _exp_factor(vec: np.ndarray, triple: np.ndarray) -> np.ndarray:
-    """e^{-i vec . G} for one spin-1/2 triple, via the half-angle form."""
-    v = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(v))
-    k = _half_sinc(norm)
-    dotted = v[0] * triple[0] + v[1] * triple[1] + v[2] * triple[2]
-    return np.cos(norm / 2.0) * np.eye(4, dtype=complex) - 2j * k * dotted
+def _compose(a2, b2, a1, b1):
+    """Cayley-Klein pair of the product U2 @ U1."""
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
 
-def exp_map(pair: RotationPair, gens: GeneratorSet | None = None) -> np.ndarray:
+def _weights(a, b):
+    """Weights x_mu y_nu of the rows of _UNITS, from left pairs a[0], b[0] and right a[1], b[1]."""
+    quat = np.stack([a.real, -b.imag, b.real, -a.imag])
+    return (quat[:, None, 0] * quat[None, :, 1]).reshape(16, -1)
+
+
+def exp_map(pair: RotationPair) -> np.ndarray:
     """The 4x4 unitary generated by a rotation-vector pair.
 
     Convention: the left factor is applied leftmost,
     U = exp(-i left . L) exp(-i right . R).  The factors commute, so the
     order only matters for serialization and documentation.
     """
-    if gens is None:
-        gens = build_generators()
-    return _exp_factor(pair.left, gens.left) @ _exp_factor(pair.right, gens.right)
+    rot = cayley_klein(np.stack([pair.left, pair.right]))
+    return (_weights(rot.diag, rot.off).T @ _UNITS.reshape(16, 16)).reshape(4, 4)
 
 
-def transformed_pseudospin_states(
-    pair: RotationPair, basis: PseudospinBasis | None = None
-) -> np.ndarray:
+def transformed_pseudospin_states(pair: RotationPair) -> np.ndarray:
     """Images of the four pseudospin states under exp_map(pair).
 
     Computed without any 4x4 product: the unitary acts on the pseudospin
@@ -127,8 +128,6 @@ def transformed_pseudospin_states(
     a 4x4 matrix whose columns are the transformed (up-up, up-down,
     down-up, down-down) states in the physical basis.
     """
-    if basis is None:
-        basis = pseudospin_basis(build_generators())
     rot_left = cayley_klein(pair.left).as_matrix()
     rot_right = cayley_klein(pair.right).as_matrix()
-    return basis.states @ np.kron(rot_left, rot_right)
+    return pseudospin_basis(_GENS).states @ np.kron(rot_left, rot_right)

@@ -73,7 +73,7 @@ class FourierCurve:
 
     def unitary(self, t: float) -> np.ndarray:
         left, right, _, _ = self.at(t)
-        return exp_map(RotationPair(left, right), GENS)
+        return exp_map(RotationPair(left, right))
 
 
 def schroedinger_residual(curve: FourierCurve, hamiltonian: np.ndarray, t: float, h: float) -> float:

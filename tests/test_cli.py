@@ -74,6 +74,13 @@ def test_endpoints_forced_branch_failure(tmp_path, capsys):
     assert "unknown config key 'branch'" in capsys.readouterr().err
 
 
+def test_endpoints_takes_no_pole():
+    # the pole only shapes the synthesized curve
+    with pytest.raises(SystemExit) as exc:
+        main(["endpoints", "--pole", "-1"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -538,6 +545,40 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
                  "--omega-ref", value, "--out", str(out)])
     assert code == 2
     assert "omega_ref" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rows, shown",
+    [
+        (["synthesize", "--samples", "3", "--target-area", "1e308"], None, "target area 1e+308"),
+        (["synthesize", "--duration", "1", "--samples", "3", "--omega-ref", "1e160"], None,
+         "omega_ref 1e+160"),
+        (["synthesize", "--samples", "3", "--target-area", "1e-320"], None, "target area 1e-320"),
+        (["propagate", "--schedule", str(SHIPPED_CSV), "--normalize-area", "1e-320"], None,
+         "target area 1e-320"),
+        # amplitudes whose squares overflow
+        (["propagate"], [(0.0, 3e307, 0.0, 0.0), (1e-307, 3e307, 0.0, 0.0)], "area of the schedule is inf"),
+        # finite segment areas whose sum overflows
+        (["propagate"], [(float(i), *[(-1.0) ** i * 1e154] * 3) for i in range(10)],
+         "area of the schedule is inf"),
+    ],
+    ids=["target-area-huge", "omega-ref-huge", "target-area-tiny", "normalize-area-tiny",
+         "squares-overflow", "sum-overflows"],
+)
+def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, capsys):
+    # refused before anything is written; a RuntimeWarning would fail the
+    # test, since the suite turns them into errors
+    if rows is not None:
+        schedule = tmp_path / "in.csv"
+        lines = [SCHEDULE_HEADER, *(",".join(map(repr, row)) for row in rows)]
+        schedule.write_text("\n".join(lines) + "\n")
+        argv = [*argv, "--schedule", str(schedule)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert shown in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

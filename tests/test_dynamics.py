@@ -26,12 +26,12 @@ amplitudes = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 def test_effective_hamiltonian_zero():
-    ham = effective_hamiltonian(RabiTriple(0.0, 0.0, 0.0), GENS)
+    ham = effective_hamiltonian(RabiTriple(0.0, 0.0, 0.0))
     assert np.max(np.abs(ham)) == 0.0
 
 
 def test_effective_hamiltonian_single_coupling():
-    ham = effective_hamiltonian(RabiTriple(1.0, 0.0, 0.0), GENS)
+    ham = effective_hamiltonian(RabiTriple(1.0, 0.0, 0.0))
     upper = np.triu(ham, k=1)
     assert ham[0, 1] == pytest.approx(1.0, abs=1e-15)
     upper[0, 1] = 0.0
@@ -42,14 +42,14 @@ def test_ladder_matches_generator_form():
     rng = np.random.default_rng(3)
     for _ in range(100):
         triple = RabiTriple(*rng.uniform(-5, 5, 3))
-        generator_form = effective_hamiltonian(triple, GENS)
+        generator_form = effective_hamiltonian(triple)
         ladder_form = ladder_hamiltonian(triple)
         assert np.max(np.abs(generator_form - ladder_form)) <= 1e-14
 
 
 @given(amplitudes, amplitudes, amplitudes)
 def test_hamiltonian_hermitian(o1, o2, o3):
-    ham = effective_hamiltonian(RabiTriple(o1, o2, o3), GENS)
+    ham = effective_hamiltonian(RabiTriple(o1, o2, o3))
     assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
 
 

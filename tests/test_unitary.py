@@ -73,14 +73,14 @@ def test_series_branch_matches_direct_ratio():
 
 
 def test_exp_map_identity():
-    unit = exp_map(RotationPair(np.zeros(3), np.zeros(3)), GENS)
+    unit = exp_map(RotationPair(np.zeros(3), np.zeros(3)))
     assert np.max(np.abs(unit - np.eye(4))) <= 1e-15
 
 
 def test_exp_map_small_angle_linearization():
     eps = 1e-8
     vec = np.array([eps, 0.0, 0.0])
-    unit = exp_map(RotationPair(vec, np.zeros(3)), GENS)
+    unit = exp_map(RotationPair(vec, np.zeros(3)))
     linear = np.eye(4) - 1j * eps * GENS.left[0]
     assert np.max(np.abs(unit - linear)) <= 1e-15
 
@@ -89,32 +89,32 @@ def test_exp_map_matches_eigendecomposition():
     rng = np.random.default_rng(7)
     for _ in range(50):
         pair = RotationPair(rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3))
-        closed = exp_map(pair, GENS)
+        closed = exp_map(pair)
         reference = oracles.exp_map_reference(pair)
         assert np.max(np.abs(closed - reference)) <= 1e-10
 
 
 @given(vectors, vectors)
 def test_exp_map_unitary(left, right):
-    unit = exp_map(RotationPair(left, right), GENS)
+    unit = exp_map(RotationPair(left, right))
     assert np.max(np.abs(unit.conj().T @ unit - np.eye(4))) <= 1e-12
 
 
 def test_w_state_fixed_point_at_pole_pair():
     pole = np.array([0.0, 0.0, np.pi])
-    unit = exp_map(RotationPair(pole, pole), GENS)
+    unit = exp_map(RotationPair(pole, pole))
     image = unit @ w_state()
     assert abs(np.vdot(w_state(), image) - 1.0) <= 1e-14
 
 
 def test_transformed_states_identity_pair():
-    states = transformed_pseudospin_states(RotationPair(np.zeros(3), np.zeros(3)), BASIS)
+    states = transformed_pseudospin_states(RotationPair(np.zeros(3), np.zeros(3)))
     assert np.max(np.abs(states - BASIS.states)) <= 1e-15
 
 
 def test_transformed_up_up_at_pole_pair():
     pole = np.array([0.0, 0.0, np.pi])
-    states = transformed_pseudospin_states(RotationPair(pole, pole), BASIS)
+    states = transformed_pseudospin_states(RotationPair(pole, pole))
     expected = np.array([1j, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     assert np.max(np.abs(states[:, 0] - expected)) <= 1e-15
 
@@ -123,8 +123,8 @@ def test_transformed_states_match_exp_map():
     rng = np.random.default_rng(11)
     for _ in range(25):
         pair = RotationPair(rng.uniform(-6, 6, 3), rng.uniform(-6, 6, 3))
-        states = transformed_pseudospin_states(pair, BASIS)
-        reference = exp_map(pair, GENS) @ BASIS.states
+        states = transformed_pseudospin_states(pair)
+        reference = exp_map(pair) @ BASIS.states
         assert np.max(np.abs(states - reference)) <= 1e-12
         gram = states.conj().T @ states
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
@@ -140,8 +140,8 @@ def test_same_axis_composition(a, b, c, d):
     def z_pair(x, y):
         return RotationPair(np.array([0.0, 0.0, x]), np.array([0.0, 0.0, y]))
 
-    combined = exp_map(z_pair(a, b), GENS) @ exp_map(z_pair(c, d), GENS)
-    direct = exp_map(z_pair(a + c, b + d), GENS)
+    combined = exp_map(z_pair(a, b)) @ exp_map(z_pair(c, d))
+    direct = exp_map(z_pair(a + c, b + d))
     assert np.max(np.abs(combined - direct)) <= 1e-12
 
 
