@@ -9,14 +9,8 @@ the full eight-dimensional three-atom model.
 """
 
 from .algebra import build_generators, casimirs, pseudospin_basis, expand_state
-from .unitary import RotationPair, cayley_klein, exp_map, transformed_pseudospin_states
-from .dynamics import (
-    RabiTriple,
-    effective_hamiltonian,
-    vectorial_rabi,
-    check_constraints,
-    rabi_from_vectorial,
-)
+from .unitary import cayley_klein, exp_map, transformed_pseudospin_states
+from .dynamics import effective_hamiltonian, check_constraints, rabi_from_vectorial
 from .synthesis import (
     EndpointSolution,
     PulseProfile,

@@ -37,6 +37,8 @@ from .fullmodel import DEFAULT_COMPARE_FACTOR, DEFAULT_FACTOR, DEFAULT_STEPS_PER
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
+    _MAX_STEPS,
+    _rescale,
     normalize_to_area,
     propagate,
     squared_area,
@@ -228,6 +230,11 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
     endpoint = solve_endpoints(signs)
     if (cfg.duration is None) == (cfg.target_area is None):
         raise ValueError("give exactly one of duration or target_area")
+    # propagate certifies a schedule of at most _MAX_STEPS // 2 segments
+    if cfg.samples > _MAX_STEPS // 2 + 1:
+        raise ValueError(
+            f"samples {cfg.samples} exceeds the {_MAX_STEPS // 2 + 1} rows propagate can certify"
+        )
     duration = cfg.duration if cfg.duration is not None else 1.0
     profile = PulseProfile(
         kind=cfg.profile,
@@ -246,19 +253,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> int:
     if cfg.omega_ref is not None:
         if not cfg.omega_ref > 0:
             raise ValueError("omega_ref must be positive")
-        # the schedule's own checks and squared_area refuse an omega_ref
-        # whose scaling overflows or collapses the times, amplitudes or area
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                written = PulseSchedule(
-                    times=written.times * (1.0 / cfg.omega_ref),
-                    values=written.values * cfg.omega_ref,
-                )
-            squared_area(written)
-        except ValueError as exc:
-            raise ValueError(
-                f"omega_ref {cfg.omega_ref!r} makes the schedule invalid: {exc}"
-            ) from None
+        written = _rescale(written, cfg.omega_ref, f"omega_ref {cfg.omega_ref!r}")
     area = squared_area(written)
     write_schedule_csv(written, cfg.out)
     peak = written.values[np.argmax(np.sum(written.values**2, axis=1))]
@@ -394,9 +389,9 @@ def _check_exp_map(gens) -> tuple[bool, str]:
     rng = np.random.default_rng(20260814)
     worst = 0.0
     for _ in range(100):
-        pair = unitary.RotationPair(rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3))
+        pair = rng.uniform(-8, 8, (2, 3))
         closed = unitary.exp_map(pair)
-        reference = _eig_unitary(pair.left, gens.left) @ _eig_unitary(pair.right, gens.right)
+        reference = _eig_unitary(pair[0], gens.left) @ _eig_unitary(pair[1], gens.right)
         worst = max(worst, float(np.max(np.abs(closed - reference))))
     return worst <= 1e-10, f"max deviation {worst:.2e} over 100 random pairs"
 
@@ -411,8 +406,8 @@ def _check_constraint_residuals() -> tuple[bool, str]:
                 kind=kind, duration=1.0, theta_final=endpoint.theta_left_final
             )
             curve = build_curve(endpoint, profile)
-            rates = dynamics.vectorial_rabi(curve.sample(times))
-            worst = max(worst, dynamics.check_constraints(rates).max_residual)
+            rates = dynamics.rotation_rate(curve.vectors_at(times), curve.velocities_at(times))
+            worst = max(worst, float(np.max(np.abs(dynamics.check_constraints(rates)))))
     return worst <= 1e-9, f"max residual {worst:.2e}"
 
 

@@ -7,11 +7,11 @@ from the curve and its velocity.  Physical drives can only realize
 Hamiltonians of the ladder form, which pins three components of the
 rates to zero or to each other; those constraints and the linear map
 between rate components and the three Rabi amplitudes live here.
+Rabi amplitudes are arrays (..., 3) of (O1, O2, O3), as in a schedule;
+curve points, velocities and rates are pairs (2, ..., 3), left first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,9 @@ from .unitary import _GENS, _SERIES_CUTOFF
 
 __all__ = [
     "ConstraintViolation",
-    "RabiTriple",
-    "CurveSample",
-    "VectorialRabi",
-    "ConstraintReport",
     "effective_hamiltonian",
     "ladder_hamiltonian",
     "rotation_rate",
-    "vectorial_rabi",
     "check_constraints",
     "rabi_from_vectorial",
     "vectorial_from_rabi",
@@ -39,78 +34,27 @@ class ConstraintViolation(ValueError):
     """Vectorial rates are not realizable by real ladder drives."""
 
 
-@dataclass(frozen=True)
-class RabiTriple:
-    """Real Rabi amplitudes of the three ladder transitions.
-
-    For a batch, the three fields are arrays of one shape.
-    """
-
-    omega1: float | np.ndarray
-    omega2: float | np.ndarray
-    omega3: float | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """The amplitudes stacked along the last axis, shape (..., 3)."""
-        return np.stack([self.omega1, self.omega2, self.omega3], axis=-1).astype(float)
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One point of a parameter curve with its velocity.
-
-    For a batch of points, ``t`` is an array and the vectors are stacked
-    (..., 3).
-    """
-
-    t: float | np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    left_dot: np.ndarray
-    right_dot: np.ndarray
-
-
-@dataclass(frozen=True)
-class VectorialRabi:
-    """Rotation rates w_left, w_right induced by a curve point."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    residuals: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals)))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= CONSTRAINT_TOL
-
-
-def effective_hamiltonian(rabi: RabiTriple) -> np.ndarray:
-    """Hermitian 4x4 Hamiltonian as a combination of the generators.
+def effective_hamiltonian(rabi: np.ndarray) -> np.ndarray:
+    """Hermitian 4x4 Hamiltonian of the amplitudes (O1, O2, O3) on the generators.
 
     O1 couples through the sum of the two x generators, O2 through the
     sum of the y generators, and O3 through the x difference.  Entrywise
     this equals the ladder form built by ladder_hamiltonian().
     """
+    o1, o2, o3 = rabi
     return (
-        rabi.omega1 * (_GENS.left[0] + _GENS.right[0])
-        + rabi.omega2 * (_GENS.left[1] + _GENS.right[1])
-        + rabi.omega3 * (_GENS.left[0] - _GENS.right[0])
+        o1 * (_GENS.left[0] + _GENS.right[0])
+        + o2 * (_GENS.left[1] + _GENS.right[1])
+        + o3 * (_GENS.left[0] - _GENS.right[0])
     )
 
 
-def ladder_hamiltonian(rabi: RabiTriple) -> np.ndarray:
+def ladder_hamiltonian(rabi: np.ndarray) -> np.ndarray:
     """The same Hamiltonian written as nearest-neighbor ladder couplings."""
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = rabi.omega1
-    h[1, 2] = h[2, 1] = rabi.omega2
-    h[2, 3] = h[3, 2] = rabi.omega3
+    h[0, 1] = h[1, 0] = rabi[0]
+    h[1, 2] = h[2, 1] = rabi[1]
+    h[2, 3] = h[3, 2] = rabi[2]
     return h
 
 
@@ -124,8 +68,9 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
           + (n - sin n)/n^3 * (vec . vdot) vec
 
     with n = |vec|; near n = 0 the three coefficients switch to series.
-    ``vec`` and ``vec_dot`` have shape (3,) or (..., 3), and so does the
-    result; a batch gives the same values as one call per row.
+    ``vec`` and ``vec_dot`` have shape (..., 3), and so does the result,
+    so a curve point (2, ..., 3) gives the rates of both factors; a batch
+    gives the same values as one call per row.
     """
     v = np.asarray(vec, dtype=float)
     vd = np.asarray(vec_dot, dtype=float)
@@ -144,52 +89,33 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
     return c1 * vd + c2 * cross + c3 * dot * v
 
 
-def vectorial_rabi(sample: CurveSample) -> VectorialRabi:
-    """Rotation rates of both curve factors at one sample."""
-    return VectorialRabi(
-        left=rotation_rate(sample.left, sample.left_dot),
-        right=rotation_rate(sample.right, sample.right_dot),
-    )
-
-
-def check_constraints(rates: VectorialRabi) -> ConstraintReport:
-    """Residuals of the realizability conditions on the rotation rates.
+def check_constraints(rates: np.ndarray) -> np.ndarray:
+    """Residuals of the realizability conditions on rotation rates (2, ..., 3).
 
     Real ladder drives require both z rates to vanish and the two y
     rates to coincide.  Returns the three residuals in that order, along
-    the last axis when the rates are stacked (..., 3).
+    the last axis, shape (..., 3).
     """
-    left = np.asarray(rates.left, dtype=float)
-    right = np.asarray(rates.right, dtype=float)
-    residuals = np.stack(
-        [left[..., 2], right[..., 2], left[..., 1] - right[..., 1]], axis=-1
-    )
-    return ConstraintReport(residuals=residuals)
+    left, right = np.asarray(rates, dtype=float)
+    return np.stack([left[..., 2], right[..., 2], left[..., 1] - right[..., 1]], axis=-1)
 
 
-def rabi_from_vectorial(rates: VectorialRabi) -> RabiTriple:
-    """Rabi amplitudes realizing constraint-satisfying rotation rates.
-
-    Rates stacked (..., 3) give a RabiTriple of arrays.
-    """
-    report = check_constraints(rates)
-    if not report.passed:
+def rabi_from_vectorial(rates: np.ndarray) -> np.ndarray:
+    """Rabi amplitudes (..., 3) realizing constraint-satisfying rates (2, ..., 3)."""
+    worst = float(np.max(np.abs(check_constraints(rates))))
+    if not worst <= CONSTRAINT_TOL:
         raise ConstraintViolation(
-            f"rotation rates violate the ladder constraints, max residual {report.max_residual:.3e}"
+            f"rotation rates violate the ladder constraints, max residual {worst:.3e}"
         )
-    left = np.asarray(rates.left, dtype=float)
-    right = np.asarray(rates.right, dtype=float)
-    return RabiTriple(
-        omega1=0.5 * (left[..., 0] + right[..., 0]),
-        omega2=0.5 * (left[..., 1] + right[..., 1]),
-        omega3=0.5 * (left[..., 0] - right[..., 0]),
-    )
+    left, right = np.asarray(rates, dtype=float)
+    total = left + right
+    return 0.5 * np.stack([total[..., 0], total[..., 1], left[..., 0] - right[..., 0]], axis=-1)
 
 
-def vectorial_from_rabi(rabi: RabiTriple) -> VectorialRabi:
-    """Inverse of rabi_from_vectorial on the constraint surface, batched like it."""
-    amp = rabi.as_array()
+def vectorial_from_rabi(rabi: np.ndarray) -> np.ndarray:
+    """Inverse of rabi_from_vectorial on the constraint surface: (..., 3) to (2, ..., 3)."""
+    amp = np.asarray(rabi, dtype=float)
     zero = np.zeros_like(amp[..., 1])
     left = np.stack([amp[..., 0] + amp[..., 2], amp[..., 1], zero], axis=-1)
     right = np.stack([amp[..., 0] - amp[..., 2], amp[..., 1], zero], axis=-1)
-    return VectorialRabi(left=left, right=right)
+    return np.stack([left, right])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ggg_state, ghz_state, rrr_state, w_state
-from .dynamics import RabiTriple, vectorial_from_rabi
+from .dynamics import vectorial_from_rabi
 from .synthesis import NonFiniteSchedule, PulseSchedule
 from .unitary import _UNITS, _compose, _weights, cayley_klein
 
@@ -140,9 +140,9 @@ def _step_factors(
     take the amplitudes at the Gauss nodes straight from the segment's
     linear form, combined with the CF4 weights; each is w_L . L + w_R . R
     with the rotation rates of ``dynamics.vectorial_from_rabi``, so each
-    is a left and a right rotation.  Returns (diag, off) of the step
-    products, shape (2, stop - start): the left factors in row 0, the
-    right ones in row 1.
+    is a left and a right rotation.  Returns the Cayley-Klein pair (a, b)
+    of the step products, shape (2, stop - start): the left factors in
+    row 0, the right ones in row 1.
     """
     seg, frac = np.divmod(np.arange(start, stop), sub)
     base = schedule.values[seg]
@@ -153,9 +153,8 @@ def _step_factors(
     # with the two swapped the scheme is only second order
     first = (_ALPHA2 * early + _ALPHA1 * late) * h
     second = (_ALPHA1 * early + _ALPHA2 * late) * h
-    rates = vectorial_from_rabi(RabiTriple(*np.moveaxis(np.stack([first, second]), -1, 0)))
-    step = cayley_klein(np.stack([rates.left, rates.right]))
-    return _compose(step.diag[:, 1], step.off[:, 1], step.diag[:, 0], step.off[:, 0])
+    a, b = cayley_klein(vectorial_from_rabi(np.stack([first, second])))
+    return _compose(a[:, 1], b[:, 1], a[:, 0], b[:, 0])
 
 
 def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.ndarray:
@@ -230,10 +229,23 @@ def propagate(
     area = squared_area(schedule)
     segments = len(schedule.times) - 1
     sub = -(-steps // segments)
-    if segments * sub > _MAX_STEPS:
+    # the first pass is always followed by a certifying pass at twice the steps
+    if 2 * segments * sub > _MAX_STEPS:
         raise TooManySteps(
             f"{steps} steps asked for take {segments * sub} on the {segments} schedule "
-            f"segments, more than the cap of {_MAX_STEPS}"
+            f"segments and twice that to certify, more than the cap of {_MAX_STEPS}"
+        )
+    # a step's rotation vectors are shorter than its length times the summed
+    # |amplitudes| at its segment's knots; their squares must not overflow
+    with np.errstate(over="ignore"):
+        peak = np.abs(schedule.values).sum(axis=1)
+        reach = np.diff(schedule.times) / sub * (peak[:-1] + peak[1:])
+        bad = np.flatnonzero(~np.isfinite(reach * reach))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"segment {i} (t = {schedule.times[i]:.6g} to {schedule.times[i + 1]:.6g}) rotates "
+            f"by up to {reach[i]:.3e} rad per step, too far to square in double precision"
         )
 
     states = _integrate(schedule, psi0, sub)
@@ -251,7 +263,7 @@ def propagate(
         states = finer
 
     norm_drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))
-    if norm_drift > 1e-9:
+    if not norm_drift <= 1e-9:
         raise ConvergenceFailure(f"norm drifted by {norm_drift:.3e} during integration")
 
     final_state = states[-1]
@@ -338,13 +350,20 @@ def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSched
         raise ZeroArea("target area must be positive")
     if current <= 0.0:
         raise ZeroArea("schedule has zero squared area, cannot rescale")
-    lam = target_area / current
-    # the schedule's own checks and squared_area refuse a target whose
-    # scaling overflows or collapses the times, amplitudes or area
+    return _rescale(schedule, target_area / current, f"target area {target_area!r}")
+
+
+def _rescale(schedule: PulseSchedule, factor: float, cause: str) -> PulseSchedule:
+    """The schedule with its times divided and its amplitudes multiplied by factor.
+
+    The schedule's own checks and squared_area refuse a factor that
+    overflows or collapses the times, amplitudes or area; the error names
+    the cause.
+    """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = PulseSchedule(times=schedule.times / lam, values=schedule.values * lam)
+        with np.errstate(all="ignore"):
+            scaled = PulseSchedule(times=schedule.times / factor, values=schedule.values * factor)
         squared_area(scaled)
     except ValueError as exc:
-        raise ValueError(f"target area {target_area!r} makes the schedule invalid: {exc}") from None
+        raise ValueError(f"{cause} makes the schedule invalid: {exc}") from None
     return scaled

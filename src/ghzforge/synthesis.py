@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import w_state
-from .dynamics import CurveSample
-from .unitary import RotationPair, exp_map
+from .unitary import exp_map
 
 __all__ = [
     "NoSolution",
@@ -105,16 +104,16 @@ class EndpointSolution:
         """Ratio theta_right(t)/theta_left(t) forced by the constraints."""
         return math.cos(self.phi_left) / math.cos(self.phi_right)
 
-    def left_vector(self) -> np.ndarray:
-        return _spherical(self.theta_left_final, self.phi_left)
-
-    def right_vector(self) -> np.ndarray:
-        return _spherical(self.theta_right_final, self.phi_right)
+    def vectors(self) -> np.ndarray:
+        """The final rotation-vector pair, shape (2, 3), left first."""
+        return np.stack([
+            _spherical(self.theta_left_final, self.phi_left),
+            _spherical(self.theta_right_final, self.phi_right),
+        ])
 
     def endpoint_residuals(self) -> np.ndarray:
         """Residuals of the four GHZ endpoint conditions (all should be 0)."""
-        a = self.left_vector()
-        b = self.right_vector()
+        a, b = self.vectors()
         target = RADIUS**2 / math.sqrt(2.0)
         return np.array(
             [
@@ -236,7 +235,7 @@ def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
 
 def _reached_ghz_phase(solution: EndpointSolution) -> float:
     """Phase of the GHZ state produced by the endpoint's exact unitary."""
-    unitary = exp_map(RotationPair(solution.left_vector(), solution.right_vector()))
+    unitary = exp_map(solution.vectors())
     psi = unitary @ w_state()
     weight = abs(psi[0]) ** 2 + abs(psi[3]) ** 2
     if weight < 1.0 - _ENDPOINT_TOL:
@@ -327,30 +326,25 @@ class SphericalCurve:
     def theta_right(self, times) -> np.ndarray:
         return self.endpoint.curve_slope * self.profile.angle(times)
 
-    def vectors_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Both rotation vectors at a time or an array of times, (..., 3)."""
+    def vectors_at(self, t) -> np.ndarray:
+        """The rotation-vector pair at a time or an array of times, (2, ..., 3)."""
         th_l = self.profile.angle(t)
         th_r = self.endpoint.curve_slope * th_l
-        return (
+        return np.stack([
             _spherical(th_l, self.endpoint.phi_left, self.pole),
             _spherical(th_r, self.endpoint.phi_right, self.pole),
-        )
+        ])
 
-    def velocities_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+    def velocities_at(self, t) -> np.ndarray:
+        """The time derivative of vectors_at, (2, ..., 3)."""
         rate_l = self.profile.rate(t)[..., None]
         rate_r = self.endpoint.curve_slope * rate_l
         th_l = self.profile.angle(t)
         th_r = self.endpoint.curve_slope * th_l
-        return (
+        return np.stack([
             _spherical_tangent(th_l, self.endpoint.phi_left, self.pole) * rate_l,
             _spherical_tangent(th_r, self.endpoint.phi_right, self.pole) * rate_r,
-        )
-
-    def sample(self, t) -> CurveSample:
-        """The curve point at t; an array of times gives stacked (..., 3) fields."""
-        left, right = self.vectors_at(t)
-        left_dot, right_dot = self.velocities_at(t)
-        return CurveSample(t=t, left=left, right=right, left_dot=left_dot, right_dot=right_dot)
+        ])
 
 
 def _spherical_tangent(theta, phi: float, pole: int) -> np.ndarray:

@@ -4,8 +4,10 @@ Every unitary reachable by the effective dynamics factorizes as a left
 rotation times a right rotation, each parametrized by a rotation vector
 in R^3.  Because the families are spin-1/2, both factors have half-angle
 closed forms and the whole map reduces to a pair of 2x2 Cayley-Klein
-coefficient sets.  The half-angle formula works elementwise on arrays of
-rotation vectors, so the same code serves single rotations and the
+coefficient sets.  A rotation-vector pair is an array of shape
+(2, ..., 3), the left vector first.  The half-angle formula works
+elementwise on arrays of rotation vectors, so the same code serves
+single rotations and the
 per-step factors of the ladder integrator in ``propagate``, which also
 takes its products and its readout from here.  No matrix exponential is
 ever needed at runtime; a dense eigendecomposition oracle lives in the
@@ -14,19 +16,11 @@ test suite instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import build_generators, pseudospin_basis
 
-__all__ = [
-    "RotationPair",
-    "CayleyKlein",
-    "cayley_klein",
-    "exp_map",
-    "transformed_pseudospin_states",
-]
+__all__ = ["cayley_klein", "exp_map", "transformed_pseudospin_states"]
 
 # Below this rotation angle the sin(|v|/2)/|v| factor (and the rate
 # coefficients of dynamics.rotation_rate) switch to their Taylor series to
@@ -41,60 +35,34 @@ _LEFT, _RIGHT = (np.stack([np.eye(4), *(-2j * g)]) for g in (_GENS.left, _GENS.r
 _UNITS = (_LEFT[:, None] @ _RIGHT).reshape(16, 4, 4)
 
 
-@dataclass(frozen=True)
-class RotationPair:
-    """Rotation vectors (radians) for the left and right factor."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        for name in ("left", "right"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise ValueError(f"{name} rotation vector must have 3 components")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} rotation vector must be finite")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+def _pair(pair: np.ndarray) -> np.ndarray:
+    """A rotation-vector pair as a finite (2, 3) array, left vector first."""
+    vecs = np.asarray(pair, dtype=float)
+    if vecs.shape != (2, 3):
+        raise ValueError(f"a rotation pair must have shape (2, 3), not {vecs.shape}")
+    if not np.all(np.isfinite(vecs)):
+        raise ValueError("rotation vectors must be finite")
+    return vecs
 
 
-@dataclass(frozen=True)
-class CayleyKlein:
-    """First-column entries of a 2x2 special unitary rotation.
+def cayley_klein(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein coefficients (a, b) of the rotation e^{-i vec . spin}.
 
-    ``diag`` is the upper-left entry and ``off`` the lower-left one;
-    together they satisfy |diag|^2 + |off|^2 = 1 and determine the whole
-    matrix [[diag, -conj(off)], [off, conj(diag)]].  For a batch of
-    rotations both fields are complex arrays of the batch shape.
-    """
-
-    diag: complex | np.ndarray
-    off: complex | np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.diag, -np.conj(self.off)], [self.off, np.conj(self.diag)]]
-        )
-
-
-def cayley_klein(vec: np.ndarray) -> CayleyKlein:
-    """Cayley-Klein coefficients of the rotation e^{-i vec . spin}.
-
-    ``vec`` has shape (3,) or (..., 3); a batch gives array fields of
-    shape (...).  At vec = 0 the smooth limit (1, 0) is returned.
+    ``vec`` has shape (..., 3); a and b are complex arrays of shape (...),
+    the first column of the 2x2 rotation [[a, -b*], [b, a*]], with
+    |a|^2 + |b|^2 = 1.  At vec = 0 the smooth limit (1, 0) is returned.
     """
     v = np.asarray(vec, dtype=float)
     norm = np.linalg.norm(v, axis=-1)
-    # k = sin(n/2)/n, by its Taylor series below the cutoff
-    n2 = norm * norm
+    # k = sin(n/2)/n, by its Taylor series below the cutoff only, where it
+    # cannot overflow
+    series = norm < _SERIES_CUTOFF
+    n2 = np.where(series, norm, 0.0) ** 2
     k = np.asarray(0.5 - n2 / 48.0 + n2 * n2 / 3840.0)
-    np.divide(np.sin(norm / 2.0), norm, out=k, where=norm >= _SERIES_CUTOFF)
-    diag = np.cos(norm / 2.0) - 1j * v[..., 2] * k
-    off = (-1j * v[..., 0] + v[..., 1]) * k
-    if v.ndim == 1:
-        return CayleyKlein(diag=complex(diag), off=complex(off))
-    return CayleyKlein(diag=diag, off=off)
+    np.divide(np.sin(norm / 2.0), norm, out=k, where=~series)
+    a = np.cos(norm / 2.0) - 1j * v[..., 2] * k
+    b = (-1j * v[..., 0] + v[..., 1]) * k
+    return a, b
 
 
 def _compose(a2, b2, a1, b1):
@@ -108,18 +76,18 @@ def _weights(a, b):
     return (quat[:, None, 0] * quat[None, :, 1]).reshape(16, -1)
 
 
-def exp_map(pair: RotationPair) -> np.ndarray:
-    """The 4x4 unitary generated by a rotation-vector pair.
+def exp_map(pair: np.ndarray) -> np.ndarray:
+    """The 4x4 unitary generated by a rotation-vector pair, shape (2, 3).
 
     Convention: the left factor is applied leftmost,
-    U = exp(-i left . L) exp(-i right . R).  The factors commute, so the
-    order only matters for serialization and documentation.
+    U = exp(-i pair[0] . L) exp(-i pair[1] . R).  The factors commute, so
+    the order only matters for serialization and documentation.
     """
-    rot = cayley_klein(np.stack([pair.left, pair.right]))
-    return (_weights(rot.diag, rot.off).T @ _UNITS.reshape(16, 16)).reshape(4, 4)
+    a, b = cayley_klein(_pair(pair))
+    return (_weights(a, b).T @ _UNITS.reshape(16, 16)).reshape(4, 4)
 
 
-def transformed_pseudospin_states(pair: RotationPair) -> np.ndarray:
+def transformed_pseudospin_states(pair: np.ndarray) -> np.ndarray:
     """Images of the four pseudospin states under exp_map(pair).
 
     Computed without any 4x4 product: the unitary acts on the pseudospin
@@ -128,6 +96,6 @@ def transformed_pseudospin_states(pair: RotationPair) -> np.ndarray:
     a 4x4 matrix whose columns are the transformed (up-up, up-down,
     down-up, down-down) states in the physical basis.
     """
-    rot_left = cayley_klein(pair.left).as_matrix()
-    rot_right = cayley_klein(pair.right).as_matrix()
-    return pseudospin_basis(_GENS).states @ np.kron(rot_left, rot_right)
+    a, b = cayley_klein(_pair(pair))
+    rot = np.array([[a, -b.conj()], [b, a.conj()]])
+    return pseudospin_basis(_GENS).states @ np.kron(rot[..., 0], rot[..., 1])

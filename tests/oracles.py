@@ -20,7 +20,7 @@ from ghzforge.fullmodel import (
     embed_state,
     tone_frequencies,
 )
-from ghzforge.unitary import RotationPair, exp_map
+from ghzforge.unitary import exp_map
 
 GENS = build_generators()
 
@@ -31,9 +31,9 @@ def expm_eig(hermitian: np.ndarray) -> np.ndarray:
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
-def exp_map_reference(pair: RotationPair) -> np.ndarray:
-    left = sum(pair.left[i] * GENS.left[i] for i in range(3))
-    right = sum(pair.right[i] * GENS.right[i] for i in range(3))
+def exp_map_reference(pair: np.ndarray) -> np.ndarray:
+    left = sum(pair[0][i] * GENS.left[i] for i in range(3))
+    right = sum(pair[1][i] * GENS.right[i] for i in range(3))
     return expm_eig(left) @ expm_eig(right)
 
 
@@ -73,7 +73,7 @@ class FourierCurve:
 
     def unitary(self, t: float) -> np.ndarray:
         left, right, _, _ = self.at(t)
-        return exp_map(RotationPair(left, right))
+        return exp_map(np.stack([left, right]))
 
 
 def schroedinger_residual(curve: FourierCurve, hamiltonian: np.ndarray, t: float, h: float) -> float:

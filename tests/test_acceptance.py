@@ -14,11 +14,10 @@ import pytest
 
 from ghzforge.algebra import build_generators, casimirs
 from ghzforge.dynamics import (
-    CurveSample,
     check_constraints,
     rabi_from_vectorial,
+    rotation_rate,
     vectorial_from_rabi,
-    vectorial_rabi,
 )
 from ghzforge.fullmodel import compare_factors, params_for_factor
 from ghzforge.propagate import normalize_to_area, propagate, squared_area
@@ -31,7 +30,7 @@ from ghzforge.synthesis import (
     reverse_schedule,
     solve_endpoints,
 )
-from ghzforge.unitary import RotationPair, exp_map
+from ghzforge.unitary import exp_map
 
 import oracles
 
@@ -221,7 +220,7 @@ def test_criterion_05_structural_suite(acceptance):
     rng = np.random.default_rng(17)
     worst_exp = 0.0
     for _ in range(50):
-        pair = RotationPair(rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3))
+        pair = rng.uniform(-8, 8, (2, 3))
         deviation = np.max(np.abs(exp_map(pair) - oracles.exp_map_reference(pair)))
         worst_exp = max(worst_exp, float(deviation))
     elapsed = time.perf_counter() - start
@@ -256,20 +255,18 @@ def test_criterion_06_constraints_along_curves(acceptance, endpoints_all):
                 kind=kind, duration=1.0, theta_final=endpoint.theta_left_final
             )
             curve = build_curve(endpoint, profile)
-            rates = vectorial_rabi(curve.sample(np.linspace(0.0, 1.0, 1000)))
-            worst_residual = max(worst_residual, check_constraints(rates).max_residual)
+            times = np.linspace(0.0, 1.0, 1000)
+            rates = rotation_rate(curve.vectors_at(times), curve.velocities_at(times))
+            worst_residual = max(worst_residual, float(np.max(np.abs(check_constraints(rates)))))
 
             rebuilt = vectorial_from_rabi(rabi_from_vectorial(rates))
             # each sample's deviation relative to its own largest rate
-            scale = np.maximum(
-                1.0, np.maximum(np.abs(rates.left).max(axis=-1), np.abs(rates.right).max(axis=-1))
+            scale = np.maximum(1.0, np.abs(rates).max(axis=(0, 2)))
+            expected = rates.copy()
+            expected[..., 2] = 0.0
+            worst_round_trip = max(
+                worst_round_trip, float(np.max(np.abs(rebuilt - expected).max(axis=-1) / scale))
             )
-            for got, rate in ((rebuilt.left, rates.left), (rebuilt.right, rates.right)):
-                expected = rate.copy()
-                expected[:, 2] = 0.0
-                worst_round_trip = max(
-                    worst_round_trip, float(np.max(np.abs(got - expected).max(axis=-1) / scale))
-                )
     ok = worst_residual <= 1e-9 and worst_round_trip <= 1e-12
     acceptance.record(
         "6",
@@ -288,12 +285,8 @@ def test_criterion_07_schroedinger_consistency(acceptance):
         curve = oracles.FourierCurve(rng)
         t = rng.uniform(0.3, 1.5)
         left, right, left_dot, right_dot = curve.at(t)
-        rates = vectorial_rabi(
-            CurveSample(t=t, left=left, right=right, left_dot=left_dot, right_dot=right_dot)
-        )
-        ham = sum(
-            rates.left[i] * GENS.left[i] + rates.right[i] * GENS.right[i] for i in range(3)
-        )
+        rates = rotation_rate(np.stack([left, right]), np.stack([left_dot, right_dot]))
+        ham = sum(rates[0, i] * GENS.left[i] + rates[1, i] * GENS.right[i] for i in range(3))
         coarse = oracles.schroedinger_residual(curve, ham, t, 1e-4)
         fine = oracles.schroedinger_residual(curve, ham, t, 1e-5)
         ratios.append(coarse / fine)

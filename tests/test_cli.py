@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzforge.propagate import squared_area
+from ghzforge.propagate import _MAX_STEPS, squared_area
 from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
 from ghzforge.cli import SCHEDULE_HEADER, main, read_schedule_csv
 
@@ -429,6 +431,22 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "name", ["algebra", "unitary", "dynamics", "synthesis", "propagate", "fullmodel"]
+)
+def test_all_lists_exactly_the_public_functions_and_classes(name):
+    # constants and re-exported names may be listed too, but every entry
+    # must exist, and every public function or class defined here is listed
+    module = importlib.import_module(f"ghzforge.{name}")
+    assert all(hasattr(module, entry) for entry in module.__all__)
+
+    def defined_here(obj):
+        return (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__
+
+    public = {key for key, obj in vars(module).items() if not key.startswith("_") and defined_here(obj)}
+    assert {entry for entry in module.__all__ if defined_here(getattr(module, entry))} == public
+
+
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
@@ -557,14 +575,19 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
         (["synthesize", "--samples", "3", "--target-area", "1e-320"], None, "target area 1e-320"),
         (["propagate", "--schedule", str(SHIPPED_CSV), "--normalize-area", "1e-320"], None,
          "target area 1e-320"),
+        # the scale factor underflows to 0, so the times divide by zero
+        (["propagate", "--schedule", str(SHIPPED_CSV), "--normalize-area", "5e-324"], None,
+         "target area 5e-324"),
         # amplitudes whose squares overflow
         (["propagate"], [(0.0, 3e307, 0.0, 0.0), (1e-307, 3e307, 0.0, 0.0)], "area of the schedule is inf"),
         # finite segment areas whose sum overflows
         (["propagate"], [(float(i), *[(-1.0) ** i * 1e154] * 3) for i in range(10)],
          "area of the schedule is inf"),
+        # a finite area (1e260) whose per-step rotation vector cannot be squared
+        (["propagate"], [(0.0, 1e100, 0.0, 0.0), (1e60, 1e100, 0.0, 0.0)], "segment 0"),
     ],
     ids=["target-area-huge", "omega-ref-huge", "target-area-tiny", "normalize-area-tiny",
-         "squares-overflow", "sum-overflows"],
+         "normalize-area-underflows", "squares-overflow", "sum-overflows", "step-rotation-overflows"],
 )
 def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, capsys):
     # refused before anything is written; a RuntimeWarning would fail the
@@ -580,6 +603,21 @@ def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, ca
     assert shown in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [str(_MAX_STEPS // 2 + 2), "10000000000000"])
+def test_synthesize_samples_beyond_certifiable_rows_is_usage_error(samples, tmp_path, capsys):
+    out = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        code = main(["synthesize", "--duration", "1", "--samples", samples, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"{_MAX_STEPS // 2 + 1} rows propagate can certify" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 PROPAGATE_KEYS = {

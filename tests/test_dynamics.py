@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 
 from ghzforge.algebra import build_generators
 from ghzforge.dynamics import (
+    CONSTRAINT_TOL,
     ConstraintViolation,
-    CurveSample,
-    RabiTriple,
-    VectorialRabi,
     check_constraints,
     effective_hamiltonian,
     ladder_hamiltonian,
     rabi_from_vectorial,
     rotation_rate,
     vectorial_from_rabi,
-    vectorial_rabi,
 )
 
 import oracles
@@ -26,12 +23,12 @@ amplitudes = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 def test_effective_hamiltonian_zero():
-    ham = effective_hamiltonian(RabiTriple(0.0, 0.0, 0.0))
+    ham = effective_hamiltonian(np.zeros(3))
     assert np.max(np.abs(ham)) == 0.0
 
 
 def test_effective_hamiltonian_single_coupling():
-    ham = effective_hamiltonian(RabiTriple(1.0, 0.0, 0.0))
+    ham = effective_hamiltonian(np.array([1.0, 0.0, 0.0]))
     upper = np.triu(ham, k=1)
     assert ham[0, 1] == pytest.approx(1.0, abs=1e-15)
     upper[0, 1] = 0.0
@@ -41,7 +38,7 @@ def test_effective_hamiltonian_single_coupling():
 def test_ladder_matches_generator_form():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        triple = RabiTriple(*rng.uniform(-5, 5, 3))
+        triple = rng.uniform(-5, 5, 3)
         generator_form = effective_hamiltonian(triple)
         ladder_form = ladder_hamiltonian(triple)
         assert np.max(np.abs(generator_form - ladder_form)) <= 1e-14
@@ -49,7 +46,7 @@ def test_ladder_matches_generator_form():
 
 @given(amplitudes, amplitudes, amplitudes)
 def test_hamiltonian_hermitian(o1, o2, o3):
-    ham = effective_hamiltonian(RabiTriple(o1, o2, o3))
+    ham = effective_hamiltonian(np.array([o1, o2, o3]))
     assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
 
 
@@ -105,107 +102,81 @@ def test_rotation_rate_batch_matches_scalar_calls():
 
 def test_check_constraints_stacked():
     rng = np.random.default_rng(12)
-    left, right = rng.normal(size=(2, 5, 3))
-    report = check_constraints(VectorialRabi(left=left, right=right))
-    assert report.residuals.shape == (5, 3)
+    rates = rng.normal(size=(2, 5, 3))
+    residuals = check_constraints(rates)
+    assert residuals.shape == (5, 3)
     for k in range(5):
-        single = check_constraints(VectorialRabi(left=left[k], right=right[k]))
-        assert np.array_equal(report.residuals[k], single.residuals)
-    assert report.max_residual == max(
-        check_constraints(VectorialRabi(left=left[k], right=right[k])).max_residual
-        for k in range(5)
-    )
+        assert np.array_equal(residuals[k], check_constraints(rates[:, k]))
 
 
 def test_rabi_maps_batch_match_scalar_calls():
     rng = np.random.default_rng(13)
     amp = rng.normal(0.0, 3.0, (6, 5, 3))
-    rates = vectorial_from_rabi(RabiTriple(*np.moveaxis(amp, -1, 0)))
-    assert rates.left.shape == rates.right.shape == (6, 5, 3)
+    rates = vectorial_from_rabi(amp)
+    assert rates.shape == (2, 6, 5, 3)
     triples = rabi_from_vectorial(rates)
-    assert triples.as_array().shape == (6, 5, 3)
+    assert triples.shape == (6, 5, 3)
     for idx in np.ndindex(6, 5):
-        single = vectorial_from_rabi(RabiTriple(*(float(o) for o in amp[idx])))
-        assert np.array_equal(rates.left[idx], single.left), idx
-        assert np.array_equal(rates.right[idx], single.right), idx
+        single = vectorial_from_rabi(amp[idx])
+        assert np.array_equal(rates[(slice(None), *idx)], single), idx
         back = rabi_from_vectorial(single)
-        assert np.array_equal(triples.as_array()[idx], back.as_array()), idx
-        assert back.as_array().shape == (3,)
+        assert np.array_equal(triples[idx], back), idx
+        assert back.shape == (3,)
 
 
-def test_vectorial_rabi_wraps_both_vectors():
-    sample = CurveSample(
-        t=0.0,
-        left=np.array([0.0, 0.0, 0.5]),
-        right=np.array([0.0, 0.0, 0.25]),
-        left_dot=np.array([0.0, 0.0, 1.0]),
-        right_dot=np.array([0.0, 0.0, 0.5]),
-    )
-    rates = vectorial_rabi(sample)
-    assert np.allclose(rates.left, [0, 0, 1.0], atol=1e-14)
-    assert np.allclose(rates.right, [0, 0, 0.5], atol=1e-14)
+def test_rotation_rate_of_a_pair():
+    point = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.25]])
+    velocity = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
+    rates = rotation_rate(point, velocity)
+    assert np.allclose(rates[0], [0, 0, 1.0], atol=1e-14)
+    assert np.allclose(rates[1], [0, 0, 0.5], atol=1e-14)
 
 
 def test_check_constraints_satisfied():
-    report = check_constraints(
-        VectorialRabi(left=np.array([1.0, 2.0, 0.0]), right=np.array([3.0, 2.0, 0.0]))
-    )
-    assert report.passed
-    assert np.allclose(report.residuals, [0.0, 0.0, 0.0], atol=0.0)
+    residuals = check_constraints(np.array([[1.0, 2.0, 0.0], [3.0, 2.0, 0.0]]))
+    assert np.allclose(residuals, [0.0, 0.0, 0.0], atol=0.0)
 
 
 def test_check_constraints_violated():
-    report = check_constraints(
-        VectorialRabi(left=np.array([0.0, 0.0, 1.0]), right=np.zeros(3))
-    )
-    assert not report.passed
-    assert report.residuals[0] == pytest.approx(1.0, abs=0.0)
-    assert report.max_residual == pytest.approx(1.0, abs=0.0)
+    residuals = check_constraints(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert residuals[0] == pytest.approx(1.0, abs=0.0)
+    assert np.max(np.abs(residuals)) == pytest.approx(1.0, abs=0.0)
 
 
 def test_rabi_from_vectorial_reference_case():
-    triple = rabi_from_vectorial(
-        VectorialRabi(left=np.array([2.0, 4.0, 0.0]), right=np.array([0.0, 4.0, 0.0]))
-    )
-    assert (triple.omega1, triple.omega2, triple.omega3) == (1.0, 4.0, 1.0)
+    triple = rabi_from_vectorial(np.array([[2.0, 4.0, 0.0], [0.0, 4.0, 0.0]]))
+    assert tuple(triple) == (1.0, 4.0, 1.0)
 
 
 def test_rabi_from_vectorial_symmetric_and_zero():
-    sym = rabi_from_vectorial(
-        VectorialRabi(left=np.array([1.5, -0.25, 0.0]), right=np.array([1.5, -0.25, 0.0]))
-    )
-    assert (sym.omega1, sym.omega2, sym.omega3) == (1.5, -0.25, 0.0)
+    sym = rabi_from_vectorial(np.array([[1.5, -0.25, 0.0], [1.5, -0.25, 0.0]]))
+    assert tuple(sym) == (1.5, -0.25, 0.0)
 
-    zero = rabi_from_vectorial(VectorialRabi(left=np.zeros(3), right=np.zeros(3)))
-    assert (zero.omega1, zero.omega2, zero.omega3) == (0.0, 0.0, 0.0)
+    zero = rabi_from_vectorial(np.zeros((2, 3)))
+    assert tuple(zero) == (0.0, 0.0, 0.0)
 
 
 def test_rabi_from_vectorial_rejects_violation():
     with pytest.raises(ConstraintViolation):
-        rabi_from_vectorial(
-            VectorialRabi(left=np.array([1.0, 2.0, 0.3]), right=np.array([1.0, 2.0, 0.0]))
-        )
+        rabi_from_vectorial(np.array([[1.0, 2.0, 0.3], [1.0, 2.0, 0.0]]))
     with pytest.raises(ConstraintViolation):
-        rabi_from_vectorial(
-            VectorialRabi(left=np.array([1.0, 2.0, 0.0]), right=np.array([1.0, 2.5, 0.0]))
-        )
+        rabi_from_vectorial(np.array([[1.0, 2.0, 0.0], [1.0, 2.5, 0.0]]))
 
 
 @given(amplitudes, amplitudes, amplitudes)
 def test_rabi_round_trip_identity(o1, o2, o3):
-    triple = RabiTriple(o1, o2, o3)
-    rates = vectorial_from_rabi(triple)
+    rates = vectorial_from_rabi(np.array([o1, o2, o3]))
     back = rabi_from_vectorial(rates)
     scale = max(abs(o1), abs(o2), abs(o3), 1.0)
-    assert abs(back.omega1 - o1) <= 1e-15 * scale
-    assert abs(back.omega2 - o2) <= 1e-15 * scale
-    assert abs(back.omega3 - o3) <= 1e-15 * scale
+    assert abs(back[0] - o1) <= 1e-15 * scale
+    assert abs(back[1] - o2) <= 1e-15 * scale
+    assert abs(back[2] - o3) <= 1e-15 * scale
 
 
 @given(amplitudes, amplitudes, amplitudes)
 def test_inverse_map_satisfies_constraints(o1, o2, o3):
-    rates = vectorial_from_rabi(RabiTriple(o1, o2, o3))
-    assert check_constraints(rates).passed
-    assert rates.left[0] == pytest.approx(o1 + o3, abs=1e-12)
-    assert rates.right[0] == pytest.approx(o1 - o3, abs=1e-12)
-    assert rates.left[1] == rates.right[1] == o2
+    rates = vectorial_from_rabi(np.array([o1, o2, o3]))
+    assert np.max(np.abs(check_constraints(rates))) <= CONSTRAINT_TOL
+    assert rates[0, 0] == pytest.approx(o1 + o3, abs=1e-12)
+    assert rates[1, 0] == pytest.approx(o1 - o3, abs=1e-12)
+    assert rates[0, 1] == rates[1, 1] == o2

@@ -15,7 +15,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.dynamics import RabiTriple, ladder_hamiltonian
+from ghzforge.dynamics import ladder_hamiltonian
 from ghzforge.fullmodel import _CHUNK, _step_product, _Workspace
 from ghzforge.propagate import (
     AmplitudeTooSmall,
@@ -71,7 +71,7 @@ def test_constant_schedule_matches_exact_exponential():
     result = propagate(constant_schedule(values, duration=2.0), steps=256)
     # at least 256 steps, 18 in each of 15 segments, doubled once to certify
     assert result.steps == 2 * 15 * 18
-    ham = ladder_hamiltonian(RabiTriple(*values))
+    ham = ladder_hamiltonian(values)
     exact = oracles.expm_eig(ham * 2.0) @ w_state()
     assert np.max(np.abs(result.states[-1] - exact)) <= 1e-10
 
@@ -226,6 +226,28 @@ def test_convergence_failure_when_capped(monkeypatch):
     wild = PulseSchedule(times=times, values=values)
     with pytest.raises(ConvergenceFailure):
         propagate(wild, steps=8)
+
+
+def test_step_cap_counts_the_certifying_pass(monkeypatch):
+    # the first pass is always doubled once, so the cap bounds twice its steps
+    import ghzforge.propagate as propagate_module
+
+    monkeypatch.setattr(propagate_module, "_MAX_STEPS", 64)
+    at_cap = PulseSchedule(times=np.arange(33.0), values=np.zeros((33, 3)))
+    assert propagate(at_cap).steps == 64
+    monkeypatch.setattr(propagate_module, "_integrate", lambda *args: pytest.fail("integrated"))
+    above = PulseSchedule(times=np.arange(34.0), values=np.zeros((34, 3)))
+    with pytest.raises(TooManySteps, match="cap of 64"):
+        propagate(above)
+
+
+def test_huge_finite_step_rotation_runs_without_warning():
+    # 1e80 rad per step is meaningless but finite: the run completes, and a
+    # RuntimeWarning from an overflowing series would fail this test
+    schedule = PulseSchedule(times=np.array([0.0, 1e-20]), values=np.array([[1e100, 0.0, 0.0]] * 2))
+    states = propagate(schedule).states
+    assert np.all(np.isfinite(states))
+    assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-9
 
 
 def _ladder_hams(amp):
@@ -439,7 +461,7 @@ def test_rank1_trapezoid_is_exact_at_every_knot():
     f = schedule.values @ direction
     assert np.max(np.abs(schedule.values - np.outer(f, direction))) <= 1e-15
     area = np.concatenate([[0.0], np.cumsum(np.diff(schedule.times) * (f[:-1] + f[1:]) / 2.0)])
-    ham = ladder_hamiltonian(RabiTriple(*direction))
+    ham = ladder_hamiltonian(direction)
     exact = np.array([oracles.expm_eig(ham * F) @ w_state() for F in area])
 
     result = propagate(schedule)

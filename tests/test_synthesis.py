@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ghzforge import synthesis
 from ghzforge.cli import main
-from ghzforge.dynamics import check_constraints, vectorial_rabi
+from ghzforge.dynamics import check_constraints, rotation_rate
 from ghzforge.synthesis import (
     DEFAULT_SIGN_ORDER,
     EndpointSolution,
@@ -182,12 +182,13 @@ def test_curve_sample_batch_matches_pointwise():
         for pole in (1, -1):
             curve = build_curve(ROW1, profile, pole)
             times = np.linspace(0.0, 1.3, 37)
-            batch = curve.sample(times)
-            for k, t in enumerate(times):
-                point = curve.sample(float(t))
-                for field in ("left", "right", "left_dot", "right_dot"):
-                    assert getattr(point, field).shape == (3,)
-                    assert np.array_equal(getattr(batch, field)[k], getattr(point, field))
+            for at in (curve.vectors_at, curve.velocities_at):
+                batch = at(times)
+                assert batch.shape == (2, len(times), 3)
+                for k, t in enumerate(times):
+                    point = at(float(t))
+                    assert point.shape == (2, 3)
+                    assert np.array_equal(batch[:, k], point)
 
 
 def test_invalid_signs_rejected():
@@ -271,8 +272,8 @@ def test_curve_samples_satisfy_constraints():
     profile = PulseProfile(kind="trapezoid", duration=1.0, theta_final=ROW1.theta_left_final)
     curve = build_curve(ROW1, profile)
     for t in np.linspace(0.0, 1.0, 200):
-        report = check_constraints(vectorial_rabi(curve.sample(float(t))))
-        assert report.max_residual <= 1e-9
+        rates = rotation_rate(curve.vectors_at(float(t)), curve.velocities_at(float(t)))
+        assert np.max(np.abs(check_constraints(rates))) <= 1e-9
 
 
 def test_rabi_schedule_constant_rows_equal():
