@@ -4,13 +4,15 @@ Three Rydberg atoms driven by three laser tones reduce, in the blockade
 regime, to a four-level ladder whose Hamiltonian lives in a fixed
 su(2)+su(2) algebra.  This package builds that algebra, the closed-form
 propagators it generates, constraint-satisfying parameter curves, and the
-laser schedules that realize them, and it verifies the reduction against
-the full eight-dimensional three-atom model.
+laser schedules that realize them, and it scores the reduction against
+the three-atom model with its strong drive and blockade, integrated on
+the permutation-symmetric 4x4 block that the drive never leaves.  The
+tests check that block against an eight-dimensional model of their own.
 """
 
-from .algebra import build_generators, casimirs, pseudospin_basis, expand_state
+from .algebra import build_generators, casimirs, pseudospin_basis
 from .unitary import cayley_klein, exp_map, transformed_pseudospin_states
-from .dynamics import effective_hamiltonian, check_constraints, rabi_from_vectorial
+from .dynamics import check_constraints, rabi_from_vectorial
 from .synthesis import (
     EndpointSolution,
     PulseProfile,
@@ -29,6 +31,6 @@ from .propagate import (
     squared_area,
     normalize_to_area,
 )
-from .fullmodel import FullModelParams, derived_detunings, full_hamiltonian, validate_reduction
+from .fullmodel import FullModelParams, derived_detunings, validate_reduction
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ __all__ = [
     "build_generators",
     "casimirs",
     "pseudospin_basis",
-    "expand_state",
     "w_state",
     "ggg_state",
     "wprime_state",
@@ -42,7 +41,7 @@ class NotScalarMultiple(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """A state vector has the wrong length for the requested operation."""
+    """A generator set or basis matrix has the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -173,14 +172,6 @@ def pseudospin_basis(gens: GeneratorSet) -> PseudospinBasis:
     down_down = lower_right @ down_up
 
     return PseudospinBasis(states=np.stack([top, up_down, down_up, down_down], axis=1))
-
-
-def expand_state(state: np.ndarray, basis: PseudospinBasis) -> np.ndarray:
-    """Coefficients of a physical-basis state in the pseudospin basis."""
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (4,):
-        raise DimensionMismatch("expand_state expects a 4-component state vector")
-    return basis.states.conj().T @ vec
 
 
 # State factories.  All vectors are in the physical basis and normalized.

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .unitary import _GENS, _SERIES_CUTOFF
+from .unitary import _SERIES_CUTOFF
 
 __all__ = [
     "ConstraintViolation",
-    "effective_hamiltonian",
-    "ladder_hamiltonian",
     "rotation_rate",
     "check_constraints",
     "rabi_from_vectorial",
@@ -32,30 +30,6 @@ CONSTRAINT_TOL = 1e-9
 
 class ConstraintViolation(ValueError):
     """Vectorial rates are not realizable by real ladder drives."""
-
-
-def effective_hamiltonian(rabi: np.ndarray) -> np.ndarray:
-    """Hermitian 4x4 Hamiltonian of the amplitudes (O1, O2, O3) on the generators.
-
-    O1 couples through the sum of the two x generators, O2 through the
-    sum of the y generators, and O3 through the x difference.  Entrywise
-    this equals the ladder form built by ladder_hamiltonian().
-    """
-    o1, o2, o3 = rabi
-    return (
-        o1 * (_GENS.left[0] + _GENS.right[0])
-        + o2 * (_GENS.left[1] + _GENS.right[1])
-        + o3 * (_GENS.left[0] - _GENS.right[0])
-    )
-
-
-def ladder_hamiltonian(rabi: np.ndarray) -> np.ndarray:
-    """The same Hamiltonian written as nearest-neighbor ladder couplings."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = rabi[0]
-    h[1, 2] = h[2, 1] = rabi[1]
-    h[2, 3] = h[3, 2] = rabi[2]
-    return h
 
 
 def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
@@ -75,13 +49,22 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     vd = np.asarray(vec_dot, dtype=float)
     n = np.linalg.norm(v, axis=-1)[..., None]
-    n2 = n * n
+    # the coefficients by their Taylor series below the cutoff only, where
+    # they cannot overflow, and above it by the closed forms, divided by
+    # one factor of n at a time so that no power of n is formed
     series = n < _SERIES_CUTOFF
-    safe = np.where(series, 1.0, n)
-    sn = np.sin(safe)
-    c1 = np.where(series, 1.0 - n2 / 6.0, sn / safe)
-    c2 = np.where(series, 0.5 - n2 / 24.0, 2.0 * np.sin(safe / 2.0) ** 2 / (safe * safe))
-    c3 = np.where(series, 1.0 / 6.0 - n2 / 120.0, (safe - sn) / (safe * safe * safe))
+    closed = ~series
+    n2 = np.where(series, n, 0.0) ** 2
+    c1 = 1.0 - n2 / 6.0
+    c2 = 0.5 - n2 / 24.0
+    c3 = 1.0 / 6.0 - n2 / 120.0
+    sn = np.sin(n)
+    np.divide(sn, n, out=c1, where=closed)
+    np.divide(2.0 * np.sin(n / 2.0) ** 2, n, out=c2, where=closed)
+    np.divide(c2, n, out=c2, where=closed)
+    np.divide(n - sn, n, out=c3, where=closed)
+    np.divide(c3, n, out=c3, where=closed)
+    np.divide(c3, n, out=c3, where=closed)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     xd, yd, zd = vd[..., 0], vd[..., 1], vd[..., 2]
     cross = np.stack([y * zd - z * yd, z * xd - x * zd, x * yd - y * xd], axis=-1)

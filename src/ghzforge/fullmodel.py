@@ -12,11 +12,12 @@ quantifies the quality of the reduction as the scale hierarchy widens.
 The three atoms are driven identically, so the Hamiltonian commutes with
 atom permutations and maps the symmetric manifold (ggg, W, W', rrr) onto
 itself exactly.  The integration therefore runs on the 4x4 block of the
-Hamiltonian on that manifold, whose couplings are the projections of
-the eight-level operators; the state cannot leave the manifold, so the
-report's leakage_max is exactly zero; each chunk of midpoint steps
-reaches the state as one 4x4 product.  The eight-level Hamiltonian
-stays available through full_hamiltonian.
+Hamiltonian on that manifold, and only that block is built here: on it
+the summed raising operator is the ladder R below and the pair counts
+are P.  The state cannot leave the manifold, so the report's
+leakage_max is exactly zero; each chunk of midpoint steps reaches the
+state as one 4x4 product.  The eight-level model lives in the tests, as
+the oracle this block is checked against.
 
 On the block the drive enters as H = c R + c* R^T + V P, with R the
 spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
@@ -48,20 +49,13 @@ __all__ = [
     "TooManySteps",
     "FullModelParams",
     "ReductionReport",
-    "PAIR_COUNTS",
     "derived_detunings",
     "tone_frequencies",
-    "full_hamiltonian",
     "hierarchy_ratios",
     "params_for_factor",
     "validate_reduction",
     "compare_factors",
-    "embed_state",
 ]
-
-# Number of simultaneously excited pairs for each basis index; multiplied
-# by the blockade energy this is the diagonal interaction term.
-PAIR_COUNTS = np.array([bin(i).count("1") * (bin(i).count("1") - 1) // 2 for i in range(8)])
 
 # Scheduled amplitudes relate to per-atom tone amplitudes through the
 # multiplicities of the ladder transitions.
@@ -79,45 +73,16 @@ class HierarchyViolation(ValueError):
     """Parameters do not satisfy the requested scale hierarchy."""
 
 
-def _raising_operator() -> np.ndarray:
-    """Sum over atoms of |excited><ground|, acting identically on all three."""
-    op = np.zeros((8, 8))
-    for atom_bit in (4, 2, 1):
-        for idx in range(8):
-            if not idx & atom_bit:
-                op[idx | atom_bit, idx] = 1.0
-    return op
-
-
-RAISING = _raising_operator()
-
-_W8 = np.zeros(8)
-_W8[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
-_WPRIME8 = np.zeros(8)
-_WPRIME8[[3, 5, 6]] = 1.0 / math.sqrt(3.0)
-_GGG8 = np.zeros(8)
-_GGG8[0] = 1.0
-_RRR8 = np.zeros(8)
-_RRR8[7] = 1.0
-
-# Columns embed the effective basis (ggg, W, W', rrr) into the full space.
-MANIFOLD = np.stack([_GGG8, _W8, _WPRIME8, _RRR8], axis=1)
-
-# Both operators map the symmetric manifold onto itself, so their
-# projections are the exact couplings of the 4x4 block.
-_RAISING4 = MANIFOLD.T @ RAISING @ MANIFOLD
-_PAIRS4 = MANIFOLD.T @ np.diag(PAIR_COUNTS) @ MANIFOLD
 # The block Hamiltonian at drive modulus r, in the gauge that removes the
 # drive phase, is r _LADDER4 + V _PAIRS4; every entry is non-negative.
-_LADDER4 = _RAISING4 + _RAISING4.T
+# Summed over the atoms, raising takes ggg, W and W' to sqrt 3, 2 and
+# sqrt 3 times the next level; W' holds one excited pair, rrr three.
+_RUNGS = [math.sqrt(3.0), 2.0, math.sqrt(3.0)]
+_LADDER4 = np.diag(_RUNGS, 1) + np.diag(_RUNGS, -1)
+_PAIRS4 = np.diag([0.0, 0.0, 1.0, 3.0])
 # Entry [j, l] is the index of u^(j - l) in the powers (u^-3, ..., u^3).
 _LAGS = np.subtract.outer(np.arange(4), np.arange(4)) + 3
 _EYE4 = np.eye(4)
-
-
-def embed_state(state4: np.ndarray) -> np.ndarray:
-    """Lift a 4-component effective state into the 8-dimensional space."""
-    return MANIFOLD @ np.asarray(state4, dtype=complex)
 
 
 def derived_detunings(stark_amp: float, detuning0: float, blockade: float) -> tuple[float, float, float]:
@@ -204,12 +169,6 @@ def _drive(
     np.add(tones[:, 2], tones[:, 3], out=tones[:, 2])
     out += tones[:, 2]
     return out
-
-
-def full_hamiltonian(t: float, params: FullModelParams) -> np.ndarray:
-    """The 8x8 interaction-picture Hamiltonian c R + c* R^T + V P at one time."""
-    ham = _drive(np.atleast_1d(float(t)), params)[0] * RAISING
-    return ham + ham.conj().T + params.blockade * np.diag(PAIR_COUNTS)
 
 
 def hierarchy_ratios(params: FullModelParams) -> tuple[float, float]:
@@ -441,7 +400,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     _step_product and renormalizes after it.  One _Workspace, taken
     before the first chunk, holds every chunk-sized array.  Returns
     (final_state, steps, dt) with the state in the (ggg, W, W', rrr)
-    basis; MANIFOLD lifts it into the full space.
+    basis.
     """
     n, dt = _step_grid(params)
     ws = _Workspace(min(_CHUNK, n))

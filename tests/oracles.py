@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: matrix
 exponentials go through numpy's eigendecomposition instead of the
-closed-form rotation formulas, detunings are retyped from scratch, and
-derivatives come from finite differences rather than the analytic
-expressions carried by curves.
+closed-form rotation formulas, detunings and the eight-level three-atom
+model are retyped from scratch, and derivatives come from finite
+differences rather than the analytic expressions carried by curves.
 """
 
 import math
@@ -12,14 +12,6 @@ import math
 import numpy as np
 
 from ghzforge.algebra import build_generators
-from ghzforge.fullmodel import (
-    MANIFOLD,
-    PAIR_COUNTS,
-    RAISING,
-    TONE_WEIGHTS,
-    embed_state,
-    tone_frequencies,
-)
 from ghzforge.unitary import exp_map
 
 GENS = build_generators()
@@ -44,6 +36,92 @@ def detunings_reference(stark_amp: float, detuning0: float, blockade: float):
     b = s2 / (detuning0 + blockade)
     c = s2 / (detuning0 + 2.0 * blockade)
     return (6.0 * a - 4.0 * b, -3.0 * a + 8.0 * b - 3.0 * c, -4.0 * b + 6.0 * c)
+
+
+def ladder_hamiltonian(rabi) -> np.ndarray:
+    """Real ladder Hamiltonians (..., 4, 4) of Rabi amplitudes (..., 3).
+
+    Amplitude k couples levels k and k + 1 of (ggg, W, W', rrr).
+    """
+    amp = np.asarray(rabi, dtype=float)
+    hams = np.zeros(amp.shape[:-1] + (4, 4))
+    for k in range(3):
+        hams[..., k, k + 1] = hams[..., k + 1, k] = amp[..., k]
+    return hams
+
+
+# The eight-level model of three two-level atoms.  Basis index b1 b2 b3
+# in binary, atom 1 the most significant bit, 1 for the excited state.
+_SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])
+_EXCITED = np.diag([0.0, 1.0])
+_ONE = np.eye(2)
+
+
+def _on_atom(op, atom: int) -> np.ndarray:
+    factors = [op if j == atom else _ONE for j in range(3)]
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+# Sum over the atoms of |excited><ground| on that atom.
+RAISING = sum(_on_atom(_SIGMA_PLUS, atom) for atom in range(3))
+# Excited pairs per basis state, n1 n2 + n1 n3 + n2 n3.
+PAIR_COUNTS = np.diag(
+    sum(_on_atom(_EXCITED, i) @ _on_atom(_EXCITED, j) for i, j in ((0, 1), (0, 2), (1, 2)))
+)
+# Columns (ggg, W, W', rrr): the uniform superposition of the basis states
+# with 0, 1, 2 and 3 excitations.
+_EXCITATIONS = np.array([bin(idx).count("1") for idx in range(8)])
+MANIFOLD = np.stack(
+    [(_EXCITATIONS == k) / math.sqrt(math.comb(3, k)) for k in range(4)], axis=1
+)
+# The symmetric 4x4 block: raising and pair counts projected on the manifold.
+RAISING4 = MANIFOLD.T @ RAISING @ MANIFOLD
+PAIRS4 = MANIFOLD.T @ np.diag(PAIR_COUNTS) @ MANIFOLD
+# A scheduled amplitude over the multiplicity of the transition it drives,
+# sqrt 3 (ggg-W), 2 (W-W') and sqrt 3 (W'-rrr), is the per-atom tone amplitude.
+TONE_WEIGHTS = np.array([1.0 / math.sqrt(3.0), 0.5, 1.0 / math.sqrt(3.0)])
+
+
+def embed_state(state4) -> np.ndarray:
+    """Lift a (ggg, W, W', rrr) state into the eight-level space."""
+    return MANIFOLD @ np.asarray(state4, dtype=complex)
+
+
+def tone_frequencies_reference(params) -> np.ndarray:
+    """Rotation frequencies of the strong tone and the three scheduled ones.
+
+    The strong tone sits detuning0 below the bare transition; scheduled
+    tone k sits at its detuning plus the blockade shift of the k - 1
+    pairs its upper level adds.
+    """
+    d1, d2, d3 = detunings_reference(params.stark_amp, params.detuning0, params.blockade)
+    v = params.blockade
+    return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
+
+
+def _drive_reference(times, params) -> np.ndarray:
+    """The complex coefficient c(t) of RAISING, shape of times."""
+    times = np.asarray(times, dtype=float)
+    amps = np.concatenate(
+        [
+            np.full(times.shape + (1,), params.stark_amp),
+            params.schedule.values_at(times) * TONE_WEIGHTS,
+        ],
+        axis=-1,
+    )
+    return np.sum(amps * np.exp(-1j * tone_frequencies_reference(params) * times[..., None]), axis=-1)
+
+
+def block_hamiltonian(drive, blockade: float) -> np.ndarray:
+    """c RAISING4 + c* RAISING4^T + V PAIRS4, shape (..., 4, 4) for drives (...)."""
+    hams = np.asarray(drive)[..., None, None] * RAISING4
+    return hams + np.swapaxes(hams.conj(), -1, -2) + blockade * PAIRS4
+
+
+def full_hamiltonian(t, params) -> np.ndarray:
+    """The eight-level Hamiltonian c R + c* R^T + V P, shape (..., 8, 8) for times (...)."""
+    hams = _drive_reference(t, params)[..., None, None] * RAISING
+    return hams + np.swapaxes(hams.conj(), -1, -2) + params.blockade * np.diag(PAIR_COUNTS)
 
 
 class FourierCurve:
@@ -105,16 +183,14 @@ def midpoint_states_reference(hams: np.ndarray, dt: float, psi0: np.ndarray) -> 
 def full_model_reference(params, chunk: int = 32768):
     """Per-step full-model integration with the leakage projected every step.
 
-    Returns (final_state, leakage_max, steps, dt).  Keeps its own inline
-    Hamiltonian build and step loop, independent of the package kernel.
+    Returns (final_state, leakage_max, steps, dt).  Builds the eight-level
+    Hamiltonians with full_hamiltonian above and steps by its own loop,
+    independent of the package kernel.
     """
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
     n = max(1, math.ceil(duration * stiff * params.steps_per_cycle))
     dt = duration / n
-
-    freqs = tone_frequencies(params)
-    diag = params.blockade * PAIR_COUNTS
 
     psi = embed_state(np.array([0.0, 1.0, 0.0, 0.0]))
     manifold_t = MANIFOLD.T.copy()
@@ -123,15 +199,7 @@ def full_model_reference(params, chunk: int = 32768):
     done = 0
     while done < n:
         count = min(chunk, n - done)
-        mids = (done + np.arange(count) + 0.5) * dt
-        scheduled = params.schedule.values_at(mids) * TONE_WEIGHTS[None, :]
-        amps = np.concatenate([np.full((count, 1), params.stark_amp), scheduled], axis=1)
-        drive = np.sum(amps * np.exp(-1j * freqs[None, :] * mids[:, None]), axis=1)
-
-        hams = drive[:, None, None] * RAISING[None, :, :]
-        hams = hams + hams.conj().transpose(0, 2, 1)
-        hams[:, np.arange(8), np.arange(8)] += diag[None, :]
-
+        hams = full_hamiltonian((done + np.arange(count) + 0.5) * dt, params)
         evals, evecs = np.linalg.eigh(hams)
         phases = np.exp(-1j * evals * dt)
         adjoints = evecs.conj().transpose(0, 2, 1)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -436,15 +437,33 @@ def test_cli_import_leaves_scipy_out():
 )
 def test_all_lists_exactly_the_public_functions_and_classes(name):
     # constants and re-exported names may be listed too, but every entry
-    # must exist, and every public function or class defined here is listed
+    # must exist, so that the star import binds it, and every public
+    # function or class defined here is listed
+    namespace = {}
+    exec(f"from ghzforge.{name} import *", namespace)
     module = importlib.import_module(f"ghzforge.{name}")
-    assert all(hasattr(module, entry) for entry in module.__all__)
+    assert set(module.__all__) <= set(namespace)
 
     def defined_here(obj):
         return (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__
 
     public = {key for key, obj in vars(module).items() if not key.startswith("_") and defined_here(obj)}
     assert {entry for entry in module.__all__ if defined_here(getattr(module, entry))} == public
+
+
+def test_package_reexports_only_listed_names():
+    # every "from .module import name" in ghzforge/__init__.py names an
+    # entry of that module's __all__, bound on the package
+    import ghzforge
+
+    tree = ast.parse((REPO / "src" / "ghzforge" / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"ghzforge.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(ghzforge, alias.name) is getattr(module, alias.name)
 
 
 _WITHOUT_SCIPY = """

@@ -8,8 +8,6 @@ from ghzforge.dynamics import (
     CONSTRAINT_TOL,
     ConstraintViolation,
     check_constraints,
-    effective_hamiltonian,
-    ladder_hamiltonian,
     rabi_from_vectorial,
     rotation_rate,
     vectorial_from_rabi,
@@ -22,13 +20,20 @@ GENS = build_generators()
 amplitudes = st.floats(-50.0, 50.0, allow_nan=False)
 
 
+def _generator_form(rabi):
+    """The effective Hamiltonian of amplitudes (O1, O2, O3): the rates w of
+    vectorial_from_rabi on the generators, w_left . L + w_right . R."""
+    rates = vectorial_from_rabi(rabi)
+    return sum(rates[0, i] * GENS.left[i] + rates[1, i] * GENS.right[i] for i in range(3))
+
+
 def test_effective_hamiltonian_zero():
-    ham = effective_hamiltonian(np.zeros(3))
+    ham = _generator_form(np.zeros(3))
     assert np.max(np.abs(ham)) == 0.0
 
 
 def test_effective_hamiltonian_single_coupling():
-    ham = effective_hamiltonian(np.array([1.0, 0.0, 0.0]))
+    ham = _generator_form(np.array([1.0, 0.0, 0.0]))
     upper = np.triu(ham, k=1)
     assert ham[0, 1] == pytest.approx(1.0, abs=1e-15)
     upper[0, 1] = 0.0
@@ -39,14 +44,14 @@ def test_ladder_matches_generator_form():
     rng = np.random.default_rng(3)
     for _ in range(100):
         triple = rng.uniform(-5, 5, 3)
-        generator_form = effective_hamiltonian(triple)
-        ladder_form = ladder_hamiltonian(triple)
+        generator_form = _generator_form(triple)
+        ladder_form = oracles.ladder_hamiltonian(triple)
         assert np.max(np.abs(generator_form - ladder_form)) <= 1e-14
 
 
 @given(amplitudes, amplitudes, amplitudes)
 def test_hamiltonian_hermitian(o1, o2, o3):
-    ham = effective_hamiltonian(np.array([o1, o2, o3]))
+    ham = _generator_form(np.array([o1, o2, o3]))
     assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
 
 
@@ -66,6 +71,19 @@ def test_rotation_rate_series_branch():
     v_dot = np.array([0.3, 0.8, -0.4])
     expected = v_dot + 0.5 * np.cross(v, v_dot)
     assert np.max(np.abs(rotation_rate(v, v_dot) - expected)) <= 1e-12
+
+
+def test_rotation_rate_large_norm_limit():
+    # For |v| -> infinity the rate tends to (v_hat . v_dot) v_hat; a norm of
+    # 1e120, cubed, would overflow, and the RuntimeWarning fail this test.
+    for v, v_dot in (
+        (np.array([1e120, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+        (1e120 * np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0])),
+    ):
+        unit = v / np.linalg.norm(v)
+        rate = rotation_rate(v, v_dot)
+        assert np.all(np.isfinite(rate))
+        assert np.max(np.abs(rate - np.dot(unit, v_dot) * unit)) <= 1e-12
 
 
 def test_rotation_rate_against_finite_difference():

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +12,13 @@ from hypothesis import strategies as st
 
 from ghzforge.fullmodel import (
     FullModelParams,
+    _LADDER4,
     _PAIRS4,
-    _RAISING4,
     _drive,
     _integrate_full,
     HierarchyViolation,
-    MANIFOLD,
-    PAIR_COUNTS,
-    RAISING,
-    TONE_WEIGHTS,
     TooManySteps,
     derived_detunings,
-    embed_state,
-    full_hamiltonian,
     hierarchy_ratios,
     params_for_factor,
     compare_factors,
@@ -101,8 +97,8 @@ def test_detunings_match_independent_recomputation(stark, detuning0, blockade):
 
 def test_zero_drive_diagonal():
     params = make_params(stark=0.0, schedule=zero_schedule())
-    ham = full_hamiltonian(0.73, params)
-    expected = params.blockade * np.array(PAIR_COUNTS, dtype=float)
+    ham = oracles.full_hamiltonian(0.73, params)
+    expected = params.blockade * np.array(oracles.PAIR_COUNTS, dtype=float)
     assert np.array_equal(np.diag(ham).real, expected)
     assert np.max(np.abs(ham - np.diag(np.diag(ham)))) == 0.0
 
@@ -112,8 +108,8 @@ def test_single_tone_uniform_hopping():
         times=np.array([0.0, 1.0]), values=np.array([[0.9, 0.0, 0.0]] * 2)
     )
     params = make_params(stark=0.0, schedule=first_only)
-    ham = full_hamiltonian(0.0, params)
-    expected = 0.9 * TONE_WEIGHTS[0]
+    ham = oracles.full_hamiltonian(0.0, params)
+    expected = 0.9 * oracles.TONE_WEIGHTS[0]
     hop_pairs = [(4, 0), (2, 0), (1, 0), (6, 2), (5, 1), (7, 3)]
     for row, col in hop_pairs:
         assert ham[row, col] == pytest.approx(expected, abs=1e-15)
@@ -122,7 +118,7 @@ def test_single_tone_uniform_hopping():
 def test_hermitian_and_permutation_symmetric():
     params = make_params()
     for t in (0.0, 0.21, 0.77):
-        ham = full_hamiltonian(t, params)
+        ham = oracles.full_hamiltonian(t, params)
         assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
         for perm in oracles.PERMUTATIONS_3:
             op = oracles.atom_permutation_matrix(perm)
@@ -144,16 +140,16 @@ def test_tone_frequencies_structure():
 
 
 def test_embedding_and_manifold():
-    w8 = embed_state(w_state())
+    w8 = oracles.embed_state(w_state())
     occupied = np.nonzero(np.abs(w8) > 1e-12)[0]
     assert list(occupied) == [1, 2, 4]
     assert np.allclose(w8[occupied], 1.0 / np.sqrt(3.0), atol=1e-15)
 
-    wp8 = embed_state(wprime_state())
+    wp8 = oracles.embed_state(wprime_state())
     occupied = np.nonzero(np.abs(wp8) > 1e-12)[0]
     assert list(occupied) == [3, 5, 6]
 
-    gram = MANIFOLD.conj().T @ MANIFOLD
+    gram = oracles.MANIFOLD.conj().T @ oracles.MANIFOLD
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-14
 
 
@@ -161,19 +157,41 @@ def _max_rel(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
 
-def _block_hamiltonians(times, params):
-    """The 4x4 block Hamiltonians c R + c* R^T + V P at the given times."""
-    hams = _drive(times, params)[:, None, None] * _RAISING4
-    return hams + hams.conj().transpose(0, 2, 1) + params.blockade * _PAIRS4
-
-
 def test_symmetric_block_reduction_identities():
-    for op8, op4 in ((RAISING, _RAISING4), (np.diag(PAIR_COUNTS), _PAIRS4)):
-        assert _max_rel(op8 @ MANIFOLD, MANIFOLD @ op4) <= 1e-14
+    # the package's block literals against the oracle's eight-level
+    # operators: each maps the manifold onto itself as the literal says
+    manifold = oracles.MANIFOLD
+    raising4 = np.tril(_LADDER4)
+    for op8, op4 in (
+        (oracles.RAISING, raising4),
+        (oracles.RAISING + oracles.RAISING.T, _LADDER4),
+        (np.diag(oracles.PAIR_COUNTS), _PAIRS4),
+    ):
+        assert _max_rel(op8 @ manifold, manifold @ op4) <= 1e-14
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         for t in (0.0, 0.21, 0.5, 0.77, 1.0):
-            block = _block_hamiltonians(np.array([t]), params)[0]
-            assert _max_rel(full_hamiltonian(t, params) @ MANIFOLD, MANIFOLD @ block) <= 1e-14
+            drive = _drive(np.array([t]), params)[0]
+            block = drive * raising4 + drive.conjugate() * raising4.T + params.blockade * _PAIRS4
+            ham = oracles.full_hamiltonian(t, params)
+            assert _max_rel(ham @ manifold, manifold @ block) <= 1e-14
+
+
+def test_oracle_model_is_typed_apart_from_the_package():
+    # the eight-level oracle checks the package's block literals; a name
+    # imported from ghzforge.fullmodel would let one wrong entry pass both
+    import ghzforge
+
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "ghzforge.fullmodel" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "ghzforge.fullmodel"
+            if node.module == "ghzforge":
+                for alias in node.names:
+                    obj = getattr(ghzforge, alias.name)
+                    assert alias.name != "fullmodel", alias.name
+                    assert getattr(obj, "__module__", None) != "ghzforge.fullmodel", alias.name
 
 
 def test_params_validation():
@@ -207,9 +225,8 @@ def test_gauge_identity_of_block_hamiltonian():
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         times = rng.uniform(0.0, params.schedule.duration, 50)
         drive = _drive(times, params)
-        hams = _block_hamiltonians(times, params)
-        ladder = _RAISING4 + _RAISING4.T
-        real = np.abs(drive)[:, None, None] * ladder + params.blockade * _PAIRS4
+        hams = oracles.block_hamiltonian(drive, params.blockade)
+        real = np.abs(drive)[:, None, None] * _LADDER4 + params.blockade * _PAIRS4
         twist = np.exp(1j * np.angle(drive)[:, None] * np.arange(4))
         rebuilt = twist[:, :, None] * real * twist.conj()[:, None, :]
         assert _max_rel(hams, rebuilt) <= 1e-14
@@ -301,7 +318,7 @@ def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params, chunk)
     assert 5000 < steps < 7000
     assert (steps, dt) == (ref_steps, ref_dt)
-    assert np.max(np.abs(MANIFOLD @ psi - ref_psi)) <= 1e-11
+    assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
     assert ref_leak <= 1e-14
 
 

@@ -15,7 +15,6 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.dynamics import ladder_hamiltonian
 from ghzforge.fullmodel import _CHUNK, _step_product, _Workspace
 from ghzforge.propagate import (
     AmplitudeTooSmall,
@@ -71,7 +70,7 @@ def test_constant_schedule_matches_exact_exponential():
     result = propagate(constant_schedule(values, duration=2.0), steps=256)
     # at least 256 steps, 18 in each of 15 segments, doubled once to certify
     assert result.steps == 2 * 15 * 18
-    ham = ladder_hamiltonian(values)
+    ham = oracles.ladder_hamiltonian(values)
     exact = oracles.expm_eig(ham * 2.0) @ w_state()
     assert np.max(np.abs(result.states[-1] - exact)) <= 1e-10
 
@@ -250,24 +249,6 @@ def test_huge_finite_step_rotation_runs_without_warning():
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-9
 
 
-def _ladder_hams(amp):
-    hams = np.zeros((len(amp), 4, 4))
-    for k in range(3):
-        hams[:, k, k + 1] = hams[:, k + 1, k] = amp[:, k]
-    return hams
-
-
-# The symmetric block of the full model: drive c on the spin-3/2 ladder,
-# blockade V on the pair counts.
-_BLOCK_RAISING = np.diag([math.sqrt(3.0), 2.0, math.sqrt(3.0)], -1)
-_BLOCK_PAIRS = np.diag([0.0, 0.0, 1.0, 3.0])
-
-
-def _block_hams(drive, blockade):
-    hams = drive[:, None, None] * _BLOCK_RAISING
-    return hams + hams.conj().transpose(0, 2, 1) + blockade * _BLOCK_PAIRS
-
-
 # Each builder returns (drive, blockade, dt).  A real drive makes the
 # block a real ladder; a complex one makes it a general Hermitian block.
 def _random_ladder(rng, n):
@@ -309,7 +290,7 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     # the last state of the per-step loop
     rng = np.random.default_rng(steps)
     drive, blockade, dt = build(rng, steps)
-    hams = _block_hams(drive, blockade)
+    hams = oracles.block_hamiltonian(drive, blockade)
     theta = dt * np.max(np.sum(np.abs(hams), axis=-1))
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -351,7 +332,7 @@ def _cf4_exponent_hams(schedule, sub):
     a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
     first = (a2 * early + a1 * late) * h[:, None]
     second = (a1 * early + a2 * late) * h[:, None]
-    return _ladder_hams(np.stack([first, second], axis=1).reshape(-1, 3))
+    return oracles.ladder_hamiltonian(np.stack([first, second], axis=1).reshape(-1, 3))
 
 
 def _integrate_against_reference(schedule, sub, psi0):
@@ -376,7 +357,7 @@ def _knot_reference(schedule, psi0, sub=512):
         times = schedule.times
         h = np.repeat(np.diff(times) / n, n)
         mids = (times[:-1, None] + np.diff(times)[:, None] * (np.arange(n) + 0.5) / n).ravel()
-        hams = _ladder_hams(schedule.values_at(mids)) * h[:, None, None]
+        hams = oracles.ladder_hamiltonian(schedule.values_at(mids)) * h[:, None, None]
         states = oracles.midpoint_states_reference(hams, 1.0, psi0)[n - 1 :: n]
         return np.vstack([psi0, states])
 
@@ -461,7 +442,7 @@ def test_rank1_trapezoid_is_exact_at_every_knot():
     f = schedule.values @ direction
     assert np.max(np.abs(schedule.values - np.outer(f, direction))) <= 1e-15
     area = np.concatenate([[0.0], np.cumsum(np.diff(schedule.times) * (f[:-1] + f[1:]) / 2.0)])
-    ham = ladder_hamiltonian(direction)
+    ham = oracles.ladder_hamiltonian(direction)
     exact = np.array([oracles.expm_eig(ham * F) @ w_state() for F in area])
 
     result = propagate(schedule)
