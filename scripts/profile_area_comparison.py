@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from ghzforge.propagate import normalize_to_area, propagate, squared_area
-from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
+from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
     "ramp_fraction",
@@ -33,13 +33,7 @@ FIELDS = (
 
 
 def build_schedule(endpoint, kind, tau, duration, samples):
-    profile = PulseProfile(
-        kind=kind,
-        duration=duration,
-        theta_final=endpoint.theta_left_final,
-        tau=tau,
-    )
-    return rabi_schedule(build_curve(endpoint, profile), samples)
+    return rabi_schedule(SphericalCurve(endpoint, kind, duration, tau), samples)
 
 
 def main(argv=None):

@@ -26,7 +26,7 @@ from ghzforge.fullmodel import (
     params_for_factor,
     validate_reduction,
 )
-from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
+from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
     "factor",
@@ -84,10 +84,8 @@ def main(argv=None):
         parser.error("--factors must all be positive")
 
     endpoint = solve_endpoints(tuple(args.signs))
-    profile = PulseProfile(
-        kind="constant", duration=args.duration, theta_final=endpoint.theta_left_final
-    )
-    schedule = rabi_schedule(build_curve(endpoint, profile), args.samples)
+    curve = SphericalCurve(endpoint, "constant", args.duration)
+    schedule = rabi_schedule(curve, args.samples)
 
     rows = []
     for factor in args.factors:

@@ -15,11 +15,10 @@ from .unitary import cayley_klein, exp_map, transformed_pseudospin_states
 from .dynamics import check_constraints, rabi_from_vectorial
 from .synthesis import (
     EndpointSolution,
-    PulseProfile,
     PulseSchedule,
+    SphericalCurve,
     solve_endpoints,
     enumerate_endpoints,
-    build_curve,
     rabi_schedule,
     reverse_schedule,
 )

@@ -16,15 +16,10 @@ diagonalize the algebra.  All matrices here have exact entries in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "NotScalarMultiple",
-    "DimensionMismatch",
-    "GeneratorSet",
-    "PseudospinBasis",
     "build_generators",
     "casimirs",
     "pseudospin_basis",
@@ -40,40 +35,17 @@ class NotScalarMultiple(ValueError):
     """A matrix that must be a multiple of the identity is not one."""
 
 
-class DimensionMismatch(ValueError):
-    """A generator set or basis matrix has the wrong shape."""
+def build_generators() -> np.ndarray:
+    """The standard generators on the physical basis, read-only, shape (2, 3, 4, 4).
 
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Two commuting triples of 4x4 Hermitian generators.
-
-    ``left`` and ``right`` are arrays of shape (3, 4, 4).  Within each
-    family [G_i, G_j] = i eps_ijk G_k; across families everything
-    commutes.  Instances are immutable; the arrays are marked read-only.
+    Family 0 is left and family 1 right, as in rotation pairs.  Within
+    each family [G_i, G_j] = i eps_ijk G_k; across families everything
+    commutes.  The matrices couple |ggg>-|W> and |W'>-|rrr> (index 1 of
+    each family), |ggg>-|rrr> and |W>-|W'> (index 2), and are diagonalized
+    by the pseudospin basis (index 3).
     """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        for name in ("left", "right"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != (3, 4, 4):
-                raise DimensionMismatch(f"{name} generators must have shape (3, 4, 4)")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def build_generators() -> GeneratorSet:
-    """Return the standard generator set on the physical basis.
-
-    The matrices couple |ggg>-|W> and |W'>-|rrr> (index 1 of each
-    family), |ggg>-|rrr> and |W>-|W'> (index 2), and are diagonalized by
-    the pseudospin basis (index 3).
-    """
-    left = np.zeros((3, 4, 4), dtype=complex)
-    right = np.zeros((3, 4, 4), dtype=complex)
+    gens = np.zeros((2, 3, 4, 4), dtype=complex)
+    left, right = gens
 
     left[0] = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     right[0] = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -84,7 +56,9 @@ def build_generators() -> GeneratorSet:
     left[2] = [[0, 0, -1j, 0], [0, 0, 0, 1j], [1j, 0, 0, 0], [0, -1j, 0, 0]]
     right[2] = [[0, 0, -1j, 0], [0, 0, 0, -1j], [1j, 0, 0, 0], [0, 1j, 0, 0]]
 
-    return GeneratorSet(left=0.5 * left, right=0.5 * right)
+    gens = 0.5 * gens
+    gens.setflags(write=False)
+    return gens
 
 
 def _scalar_part(mat: np.ndarray) -> float:
@@ -97,81 +71,40 @@ def _scalar_part(mat: np.ndarray) -> float:
     return float(lam)
 
 
-def casimirs(gens: GeneratorSet) -> tuple[float, float]:
+def casimirs(gens: np.ndarray) -> tuple[float, float]:
     """Quadratic invariants (sum and difference) of the two families.
 
-    Returns (I, J) with I*1 = sum_i (L_i^2 + R_i^2) and
-    J*1 = sum_i (L_i^2 - R_i^2).  Raises NotScalarMultiple if either sum
-    fails to be scalar, which catches malformed generator sets.
+    ``gens`` has shape (2, 3, 4, 4), left family first.  Returns (I, J)
+    with I*1 = sum_i (L_i^2 + R_i^2) and J*1 = sum_i (L_i^2 - R_i^2).
+    Raises NotScalarMultiple if either sum fails to be scalar, which
+    catches malformed generator sets.
     """
-    sq_left = sum(g @ g for g in gens.left)
-    sq_right = sum(g @ g for g in gens.right)
+    sq_left, sq_right = (sum(g @ g for g in family) for family in gens)
     total = _scalar_part(sq_left + sq_right)
     diff = _scalar_part(sq_left - sq_right)
     return total, diff
 
 
-@dataclass(frozen=True)
-class PseudospinBasis:
-    """Orthonormal simultaneous eigenbasis of the two z generators.
+def pseudospin_basis() -> np.ndarray:
+    """The simultaneous eigenbasis of the two z generators, read-only, shape (4, 4).
 
-    ``states`` holds the four vectors as columns, ordered
-    (up-up, up-down, down-up, down-down), where the first arrow labels
-    the left pseudospin.  The phases are pinned by the top state
-    (-i, 0, 1, 0)/sqrt(2) and by unit-coefficient lowering, and every
-    downstream expansion relies on exactly these phases.
-    """
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.states, dtype=complex)
-        if arr.shape != (4, 4):
-            raise DimensionMismatch("pseudospin basis must be a 4x4 column matrix")
-        arr.setflags(write=False)
-        object.__setattr__(self, "states", arr)
-
-    @property
-    def up_up(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def up_down(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def down_up(self) -> np.ndarray:
-        return self.states[:, 2]
-
-    @property
-    def down_down(self) -> np.ndarray:
-        return self.states[:, 3]
-
-
-def pseudospin_basis(gens: GeneratorSet) -> PseudospinBasis:
-    """Construct the pseudospin basis from a generator set.
-
-    The doubly-stretched state (the +1 eigenvector of L_3 + R_3) is
-    pinned to (-i, 0, 1, 0)/sqrt(2); the remaining three vectors follow
-    by applying the two lowering operators, which act with coefficient
-    one on spin-1/2.  Raises NotScalarMultiple via casimirs() semantics
-    if the generator set does not reproduce the expected top state.
+    The columns are (up-up, up-down, down-up, down-down), where the first
+    arrow labels the left pseudospin.  The phases are pinned by the top
+    state (-i, 0, 1, 0)/sqrt(2), the +1 eigenvector of L_3 + R_3, and by
+    applying the two lowering operators, which act with coefficient one on
+    spin-1/2; every downstream expansion relies on exactly these phases.
     """
     top = np.array([-1j, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-    z_total = gens.left[2] + gens.right[2]
-    if np.max(np.abs(z_total @ top - top)) > 1e-12:
-        raise NotScalarMultiple(
-            "generator set does not have (-i, 0, 1, 0)/sqrt(2) as its stretched state"
-        )
-
-    lower_left = gens.left[0] - 1j * gens.left[1]
-    lower_right = gens.right[0] - 1j * gens.right[1]
+    gens = build_generators()
+    lower_left, lower_right = gens[:, 0] - 1j * gens[:, 1]
 
     down_up = lower_left @ top
     up_down = lower_right @ top
     down_down = lower_right @ down_up
 
-    return PseudospinBasis(states=np.stack([top, up_down, down_up, down_down], axis=1))
+    basis = np.stack([top, up_down, down_up, down_down], axis=1)
+    basis.setflags(write=False)
+    return basis
 
 
 # State factories.  All vectors are in the physical basis and normalized.

@@ -45,9 +45,9 @@ from .propagate import (
 )
 from .synthesis import (
     DEFAULT_SIGN_ORDER,
-    PulseProfile,
     PulseSchedule,
-    build_curve,
+    SphericalCurve,
+    enumerate_endpoints,
     rabi_schedule,
     reverse_schedule,
     solve_endpoints,
@@ -236,13 +236,8 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
             f"samples {cfg.samples} exceeds the {_MAX_STEPS // 2 + 1} rows propagate can certify"
         )
     duration = cfg.duration if cfg.duration is not None else 1.0
-    profile = PulseProfile(
-        kind=cfg.profile,
-        duration=duration,
-        theta_final=endpoint.theta_left_final,
-        tau=cfg.tau,
-    )
-    schedule = rabi_schedule(build_curve(endpoint, profile, initial_pole=cfg.pole), cfg.samples)
+    curve = SphericalCurve(endpoint, cfg.profile, duration, cfg.tau, cfg.pole)
+    schedule = rabi_schedule(curve, cfg.samples)
     if cfg.target_area is not None:
         schedule = normalize_to_area(schedule, cfg.target_area)
     return schedule
@@ -363,7 +358,7 @@ def _check_brackets(gens) -> tuple[bool, str]:
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     worst = 0.0
-    for fam in (gens.left, gens.right):
+    for fam in gens:
         for i in range(3):
             for j in range(3):
                 comm = fam[i] @ fam[j] - fam[j] @ fam[i]
@@ -374,7 +369,7 @@ def _check_brackets(gens) -> tuple[bool, str]:
                 worst = max(worst, float(np.max(np.abs(prod - expected_p))))
     for i in range(3):
         for j in range(3):
-            cross = gens.left[i] @ gens.right[j] - gens.right[j] @ gens.left[i]
+            cross = gens[0][i] @ gens[1][j] - gens[1][j] @ gens[0][i]
             worst = max(worst, float(np.max(np.abs(cross))))
     return worst <= 1e-14, f"max residual {worst:.2e}"
 
@@ -391,30 +386,25 @@ def _check_exp_map(gens) -> tuple[bool, str]:
     for _ in range(100):
         pair = rng.uniform(-8, 8, (2, 3))
         closed = unitary.exp_map(pair)
-        reference = _eig_unitary(pair[0], gens.left) @ _eig_unitary(pair[1], gens.right)
+        reference = _eig_unitary(pair[0], gens[0]) @ _eig_unitary(pair[1], gens[1])
         worst = max(worst, float(np.max(np.abs(closed - reference))))
     return worst <= 1e-10, f"max deviation {worst:.2e} over 100 random pairs"
 
 
-def _check_constraint_residuals() -> tuple[bool, str]:
+def _check_constraint_residuals(endpoints) -> tuple[bool, str]:
     times = np.linspace(0.0, 1.0, 250)
     worst = 0.0
-    for signs in DEFAULT_SIGN_ORDER:
-        endpoint = solve_endpoints(signs)
+    for endpoint in endpoints:
         for kind in ("constant", "trapezoid"):
-            profile = PulseProfile(
-                kind=kind, duration=1.0, theta_final=endpoint.theta_left_final
-            )
-            curve = build_curve(endpoint, profile)
+            curve = SphericalCurve(endpoint, kind)
             rates = dynamics.rotation_rate(curve.vectors_at(times), curve.velocities_at(times))
             worst = max(worst, float(np.max(np.abs(dynamics.check_constraints(rates)))))
     return worst <= 1e-9, f"max residual {worst:.2e}"
 
 
-def _check_endpoint_table() -> tuple[bool, str]:
+def _check_endpoint_table(endpoints) -> tuple[bool, str]:
     worst = 0.0
-    for signs, expected in zip(DEFAULT_SIGN_ORDER, REFERENCE_ENDPOINT_TABLE):
-        sol = solve_endpoints(signs)
+    for sol, expected in zip(endpoints, REFERENCE_ENDPOINT_TABLE):
         got = (sol.theta_left_final, sol.theta_right_final, sol.phi_left, sol.phi_right)
         for g, e in zip(got, expected):
             worst = max(worst, abs(g - e) / abs(e))
@@ -423,12 +413,13 @@ def _check_endpoint_table() -> tuple[bool, str]:
 
 def cmd_check(cfg: argparse.Namespace) -> int:
     gens = algebra.build_generators()
+    endpoints = enumerate_endpoints()
     checks = [
         ("generator brackets and products", lambda: _check_brackets(gens)),
         ("quadratic invariants", lambda: _check_casimirs(gens)),
         ("closed form vs eigendecomposition", lambda: _check_exp_map(gens)),
-        ("curve constraint residuals", _check_constraint_residuals),
-        ("endpoint table reproduction", _check_endpoint_table),
+        ("curve constraint residuals", lambda: _check_constraint_residuals(endpoints)),
+        ("endpoint table reproduction", lambda: _check_endpoint_table(endpoints)),
     ]
     failures = 0
     for name, fn in checks:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .unitary import _SERIES_CUTOFF
+from .unitary import _SERIES_CUTOFF, _norm
 
 __all__ = [
     "ConstraintViolation",
@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 CONSTRAINT_TOL = 1e-9
+
+# Above this norm c3 = (n - sin n)/n^3, about 1/n^2, nears the subnormal
+# range, so rotation_rate forms its third term as (1 - sin n/n)(u . vdot) u
+# with u = vec/n.
+_LARGE_NORM = 2.0**500
 
 
 class ConstraintViolation(ValueError):
@@ -41,14 +46,15 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
           + 2 sin^2(n/2)/n^2 * (vec x vdot)
           + (n - sin n)/n^3 * (vec . vdot) vec
 
-    with n = |vec|; near n = 0 the three coefficients switch to series.
+    with n = |vec|; near n = 0 the three coefficients switch to series,
+    and above _LARGE_NORM the third term is taken on the unit vector.
     ``vec`` and ``vec_dot`` have shape (..., 3), and so does the result,
     so a curve point (2, ..., 3) gives the rates of both factors; a batch
     gives the same values as one call per row.
     """
     v = np.asarray(vec, dtype=float)
     vd = np.asarray(vec_dot, dtype=float)
-    n = np.linalg.norm(v, axis=-1)[..., None]
+    n = _norm(v)[..., None]
     # the coefficients by their Taylor series below the cutoff only, where
     # they cannot overflow, and above it by the closed forms, divided by
     # one factor of n at a time so that no power of n is formed
@@ -69,7 +75,12 @@ def rotation_rate(vec: np.ndarray, vec_dot: np.ndarray) -> np.ndarray:
     xd, yd, zd = vd[..., 0], vd[..., 1], vd[..., 2]
     cross = np.stack([y * zd - z * yd, z * xd - x * zd, x * yd - y * xd], axis=-1)
     dot = (x * xd + y * yd + z * zd)[..., None]
-    return c1 * vd + c2 * cross + c3 * dot * v
+    third = c3 * dot * v
+    large = n[..., 0] > _LARGE_NORM
+    if np.any(large):
+        unit = v[large] / n[large]
+        third[large] = (1.0 - c1[large]) * np.sum(unit * vd[large], axis=-1, keepdims=True) * unit
+    return c1 * vd + c2 * cross + third
 
 
 def check_constraints(rates: np.ndarray) -> np.ndarray:

@@ -25,18 +25,15 @@ from .unitary import exp_map
 
 __all__ = [
     "NoSolution",
-    "ProfileMismatch",
     "TanSingularity",
     "NonFiniteSchedule",
     "EndpointSolution",
-    "PulseProfile",
     "SphericalCurve",
     "PulseSchedule",
     "DEFAULT_SIGN_ORDER",
     "RADIUS",
     "solve_endpoints",
     "enumerate_endpoints",
-    "build_curve",
     "rabi_schedule",
     "plateau_amplitudes",
     "reverse_schedule",
@@ -64,10 +61,6 @@ _ENDPOINT_TOL = 1e-9
 
 class NoSolution(ValueError):
     """No admissible endpoint root for a sign triple."""
-
-
-class ProfileMismatch(ValueError):
-    """A pulse profile does not integrate to the endpoint's final angle."""
 
 
 class TanSingularity(ValueError):
@@ -252,38 +245,44 @@ def enumerate_endpoints() -> list[EndpointSolution]:
 
 
 @dataclass(frozen=True)
-class PulseProfile:
-    """Time course of the left polar angle.
+class SphericalCurve:
+    """Fixed-azimuth curve of both rotation vectors on the radius-pi sphere.
 
-    kind "constant" sweeps at fixed rate; kind "trapezoid" ramps the
-    rate linearly up over a fraction tau of the duration, holds, and
-    ramps back down, so the schedule switches on and off continuously.
+    The left polar angle sweeps from 0 to the endpoint's theta_left_final
+    over ``duration``, and the right one is slaved to it.  kind "constant"
+    sweeps at fixed rate; kind "trapezoid" ramps the rate linearly up over
+    a fraction tau of the duration, holds, and ramps back down, so the
+    schedule switches on and off continuously.  ``pole`` selects which
+    pole the curve starts from: +1 for the vector (0, 0, +pi), -1 for the
+    mirrored start at (0, 0, -pi).  The mirrored branch negates every
+    Rabi amplitude but is otherwise equivalent.
     """
 
-    kind: str
-    duration: float
-    theta_final: float
+    endpoint: EndpointSolution
+    kind: str = "constant"
+    duration: float = 1.0
     tau: float = 1.0 / 3.0
+    pole: int = 1
 
     def __post_init__(self):
         if self.kind not in ("constant", "trapezoid"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ValueError("profile duration must be positive and finite")
-        if not math.isfinite(self.theta_final):
-            raise ValueError("profile target angle must be finite")
         if not (0.0 <= self.tau < 0.5):
             raise ValueError("ramp fraction tau must lie in [0, 1/2)")
+        if self.pole not in (1, -1):
+            raise ValueError("pole must be +1 or -1")
 
     def _ramp_and_plateau(self) -> tuple[float, float]:
         """Ramp length and plateau rate; a constant profile has no ramp."""
         tau = self.tau if self.kind == "trapezoid" else 0.0
         ramp = tau * self.duration
-        plateau = self.theta_final / (self.duration * (1.0 - tau))
+        plateau = self.endpoint.theta_left_final / (self.duration * (1.0 - tau))
         return ramp, plateau
 
     def rate(self, times: np.ndarray) -> np.ndarray:
-        """d theta / dt at the given times (array in, array out)."""
+        """d theta_left / dt at the given times (array in, array out)."""
         t = np.asarray(times, dtype=float)
         ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
@@ -292,43 +291,19 @@ class PulseProfile:
         return plateau * np.clip(shape, 0.0, None)
 
     def angle(self, times: np.ndarray) -> np.ndarray:
-        """theta(t), the running integral of rate()."""
+        """theta_left(t), the running integral of rate()."""
         t = np.clip(np.asarray(times, dtype=float), 0.0, self.duration)
         ramp, plateau = self._ramp_and_plateau()
         if ramp == 0.0:
             return plateau * t
         up = 0.5 * plateau * t**2 / ramp
         mid = plateau * (t - 0.5 * ramp)
-        down = self.theta_final - 0.5 * plateau * (self.duration - t) ** 2 / ramp
+        down = self.endpoint.theta_left_final - 0.5 * plateau * (self.duration - t) ** 2 / ramp
         return np.where(t <= ramp, up, np.where(t <= self.duration - ramp, mid, down))
-
-
-@dataclass(frozen=True)
-class SphericalCurve:
-    """Fixed-azimuth curve of both rotation vectors on the radius-pi sphere.
-
-    ``pole`` selects which pole the curve starts from: +1 for the vector
-    (0, 0, +pi), -1 for the mirrored start at (0, 0, -pi).  The mirrored
-    branch negates every Rabi amplitude but is otherwise equivalent.
-    """
-
-    endpoint: EndpointSolution
-    profile: PulseProfile
-    pole: int = 1
-
-    @property
-    def duration(self) -> float:
-        return self.profile.duration
-
-    def theta_left(self, times) -> np.ndarray:
-        return self.profile.angle(times)
-
-    def theta_right(self, times) -> np.ndarray:
-        return self.endpoint.curve_slope * self.profile.angle(times)
 
     def vectors_at(self, t) -> np.ndarray:
         """The rotation-vector pair at a time or an array of times, (2, ..., 3)."""
-        th_l = self.profile.angle(t)
+        th_l = self.angle(t)
         th_r = self.endpoint.curve_slope * th_l
         return np.stack([
             _spherical(th_l, self.endpoint.phi_left, self.pole),
@@ -337,9 +312,9 @@ class SphericalCurve:
 
     def velocities_at(self, t) -> np.ndarray:
         """The time derivative of vectors_at, (2, ..., 3)."""
-        rate_l = self.profile.rate(t)[..., None]
+        rate_l = self.rate(t)[..., None]
         rate_r = self.endpoint.curve_slope * rate_l
-        th_l = self.profile.angle(t)
+        th_l = self.angle(t)
         th_r = self.endpoint.curve_slope * th_l
         return np.stack([
             _spherical_tangent(th_l, self.endpoint.phi_left, self.pole) * rate_l,
@@ -353,20 +328,6 @@ def _spherical_tangent(theta, phi: float, pole: int) -> np.ndarray:
     return RADIUS * np.stack(
         [cos_t * np.cos(phi), cos_t * np.sin(phi), -pole * np.sin(theta)], axis=-1
     )
-
-
-def build_curve(
-    endpoint: EndpointSolution, profile: PulseProfile, initial_pole: int = 1
-) -> SphericalCurve:
-    """Attach a pulse profile to an endpoint, checking compatibility."""
-    if initial_pole not in (1, -1):
-        raise ValueError("initial_pole must be +1 or -1")
-    target = endpoint.theta_left_final
-    if abs(profile.theta_final - target) > 1e-12 * max(1.0, abs(target)):
-        raise ProfileMismatch(
-            f"profile integrates to {profile.theta_final!r}, endpoint needs {target!r}"
-        )
-    return SphericalCurve(endpoint=endpoint, profile=profile, pole=initial_pole)
 
 
 @dataclass(frozen=True)
@@ -422,7 +383,7 @@ def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:
     if samples < 2:
         raise ValueError("a schedule needs at least 2 samples")
     times = np.linspace(0.0, curve.duration, samples)
-    rate = curve.profile.rate(times)
+    rate = curve.rate(times)
     coeffs = plateau_amplitudes(curve.endpoint)
     values = float(curve.pole) * rate[:, None] * coeffs[None, :]
     return PulseSchedule(times=times, values=values)

@@ -30,8 +30,7 @@ _SERIES_CUTOFF = 1e-6
 # A rotation [[a, -b*], [b, a*]], a = x0 - i x3, b = -i x1 + x2, is x0 - 2i x . G.
 # Row 4 mu + nu of _UNITS is (left unit mu)(right unit nu), where the units are
 # 1 and -2i G_k; their entries are 0, +-1 and +-i, so products are exact.
-_GENS = build_generators()
-_LEFT, _RIGHT = (np.stack([np.eye(4), *(-2j * g)]) for g in (_GENS.left, _GENS.right))
+_LEFT, _RIGHT = (np.stack([np.eye(4), *(-2j * g)]) for g in build_generators())
 _UNITS = (_LEFT[:, None] @ _RIGHT).reshape(16, 4, 4)
 
 
@@ -45,6 +44,22 @@ def _pair(pair: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _norm(vec: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, finite for every finite vector.
+
+    Where the squares overflow (a norm above about 1.3e154), the rows are
+    scaled by their largest entry first; elsewhere it is np.linalg.norm.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.asarray(np.linalg.norm(vec, axis=-1))
+    big = np.isinf(norm)
+    if np.any(big):
+        rows = vec[big]
+        scale = np.max(np.abs(rows), axis=-1, keepdims=True)
+        norm[big] = scale[..., 0] * np.linalg.norm(rows / scale, axis=-1)
+    return norm
+
+
 def cayley_klein(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein coefficients (a, b) of the rotation e^{-i vec . spin}.
 
@@ -53,7 +68,7 @@ def cayley_klein(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |a|^2 + |b|^2 = 1.  At vec = 0 the smooth limit (1, 0) is returned.
     """
     v = np.asarray(vec, dtype=float)
-    norm = np.linalg.norm(v, axis=-1)
+    norm = _norm(v)
     # k = sin(n/2)/n, by its Taylor series below the cutoff only, where it
     # cannot overflow
     series = norm < _SERIES_CUTOFF
@@ -98,4 +113,4 @@ def transformed_pseudospin_states(pair: np.ndarray) -> np.ndarray:
     """
     a, b = cayley_klein(_pair(pair))
     rot = np.array([[a, -b.conj()], [b, a.conj()]])
-    return pseudospin_basis(_GENS).states @ np.kron(rot[..., 0], rot[..., 1])
+    return pseudospin_basis() @ np.kron(rot[..., 0], rot[..., 1])

@@ -23,10 +23,13 @@ def expm_eig(hermitian: np.ndarray) -> np.ndarray:
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
+def generator_form(rates: np.ndarray) -> np.ndarray:
+    """w_left . L + w_right . R for rates (2, ..., 3), shape (..., 4, 4)."""
+    return np.einsum("f...k,fkij->...ij", rates, GENS)
+
+
 def exp_map_reference(pair: np.ndarray) -> np.ndarray:
-    left = sum(pair[0][i] * GENS.left[i] for i in range(3))
-    right = sum(pair[1][i] * GENS.right[i] for i in range(3))
-    return expm_eig(left) @ expm_eig(right)
+    return expm_eig(generator_form(pair))
 
 
 def detunings_reference(stark_amp: float, detuning0: float, blockade: float):

@@ -23,8 +23,7 @@ from ghzforge.fullmodel import compare_factors, params_for_factor
 from ghzforge.propagate import normalize_to_area, propagate, squared_area
 from ghzforge.synthesis import (
     DEFAULT_SIGN_ORDER,
-    PulseProfile,
-    build_curve,
+    SphericalCurve,
     enumerate_endpoints,
     rabi_schedule,
     reverse_schedule,
@@ -53,8 +52,7 @@ PROFILE_KINDS = ("constant", "trapezoid")
 
 
 def schedule_for(endpoint, kind, duration=1.0, samples=1000):
-    profile = PulseProfile(kind=kind, duration=duration, theta_final=endpoint.theta_left_final)
-    return rabi_schedule(build_curve(endpoint, profile), samples)
+    return rabi_schedule(SphericalCurve(endpoint, kind, duration), samples)
 
 
 @pytest.fixture(scope="session")
@@ -200,7 +198,7 @@ def test_criterion_05_structural_suite(acceptance):
     worst_bracket = 0.0
     worst_product = 0.0
     eye = np.eye(4)
-    for family in (GENS.left, GENS.right):
+    for family in GENS:
         for i in range(3):
             for j in range(3):
                 comm = family[i] @ family[j] - family[j] @ family[i]
@@ -211,7 +209,7 @@ def test_criterion_05_structural_suite(acceptance):
                 worst_product = max(worst_product, float(np.max(np.abs(product - expected))))
     for i in range(3):
         for j in range(3):
-            cross = GENS.left[i] @ GENS.right[j] - GENS.right[j] @ GENS.left[i]
+            cross = GENS[0][i] @ GENS[1][j] - GENS[1][j] @ GENS[0][i]
             worst_bracket = max(worst_bracket, float(np.max(np.abs(cross))))
 
     total, diff = casimirs(GENS)
@@ -251,10 +249,7 @@ def test_criterion_06_constraints_along_curves(acceptance, endpoints_all):
     worst_round_trip = 0.0
     for endpoint in endpoints_all:
         for kind in PROFILE_KINDS:
-            profile = PulseProfile(
-                kind=kind, duration=1.0, theta_final=endpoint.theta_left_final
-            )
-            curve = build_curve(endpoint, profile)
+            curve = SphericalCurve(endpoint, kind)
             times = np.linspace(0.0, 1.0, 1000)
             rates = rotation_rate(curve.vectors_at(times), curve.velocities_at(times))
             worst_residual = max(worst_residual, float(np.max(np.abs(check_constraints(rates)))))
@@ -286,7 +281,7 @@ def test_criterion_07_schroedinger_consistency(acceptance):
         t = rng.uniform(0.3, 1.5)
         left, right, left_dot, right_dot = curve.at(t)
         rates = rotation_rate(np.stack([left, right]), np.stack([left_dot, right_dot]))
-        ham = sum(rates[0, i] * GENS.left[i] + rates[1, i] * GENS.right[i] for i in range(3))
+        ham = oracles.generator_form(rates)
         coarse = oracles.schroedinger_residual(curve, ham, t, 1e-4)
         fine = oracles.schroedinger_residual(curve, ham, t, 1e-5)
         ratios.append(coarse / fine)

@@ -4,10 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzforge.algebra import (
-    DimensionMismatch,
-    GeneratorSet,
     NotScalarMultiple,
-    PseudospinBasis,
     build_generators,
     casimirs,
     ggg_state,
@@ -19,12 +16,12 @@ from ghzforge.algebra import (
 )
 
 GENS = build_generators()
-BASIS = pseudospin_basis(GENS)
+BASIS = pseudospin_basis()
 
 
 def expand(state):
     """Coefficients of a physical-basis state in the pseudospin basis."""
-    return BASIS.states.conj().T @ state
+    return BASIS.conj().T @ state
 
 
 EPSILON = np.zeros((3, 3, 3))
@@ -38,15 +35,15 @@ def test_generator_entries_exact():
     expected_left_x = np.zeros((4, 4))
     expected_left_x[0, 1] = expected_left_x[1, 0] = half
     expected_left_x[2, 3] = expected_left_x[3, 2] = half
-    assert np.array_equal(GENS.left[0], expected_left_x)
+    assert np.array_equal(GENS[0][0], expected_left_x)
 
     expected_right_x = np.zeros((4, 4))
     expected_right_x[0, 1] = expected_right_x[1, 0] = half
     expected_right_x[2, 3] = expected_right_x[3, 2] = -half
-    assert np.array_equal(GENS.right[0], expected_right_x)
+    assert np.array_equal(GENS[1][0], expected_right_x)
 
     allowed = {0.0, 0.5, -0.5}
-    for family in (GENS.left, GENS.right):
+    for family in GENS:
         for mat in family:
             assert np.max(np.abs(mat - mat.conj().T)) == 0.0
             for entry in mat.ravel():
@@ -55,7 +52,7 @@ def test_generator_entries_exact():
 
 
 def test_commutators():
-    for family in (GENS.left, GENS.right):
+    for family in GENS:
         for i in range(3):
             for j in range(3):
                 comm = family[i] @ family[j] - family[j] @ family[i]
@@ -66,13 +63,13 @@ def test_commutators():
 def test_cross_family_commutators_vanish():
     for i in range(3):
         for j in range(3):
-            cross = GENS.left[i] @ GENS.right[j] - GENS.right[j] @ GENS.left[i]
+            cross = GENS[0][i] @ GENS[1][j] - GENS[1][j] @ GENS[0][i]
             assert np.max(np.abs(cross)) <= 1e-14
 
 
 def test_pauli_like_products():
     eye = np.eye(4)
-    for family in (GENS.left, GENS.right):
+    for family in GENS:
         for i in range(3):
             for j in range(3):
                 product = (2.0 * family[i]) @ (2.0 * family[j])
@@ -89,36 +86,34 @@ def test_casimirs_reference_values():
 
 
 def test_casimirs_family_swap():
-    swapped = GeneratorSet(left=GENS.right, right=GENS.left)
-    total, diff = casimirs(swapped)
+    total, diff = casimirs(GENS[::-1])
     assert abs(total - 1.5) <= 1e-13
     assert abs(diff) <= 1e-13
 
 
 def test_casimirs_scaled_generators():
-    doubled = GeneratorSet(left=2.0 * GENS.left, right=2.0 * GENS.right)
-    total, diff = casimirs(doubled)
+    total, diff = casimirs(2.0 * GENS)
     assert abs(total - 6.0) <= 1e-13
     assert abs(diff) <= 1e-13
 
 
 def test_casimirs_reject_non_scalar_sum():
-    corrupted = np.array(GENS.left)
-    corrupted[0] = corrupted[0] + np.diag([1.0, 0.0, 0.0, 0.0])
+    corrupted = np.array(GENS)
+    corrupted[0, 0] = corrupted[0, 0] + np.diag([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NotScalarMultiple):
-        casimirs(GeneratorSet(left=corrupted, right=GENS.right))
+        casimirs(corrupted)
 
 
 def test_pseudospin_vectors_exact():
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(BASIS.up_up, np.array([-1j, 0, 1, 0]) * s, atol=1e-15)
-    assert np.allclose(BASIS.up_down, np.array([0, -1j, 0, -1]) * s, atol=1e-15)
-    assert np.allclose(BASIS.down_up, np.array([0, -1j, 0, 1]) * s, atol=1e-15)
-    assert np.allclose(BASIS.down_down, np.array([-1j, 0, -1, 0]) * s, atol=1e-15)
+    assert np.allclose(BASIS[:, 0], np.array([-1j, 0, 1, 0]) * s, atol=1e-15)
+    assert np.allclose(BASIS[:, 1], np.array([0, -1j, 0, -1]) * s, atol=1e-15)
+    assert np.allclose(BASIS[:, 2], np.array([0, -1j, 0, 1]) * s, atol=1e-15)
+    assert np.allclose(BASIS[:, 3], np.array([-1j, 0, -1, 0]) * s, atol=1e-15)
 
 
 def test_pseudospin_gram_identity():
-    gram = BASIS.states.conj().T @ BASIS.states
+    gram = BASIS.conj().T @ BASIS
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-14
 
 
@@ -130,26 +125,26 @@ def test_pseudospin_simultaneous_eigenvectors():
         3: (-0.5, -0.5),
     }
     for column, (left_val, right_val) in labels.items():
-        vec = BASIS.states[:, column]
-        assert np.max(np.abs(GENS.left[2] @ vec - left_val * vec)) <= 1e-14
-        assert np.max(np.abs(GENS.right[2] @ vec - right_val * vec)) <= 1e-14
+        vec = BASIS[:, column]
+        assert np.max(np.abs(GENS[0][2] @ vec - left_val * vec)) <= 1e-14
+        assert np.max(np.abs(GENS[1][2] @ vec - right_val * vec)) <= 1e-14
 
 
 def test_top_state_total_z_eigenvector():
-    total_z = GENS.left[2] + GENS.right[2]
-    assert np.max(np.abs(total_z @ BASIS.up_up - BASIS.up_up)) <= 1e-14
+    total_z = GENS[0][2] + GENS[1][2]
+    assert np.max(np.abs(total_z @ BASIS[:, 0] - BASIS[:, 0])) <= 1e-14
 
 
 def test_lowering_operator_proportionality():
-    lower_left = GENS.left[0] - 1j * GENS.left[1]
-    image = lower_left @ BASIS.up_up
-    overlap = abs(np.vdot(BASIS.down_up, image))
+    lower_left = GENS[0][0] - 1j * GENS[0][1]
+    image = lower_left @ BASIS[:, 0]
+    overlap = abs(np.vdot(BASIS[:, 2], image))
     assert abs(overlap - np.linalg.norm(image)) <= 1e-14
     assert np.linalg.norm(image) > 0.5
 
 
 def test_expand_identity_case():
-    coeffs = expand(BASIS.up_up)
+    coeffs = expand(BASIS[:, 0])
     assert np.allclose(coeffs, [1, 0, 0, 0], atol=1e-15)
 
 
@@ -166,11 +161,13 @@ def test_expand_ground_and_w():
     assert np.allclose(expand(w_state()), [0, 1j * s, 1j * s, 0], atol=1e-15)
 
 
-def test_wrong_shapes_raise_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        GeneratorSet(left=np.zeros((3, 4, 4)), right=np.zeros((2, 4, 4)))
-    with pytest.raises(DimensionMismatch):
-        PseudospinBasis(states=np.eye(8))
+def test_generators_and_basis_are_read_only():
+    gens, basis = build_generators(), pseudospin_basis()
+    assert gens.shape == (2, 3, 4, 4) and basis.shape == (4, 4)
+    with pytest.raises(ValueError):
+        gens[0, 0, 0, 1] = 1.0
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
 
 
 def test_state_factories():
@@ -193,5 +190,5 @@ def test_expansion_preserves_norm(raw):
     vec = vec / np.linalg.norm(vec)
     coeffs = expand(vec)
     assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-12
-    rebuilt = BASIS.states @ coeffs
+    rebuilt = BASIS @ coeffs
     assert np.max(np.abs(rebuilt - vec)) <= 1e-12

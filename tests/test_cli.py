@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ghzforge.propagate import _MAX_STEPS, squared_area
-from ghzforge.synthesis import PulseProfile, build_curve, rabi_schedule, solve_endpoints
+from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 from ghzforge.cli import SCHEDULE_HEADER, main, read_schedule_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -160,8 +160,7 @@ def test_csv_round_trip_exact(tmp_path):
     parsed = read_schedule_csv(str(out))
 
     endpoint = solve_endpoints((1, -1, 1))
-    profile = PulseProfile(kind="trapezoid", duration=1.0, theta_final=endpoint.theta_left_final)
-    built = rabi_schedule(build_curve(endpoint, profile), 40)
+    built = rabi_schedule(SphericalCurve(endpoint, "trapezoid"), 40)
     assert np.array_equal(parsed.times, built.times)
     assert np.array_equal(parsed.values, built.values)
 

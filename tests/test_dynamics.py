@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghzforge.algebra import build_generators
 from ghzforge.dynamics import (
     CONSTRAINT_TOL,
     ConstraintViolation,
@@ -15,16 +14,13 @@ from ghzforge.dynamics import (
 
 import oracles
 
-GENS = build_generators()
-
 amplitudes = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 def _generator_form(rabi):
     """The effective Hamiltonian of amplitudes (O1, O2, O3): the rates w of
     vectorial_from_rabi on the generators, w_left . L + w_right . R."""
-    rates = vectorial_from_rabi(rabi)
-    return sum(rates[0, i] * GENS.left[i] + rates[1, i] * GENS.right[i] for i in range(3))
+    return oracles.generator_form(vectorial_from_rabi(rabi))
 
 
 def test_effective_hamiltonian_zero():
@@ -75,12 +71,17 @@ def test_rotation_rate_series_branch():
 
 def test_rotation_rate_large_norm_limit():
     # For |v| -> infinity the rate tends to (v_hat . v_dot) v_hat; a norm of
-    # 1e120, cubed, would overflow, and the RuntimeWarning fail this test.
+    # 1e120, cubed, would overflow, the squares of 1e200 and 1e300 overflow
+    # too, and a RuntimeWarning would fail this test.
     for v, v_dot in (
         (np.array([1e120, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
         (1e120 * np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0])),
+        (np.array([1e200, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+        (1e200 * np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0])),
+        (1e300 * np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0])),
     ):
-        unit = v / np.linalg.norm(v)
+        unit = v / np.max(np.abs(v))
+        unit /= np.linalg.norm(unit)
         rate = rotation_rate(v, v_dot)
         assert np.all(np.isfinite(rate))
         assert np.max(np.abs(rate - np.dot(unit, v_dot) * unit)) <= 1e-12
@@ -92,10 +93,8 @@ def test_rotation_rate_against_finite_difference():
     curve = oracles.FourierCurve(rng)
     for t in (0.2, 0.9, 1.7):
         left, right, left_dot, right_dot = curve.at(t)
-        ham = sum(
-            rotation_rate(left, left_dot)[i] * GENS.left[i]
-            + rotation_rate(right, right_dot)[i] * GENS.right[i]
-            for i in range(3)
+        ham = oracles.generator_form(
+            rotation_rate(np.stack([left, right]), np.stack([left_dot, right_dot]))
         )
         assert oracles.schroedinger_residual(curve, ham, t, 1e-6) <= 1e-8
 

@@ -27,9 +27,8 @@ from ghzforge.fullmodel import (
 )
 from ghzforge.algebra import w_state, wprime_state
 from ghzforge.synthesis import (
-    PulseProfile,
     PulseSchedule,
-    build_curve,
+    SphericalCurve,
     rabi_schedule,
     solve_endpoints,
 )
@@ -40,8 +39,7 @@ ROW1 = solve_endpoints((1, -1, 1))
 
 
 def row1_schedule(duration=1.0, samples=200):
-    profile = PulseProfile(kind="constant", duration=duration, theta_final=ROW1.theta_left_final)
-    return rabi_schedule(build_curve(ROW1, profile), samples)
+    return rabi_schedule(SphericalCurve(ROW1, "constant", duration), samples)
 
 
 def zero_schedule(duration=1.0):

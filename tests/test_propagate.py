@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzforge.algebra import (
-    build_generators,
     ggg_state,
     ghz_state,
     rrr_state,
@@ -33,9 +32,8 @@ from ghzforge.propagate import (
     squared_area,
 )
 from ghzforge.synthesis import (
-    PulseProfile,
     PulseSchedule,
-    build_curve,
+    SphericalCurve,
     rabi_schedule,
     reverse_schedule,
     solve_endpoints,
@@ -43,7 +41,6 @@ from ghzforge.synthesis import (
 
 import oracles
 
-GENS = build_generators()
 ROW1 = solve_endpoints((1, -1, 1))
 
 
@@ -53,8 +50,7 @@ def constant_schedule(values, duration=1.0, samples=16):
 
 
 def row1_schedule(kind="constant", duration=1.0, samples=1000):
-    profile = PulseProfile(kind=kind, duration=duration, theta_final=ROW1.theta_left_final)
-    return rabi_schedule(build_curve(ROW1, profile), samples)
+    return rabi_schedule(SphericalCurve(ROW1, kind, duration), samples)
 
 
 def test_zero_schedule_is_static():

@@ -1,7 +1,9 @@
-"""The analysis scripts run end to end at tiny sizes."""
+"""The scripts run end to end at tiny sizes."""
 
 import csv
 import io
+import re
+import time
 
 import pytest
 
@@ -31,3 +33,16 @@ def test_script_writes_csv(script, args, header):
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert rows[0] == header
     assert len(rows) == 3
+
+
+def test_payload_digest_prints_one_named_sha256_per_payload():
+    start = time.perf_counter()
+    proc = run_python(str(REPO / "scripts" / "payload_digest.py"))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
+    names = [line.split()[0] for line in lines]
+    assert len(names) == len(set(names))
+    assert {"check.stdout", "endpoints.json", "reduction_scan.csv"} <= set(names)
+    assert elapsed < 3.0

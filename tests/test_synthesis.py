@@ -14,11 +14,9 @@ from ghzforge.synthesis import (
     DEFAULT_SIGN_ORDER,
     EndpointSolution,
     NoSolution,
-    ProfileMismatch,
-    PulseProfile,
     PulseSchedule,
+    SphericalCurve,
     TanSingularity,
-    build_curve,
     enumerate_endpoints,
     plateau_amplitudes,
     rabi_schedule,
@@ -178,9 +176,8 @@ def test_endpoints_without_sign_change_is_usage_error(monkeypatch, capsys):
 
 def test_curve_sample_batch_matches_pointwise():
     for kind in ("constant", "trapezoid"):
-        profile = PulseProfile(kind=kind, duration=1.3, theta_final=ROW1.theta_left_final)
         for pole in (1, -1):
-            curve = build_curve(ROW1, profile, pole)
+            curve = SphericalCurve(ROW1, kind, 1.3, pole=pole)
             times = np.linspace(0.0, 1.3, 37)
             for at in (curve.vectors_at, curve.velocities_at):
                 batch = at(times)
@@ -199,86 +196,81 @@ def test_invalid_signs_rejected():
 
 
 def test_constant_profile_shape():
-    profile = PulseProfile(kind="constant", duration=2.0, theta_final=1.2)
+    theta = ROW1.theta_left_final
+    curve = SphericalCurve(ROW1, "constant", 2.0)
     times = np.linspace(0.0, 2.0, 9)
-    assert np.allclose(profile.rate(times), 0.6, atol=1e-15)
-    assert np.allclose(profile.angle(times), 0.6 * times, atol=1e-14)
-    assert profile.angle(np.array([2.0]))[0] == pytest.approx(1.2, abs=1e-12)
+    assert np.allclose(curve.rate(times), theta / 2.0, atol=1e-15)
+    assert np.allclose(curve.angle(times), theta / 2.0 * times, atol=1e-14)
+    assert curve.angle(np.array([2.0]))[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_trapezoid_profile_shape():
-    theta = 1.5
-    profile = PulseProfile(kind="trapezoid", duration=3.0, theta_final=theta, tau=1.0 / 3.0)
+    theta = ROW1.theta_left_final
+    curve = SphericalCurve(ROW1, "trapezoid", 3.0, tau=1.0 / 3.0)
     times = np.linspace(0.0, 3.0, 301)
-    rate = profile.rate(times)
+    rate = curve.rate(times)
     plateau = theta / (3.0 * (1.0 - 1.0 / 3.0))
     assert rate[0] == 0.0 and rate[-1] == 0.0
     middle = (times >= 1.0) & (times <= 2.0)
     assert np.allclose(rate[middle], plateau, atol=1e-14)
     # continuity: no jump larger than slope * dt between dense samples
     assert np.max(np.abs(np.diff(rate))) <= plateau / 1.0 * (times[1] - times[0]) + 1e-12
-    assert profile.angle(np.array([3.0]))[0] == pytest.approx(theta, abs=1e-12)
+    assert curve.angle(np.array([3.0]))[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_trapezoid_angle_matches_rate_quadrature():
-    profile = PulseProfile(kind="trapezoid", duration=1.0, theta_final=0.9, tau=0.2)
+    curve = SphericalCurve(ROW1, "trapezoid", tau=0.2)
     times = np.linspace(0.0, 1.0, 20001)
     integral = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (profile.rate(times)[1:] + profile.rate(times)[:-1]) * np.diff(times))]
+        [[0.0], np.cumsum(0.5 * (curve.rate(times)[1:] + curve.rate(times)[:-1]) * np.diff(times))]
     )
-    assert np.max(np.abs(integral - profile.angle(times))) <= 1e-8
+    assert np.max(np.abs(integral - curve.angle(times))) <= 1e-8
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        PulseProfile(kind="spline", duration=1.0, theta_final=1.0)
+        SphericalCurve(ROW1, "spline")
     with pytest.raises(ValueError):
-        PulseProfile(kind="constant", duration=0.0, theta_final=1.0)
+        SphericalCurve(ROW1, "constant", 0.0)
     with pytest.raises(ValueError):
-        PulseProfile(kind="trapezoid", duration=1.0, theta_final=1.0, tau=0.5)
+        SphericalCurve(ROW1, "trapezoid", tau=0.5)
     with pytest.raises(ValueError):
-        PulseProfile(kind="trapezoid", duration=1.0, theta_final=1.0, tau=-0.1)
+        SphericalCurve(ROW1, "trapezoid", tau=-0.1)
+    for pole in (0, 2):
+        with pytest.raises(ValueError):
+            SphericalCurve(ROW1, pole=pole)
 
 
 def test_build_curve_slaved_angle():
-    profile = PulseProfile(kind="constant", duration=1.0, theta_final=ROW1.theta_left_final)
-    curve = build_curve(ROW1, profile)
+    curve = SphericalCurve(ROW1)
     slope = ROW1.curve_slope
     assert slope == pytest.approx(0.4710322233010076, abs=1e-12)
-    for t in np.linspace(0.0, 1.0, 33):
-        assert curve.theta_right(t) == pytest.approx(slope * curve.theta_left(t), abs=1e-12)
-    assert curve.theta_left(0.0) == 0.0
-    assert curve.theta_left(1.0) == pytest.approx(ROW1.theta_left_final, abs=1e-12)
-    assert curve.theta_right(1.0) == pytest.approx(ROW1.theta_right_final, abs=1e-9)
+    # polar angles of the curve's points, read back from the vectors
+    vecs = curve.vectors_at(np.linspace(0.0, 1.0, 33))
+    theta_left, theta_right = np.arctan2(np.hypot(vecs[..., 0], vecs[..., 1]), vecs[..., 2])
+    assert np.max(np.abs(theta_right - slope * theta_left)) <= 1e-12
+    assert theta_left[0] == 0.0
+    assert theta_left[-1] == pytest.approx(ROW1.theta_left_final, abs=1e-12)
+    assert theta_right[-1] == pytest.approx(ROW1.theta_right_final, abs=1e-9)
 
 
 def test_build_curve_angles_stay_in_range():
     for sol in enumerate_endpoints():
         for kind in ("constant", "trapezoid"):
-            profile = PulseProfile(kind=kind, duration=1.0, theta_final=sol.theta_left_final)
-            curve = build_curve(sol, profile)
-            for t in np.linspace(0.0, 1.0, 101):
-                assert -1e-12 <= curve.theta_left(t) <= np.pi + 1e-12
-                assert -1e-12 <= curve.theta_right(t) <= np.pi + 1e-12
-
-
-def test_build_curve_profile_mismatch():
-    wrong = PulseProfile(kind="constant", duration=1.0, theta_final=1.0)
-    with pytest.raises(ProfileMismatch):
-        build_curve(ROW1, wrong)
+            theta_left = SphericalCurve(sol, kind).angle(np.linspace(0.0, 1.0, 101))
+            for theta in (theta_left, sol.curve_slope * theta_left):
+                assert np.all((-1e-12 <= theta) & (theta <= np.pi + 1e-12))
 
 
 def test_curve_samples_satisfy_constraints():
-    profile = PulseProfile(kind="trapezoid", duration=1.0, theta_final=ROW1.theta_left_final)
-    curve = build_curve(ROW1, profile)
+    curve = SphericalCurve(ROW1, "trapezoid")
     for t in np.linspace(0.0, 1.0, 200):
         rates = rotation_rate(curve.vectors_at(float(t)), curve.velocities_at(float(t)))
         assert np.max(np.abs(check_constraints(rates))) <= 1e-9
 
 
 def test_rabi_schedule_constant_rows_equal():
-    profile = PulseProfile(kind="constant", duration=1.0, theta_final=ROW1.theta_left_final)
-    schedule = rabi_schedule(build_curve(ROW1, profile), 50)
+    schedule = rabi_schedule(SphericalCurve(ROW1), 50)
     assert schedule.values.shape == (50, 3)
     assert np.all(schedule.values == schedule.values[0])
     expected = np.array(ROW1_PLATEAU) * ROW1.theta_left_final
@@ -290,8 +282,7 @@ def test_plateau_amplitudes_frozen():
 
 
 def test_rabi_schedule_trapezoid_edges_vanish():
-    profile = PulseProfile(kind="trapezoid", duration=1.0, theta_final=ROW1.theta_left_final)
-    schedule = rabi_schedule(build_curve(ROW1, profile), 1000)
+    schedule = rabi_schedule(SphericalCurve(ROW1, "trapezoid"), 1000)
     assert np.max(np.abs(schedule.values[0])) == 0.0
     assert np.max(np.abs(schedule.values[-1])) == 0.0
     plateau_rate = ROW1.theta_left_final / (1.0 - 1.0 / 3.0)
@@ -301,16 +292,14 @@ def test_rabi_schedule_trapezoid_edges_vanish():
 
 
 def test_mirrored_start_negates_schedule():
-    profile = PulseProfile(kind="constant", duration=1.0, theta_final=ROW1.theta_left_final)
-    plus = rabi_schedule(build_curve(ROW1, profile, initial_pole=1), 64)
-    minus = rabi_schedule(build_curve(ROW1, profile, initial_pole=-1), 64)
+    plus = rabi_schedule(SphericalCurve(ROW1, pole=1), 64)
+    minus = rabi_schedule(SphericalCurve(ROW1, pole=-1), 64)
     assert np.array_equal(minus.values, -plus.values)
     assert np.array_equal(minus.times, plus.times)
 
 
 def test_reverse_schedule_constant():
-    profile = PulseProfile(kind="constant", duration=1.0, theta_final=ROW1.theta_left_final)
-    schedule = rabi_schedule(build_curve(ROW1, profile), 32)
+    schedule = rabi_schedule(SphericalCurve(ROW1), 32)
     rev = reverse_schedule(schedule)
     assert np.array_equal(rev.values, -schedule.values[::-1])
     assert rev.times[0] == 0.0
@@ -350,8 +339,7 @@ def test_schedule_interpolation_hits_nodes():
 
 @given(st.integers(2, 40), st.floats(0.1, 8.0, allow_nan=False))
 def test_sampling_duration_consistency(samples, duration):
-    profile = PulseProfile(kind="constant", duration=duration, theta_final=ROW1.theta_left_final)
-    schedule = rabi_schedule(build_curve(ROW1, profile), samples)
+    schedule = rabi_schedule(SphericalCurve(ROW1, "constant", duration), samples)
     assert len(schedule.times) == samples
     assert schedule.times[0] == 0.0
     assert schedule.times[-1] == pytest.approx(duration, rel=1e-15)

@@ -9,7 +9,7 @@ from ghzforge.unitary import cayley_klein, exp_map, transformed_pseudospin_state
 import oracles
 
 GENS = build_generators()
-BASIS = pseudospin_basis(GENS)
+BASIS = pseudospin_basis()
 
 finite_component = st.floats(-20.0, 20.0, allow_nan=False)
 vectors = st.tuples(finite_component, finite_component, finite_component).map(np.array)
@@ -38,6 +38,14 @@ def test_cayley_klein_matrix_shape():
 def test_cayley_klein_unit_row(vec):
     a, b = cayley_klein(vec)
     assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12
+
+
+def test_cayley_klein_norm_beyond_squares():
+    # The squares of these entries overflow; a RuntimeWarning would fail the test.
+    for scale in (1e200, 1e300):
+        for vec in ([scale, 0.0, 0.0], scale * np.array([[0.6, 0.0, 0.8], [-0.3, 0.5, 0.1]])):
+            a, b = cayley_klein(vec)
+            assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-12
 
 
 def test_batched_cayley_klein_matches_scalar_calls():
@@ -76,7 +84,7 @@ def test_exp_map_small_angle_linearization():
     eps = 1e-8
     vec = np.array([eps, 0.0, 0.0])
     unit = exp_map(np.stack([vec, np.zeros(3)]))
-    linear = np.eye(4) - 1j * eps * GENS.left[0]
+    linear = np.eye(4) - 1j * eps * GENS[0, 0]
     assert np.max(np.abs(unit - linear)) <= 1e-15
 
 
@@ -104,7 +112,7 @@ def test_w_state_fixed_point_at_pole_pair():
 
 def test_transformed_states_identity_pair():
     states = transformed_pseudospin_states(np.zeros((2, 3)))
-    assert np.max(np.abs(states - BASIS.states)) <= 1e-15
+    assert np.max(np.abs(states - BASIS)) <= 1e-15
 
 
 def test_transformed_up_up_at_pole_pair():
@@ -119,7 +127,7 @@ def test_transformed_states_match_exp_map():
     for _ in range(25):
         pair = rng.uniform(-6, 6, (2, 3))
         states = transformed_pseudospin_states(pair)
-        reference = exp_map(pair) @ BASIS.states
+        reference = exp_map(pair) @ BASIS
         assert np.max(np.abs(states - reference)) <= 1e-12
         gram = states.conj().T @ states
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
