@@ -336,7 +336,7 @@ def cmd_validate_full(cfg: argparse.Namespace) -> int:
     )
     payload = asdict(reports[0])
     payload["comparison"] = {**asdict(reports[-1]), **trend} if len(reports) > 1 else None
-    _info(f"validated in {time.perf_counter() - start:.1f}s")
+    _info(f"validated {sum(r.steps for r in reports)} steps in {time.perf_counter() - start:.3f}s")
     write_json(payload, cfg.out)
     return EXIT_OK
 

@@ -24,7 +24,9 @@ spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
 phase is generated by the excitation number N = diag(0, 1, 2, 3): with
 c = r e^{i phi}, H = e^{i phi N} S(r) e^{-i phi N}, where
 S(r) = r (R + R^T) + V P is real, symmetric and tridiagonal.  Each step
-exponentiates the real S(r) dt and twists the result back by the phase.
+is the real exp(-i S(r) dt) twisted back by the phase; r = |c| stays in a
+narrow band about stark_amp, over which a run fits it once as a
+Chebyshev polynomial in r, so a chunk of steps costs one matrix product.
 
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
@@ -140,35 +142,63 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
 
 
+def _interpolant(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knots, columns, slopes) of the amplitudes, a contiguous row each, flat past the end."""
+    columns = np.ascontiguousarray(schedule.values.T)
+    slopes = np.zeros_like(columns)
+    slopes[:, :-1] = np.diff(columns, axis=1) / np.diff(schedule.times)
+    return schedule.times, columns, slopes
+
+
 def _drive(
     times: np.ndarray,
     params: FullModelParams,
-    tones: np.ndarray | None = None,
+    phases: np.ndarray | None = None,
+    interp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
     Sums amplitude times e^{-i w t} over the four tones, pairwise as
-    np.sum adds four terms.  tones (len(times), 4) and out (len(times),),
-    both complex, are the buffers written; fresh ones are taken when None.
+    np.sum adds four terms, at times in [0, duration].  phases holds
+    e^{-i w t} and becomes the tones, interp is _interpolant(schedule)
+    and out is written; each is computed, or taken fresh, when None.
     """
-    n = len(times)
-    tones = np.empty((n, 4), dtype=complex) if tones is None else tones
-    out = np.empty(n, dtype=complex) if out is None else out
-    tones.real = 0.0
-    for j, freq in enumerate(tone_frequencies(params)):
-        np.multiply(times, -freq, out=tones.imag[:, j])
-    np.exp(tones, out=tones)
-    tones[:, 0] *= params.stark_amp
-    schedule = params.schedule
+    if phases is None:
+        phases = np.exp(np.multiply.outer(times, -1j * tone_frequencies(params)))
+    knots, columns, slopes = _interpolant(params.schedule) if interp is None else interp
+    out = np.empty(len(times), dtype=complex) if out is None else out
+    # each amplitude as np.interp forms it, slope (t - t_j) + value_j
+    seg = np.searchsorted(knots, times, side="right")
+    seg -= 1
+    offset = np.take(knots, seg, mode="clip")
+    np.subtract(times, offset, out=offset)
+    # out is written last, so its two halves hold each amplitude until then
+    amp, value = out.view(float).reshape(2, -1)
+    phases[:, 0] *= params.stark_amp
     for k in range(3):
-        amp = np.interp(times, schedule.times, schedule.values[:, k])
+        np.take(slopes[k], seg, out=amp, mode="clip")
+        amp *= offset
+        amp += np.take(columns[k], seg, out=value, mode="clip")
         amp *= TONE_WEIGHTS[k]
-        tones[:, k + 1] *= amp
-    np.add(tones[:, 0], tones[:, 1], out=out)
-    np.add(tones[:, 2], tones[:, 3], out=tones[:, 2])
-    out += tones[:, 2]
+        phases.real[:, k + 1] *= amp
+        phases.imag[:, k + 1] *= amp
+    np.add(phases[:, 0], phases[:, 1], out=out)
+    np.add(phases[:, 2], phases[:, 3], out=phases[:, 2])
+    out += phases[:, 2]
     return out
+
+
+def _drive_band(params: FullModelParams) -> tuple[float, float]:
+    """Interval [lo, hi] that holds every |c(t)|, rounding included.
+
+    |c| is within T = sum_k TONE_WEIGHTS[k] max |column k| of stark_amp,
+    as interpolation stays within the samples; 16 ulps widen the band.
+    """
+    stark = params.stark_amp
+    spread = float(TONE_WEIGHTS @ np.max(np.abs(params.schedule.values), axis=0))
+    pad = 16.0 * np.finfo(float).eps * (stark + spread)
+    return max(0.0, stark - spread - pad), stark + spread + pad
 
 
 def hierarchy_ratios(params: FullModelParams) -> tuple[float, float]:
@@ -253,10 +283,12 @@ class _Workspace:
     """Buffers for chunks of up to size steps, reused by every chunk of an integration.
 
     A chunk of n steps works on the leading [:n] of each buffer; at
-    size 2,048 they take about 4 MiB.
+    size 2,048 they take about 2.4 MiB.  fit is the run's _step_fit, or
+    None to exponentiate every step directly.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, fit: tuple[float, float, np.ndarray] | None = None):
+        self.fit = fit
         self.offsets = np.arange(size) + 0.5
         self.times = np.empty(size)
         self.tones = np.empty((size, 4), dtype=complex)
@@ -266,20 +298,16 @@ class _Workspace:
         # u = c / |c| and its powers up to 3, then (u^-3, ..., u^3)
         self.u = np.empty((3, size), dtype=complex)
         self.powers = np.empty((size, 7), dtype=complex)
-        self.x = np.empty((size, 4, 4))
-        self.y = np.empty((size, 4, 4))
-        # Horner ping-pong, each [cos series; sin X / X series]
-        self.series = np.empty((2, size, 8, 4))
-        self.sin = np.empty((size, 4, 4))
         # the steps and their entrywise twists
         self.steps = np.empty((size, 4, 4), dtype=complex)
         self.twist = np.empty((size, 4, 4), dtype=complex)
-        # product tree ping-pong, each (real, imaginary) parts
+        # product tree ping-pong, each (real, imaginary) parts, and one product
         self.parts = np.empty((2, size, 4, 4))
         self.pairs = np.empty((2, (size + 1) // 2, 4, 4))
+        self.tmp = np.empty(((size + 1) // 2, 4, 4))
 
 
-def _cos_sin(x: np.ndarray, theta: float, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+def _cos_sin(x: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """cos X and sin X of a stack of real symmetric X, so exp(-iX) = cos X - i sin X.
 
     theta bounds the infinity norm of every X.  Both are Taylor series in
@@ -288,10 +316,8 @@ def _cos_sin(x: np.ndarray, theta: float, ws: _Workspace) -> tuple[np.ndarray, n
     takes one block @ Y per degree, and sin X is its lower half times X.
     When theta > 1, X is halved s = ceil(log2 theta) times in place and
     the result squared s times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 970 (2009)).  Only that branch takes fresh arrays;
-    otherwise cos is a view of ws.series and sin is ws.sin.
+    Appl. 31, 970 (2009)).
     """
-    n = len(x)
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     if s:
         x *= 0.5**s
@@ -304,24 +330,54 @@ def _cos_sin(x: np.ndarray, theta: float, ws: _Workspace) -> tuple[np.ndarray, n
     coeffs = np.array(
         [[(-1) ** k / math.factorial(2 * k + odd) for k in range(m + 1)] for odd in (0, 1)]
     )
-    y = np.matmul(x, x, out=ws.y[:n])
-    poly, spare = ws.series[0, :n], ws.series[1, :n]
-    np.matmul(np.vstack([coeffs[0, m] * _EYE4, coeffs[1, m] * _EYE4]), y, out=poly)
+    y = x @ x
+    poly = np.vstack([coeffs[0, m] * _EYE4, coeffs[1, m] * _EYE4]) @ y
     for k in range(m - 1, -1, -1):
         if k < m - 1:
-            np.matmul(poly, y, out=spare)
-            poly, spare = spare, poly
+            poly = poly @ y
         # entries [i, i] and [4 + i, i] of an 8x4 block lie 5i and 16 + 5i
         # places into it
-        flat = poly.reshape(n, 32)
+        flat = poly.reshape(-1, 32)
         for i in range(0, 16, 5):
             flat[:, i] += coeffs[0, k]
             flat[:, 16 + i] += coeffs[1, k]
-    cos = poly[:, :4]
-    sin = np.matmul(poly[:, 4:], x, out=ws.sin[:n])
+    cos, sin = poly[:, :4], poly[:, 4:] @ x
     for _ in range(s):
         cos, sin = cos @ cos - sin @ sin, cos @ sin + sin @ cos
     return cos, sin
+
+
+def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
+    """exp(-i S(r) dt) for each r as (len(r), 32) reals: each entry's cos, then -sin."""
+    x = np.multiply.outer(r * dt, _LADDER4) + (blockade * dt) * _PAIRS4
+    # every entry of X is non-negative, so its row sums give its norm
+    cos, sin = _cos_sin(x, float(np.max(np.sum(x, axis=2))))
+    return (cos - 1j * sin).view(float).reshape(len(r), 32)
+
+
+def _step_fit(lo: float, hi: float, dt: float, blockade: float):
+    """Chebyshev interpolant (r0, h, coef) of _real_steps over r in [lo, hi], or None.
+
+    The steps at r0 + h x are sum_j coef[j] T_j(x), coef (K, 32).  Their
+    K-th r-derivative is at most (3 dt)^K, as ||R + R^T||_2 = 3, so K
+    nodes err by at most 2 (a/2)^K / K!, a = 3 h dt; K >= 2 is the least
+    making this 2^-53.  None when a > 1, where K would pass 15, or a = 0.
+    """
+    r0, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    a = 3.0 * h * dt
+    if not 0.0 < a <= 1.0:
+        return None
+    k = 2
+    while 2.0 * (0.5 * a) ** k / math.factorial(k) > 2.0**-53:
+        k += 1
+    # cheb[j, l] = T_j(x_l) = cos(m pi / 2K), m = j (2l + 1) folded into [0, K]
+    # so that the rounded angle stays accurate; row 1 holds the nodes x_l
+    m = np.outer(np.arange(k), 2 * np.arange(k) + 1) % (4 * k)
+    m = np.minimum(m, 4 * k - m)
+    cheb = np.where(m > k, -1.0, 1.0) * np.cos(np.minimum(m, 2 * k - m) * (0.5 * math.pi / k))
+    coef = (2.0 / k) * cheb @ _real_steps(r0 + h * cheb[1], dt, blockade)
+    coef[0] *= 0.5
+    return r0, h, coef
 
 
 def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace) -> np.ndarray:
@@ -331,9 +387,11 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
     with c_k = r_k e^{i phi_k} (see the module docstring), so each step is
     the real exponential E_k = exp(-i S(r_k) dt) twisted back entrywise:
     U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
-    c_k = 0.  The twisted steps are split into real and imaginary stacks,
-    and adjacent pairs are multiplied in log depth, each pair by four
-    real products (the up-sweep of Blelloch, Prefix Sums and Their
+    c_k = 0.  E_k is the table T_j((r_k - r0) / h) times the coefficients
+    of ws.fit, which must span every r_k, or _real_steps without a fit.
+    The twisted steps are split into real and imaginary stacks, and
+    adjacent pairs are multiplied in log depth, each pair by four real
+    products (the up-sweep of Blelloch, Prefix Sums and Their
     Applications, 1990); an odd last step is copied up to the next level
     unpaired.  Every stack lives in ws, which must hold len(drive) steps.
     """
@@ -354,21 +412,18 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
         powers[:, 3 + j] = power
         np.conjugate(power, out=powers[:, 3 - j])
 
-    # X = r dt (R + R^T) + V dt P, entry by entry: V dt P is diagonal and
-    # the ladder has no diagonal
-    r *= dt
-    x = ws.x[:n]
-    x[:] = (blockade * dt) * _PAIRS4
-    for j, l in zip(*np.nonzero(_LADDER4)):
-        np.multiply(r, _LADDER4[j, l], out=x[:, j, l])
-    # every entry of X grows with r, so the step of largest r has the
-    # largest infinity norm
-    theta = float(np.max(np.sum(x[np.argmax(r)], axis=1)))
-    cos, sin = _cos_sin(x, theta, ws)
-
     steps, twist = ws.steps[:n], ws.twist[:n]
-    steps.real = cos
-    np.negative(sin, out=steps.imag)
+    flat = steps.view(float).reshape(n, 32)
+    if ws.fit is None:
+        flat[:] = _real_steps(r, dt, blockade)
+    else:
+        r0, h, coef = ws.fit
+        # T_j((r - r0) / h) by the three-term recurrence, one row per degree
+        table = np.empty((len(coef), n))
+        table[0], table[1] = 1.0, (r - r0) / h
+        for j in range(2, len(coef)):
+            table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
+        np.matmul(table.T, coef, out=flat)
     np.take(powers, _LAGS, axis=1, out=twist, mode="clip")
     steps *= twist
     ws.parts[0, :n] = steps.real
@@ -378,7 +433,7 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
     while n > 1:
         half = n // 2
         (a_re, a_im), (b_re, b_im) = level[:, 1 : 2 * half : 2], level[:, 0 : 2 * half : 2]
-        out_re, out_im, tmp = up[0, :half], up[1, :half], ws.y[:half]
+        out_re, out_im, tmp = up[0, :half], up[1, :half], ws.tmp[:half]
         np.matmul(a_re, b_re, out=out_re)
         out_re -= np.matmul(a_im, b_im, out=tmp)
         np.matmul(a_re, b_im, out=out_im)
@@ -395,21 +450,24 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block: for each chunk of _CHUNK steps,
-    builds the drive at the midpoints, applies the chunk as one
-    _step_product and renormalizes after it.  One _Workspace, taken
-    before the first chunk, holds every chunk-sized array.  Returns
-    (final_state, steps, dt) with the state in the (ggg, W, W', rrr)
-    basis.
+    Runs on the 4x4 symmetric block: fits the real steps over the
+    _drive_band once; each chunk of _CHUNK steps then takes the drive at
+    its midpoints, with tone phases e^{-i w done dt} times one table of
+    e^{-i w (j + 1/2) dt}, as one _step_product and renormalizes after
+    it.  Returns (final_state, steps, dt), the state in the (ggg, W, W',
+    rrr) basis.
     """
     n, dt = _step_grid(params)
-    ws = _Workspace(min(_CHUNK, n))
+    ws = _Workspace(min(_CHUNK, n), _step_fit(*_drive_band(params), dt, params.blockade))
+    freqs, interp = tone_frequencies(params), _interpolant(params.schedule)
+    table = np.exp(np.multiply.outer(ws.offsets * dt, -1j * freqs))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
         mids = np.add(ws.offsets[:count], done, out=ws.times[:count])
         mids *= dt
-        drive = _drive(mids, params, ws.tones[:count], ws.drive[:count])
+        tones = np.multiply(table[:count], np.exp(-1j * (done * dt) * freqs), out=ws.tones[:count])
+        drive = _drive(mids, params, tones, interp, ws.drive[:count])
         psi = _step_product(drive, dt, params.blockade, ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt

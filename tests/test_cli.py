@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -394,8 +395,12 @@ def test_validate_full_runs_without_eigh(monkeypatch, capsys):
         "--compare-factor", "4", "--steps-per-cycle", "2",
     ])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert payload["comparison"]["hierarchy_factor"] >= 4.0
+    # a run of a few ms still reports its time, with the steps of both factors
+    steps = payload["steps"] + payload["comparison"]["steps"]
+    assert re.search(rf"^validated {steps} steps in \d+\.\d{{3}}s$", captured.err, re.M)
 
 
 def test_propagate_step_cap(capsys):

@@ -13,9 +13,16 @@ from hypothesis import strategies as st
 from ghzforge.fullmodel import (
     FullModelParams,
     _LADDER4,
+    _CHUNK,
     _PAIRS4,
+    _Workspace,
     _drive,
+    _drive_band,
     _integrate_full,
+    _real_steps,
+    _step_fit,
+    _step_grid,
+    _step_product,
     HierarchyViolation,
     TooManySteps,
     derived_detunings,
@@ -318,6 +325,90 @@ def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     assert (steps, dt) == (ref_steps, ref_dt)
     assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
     assert ref_leak <= 1e-14
+
+
+@given(
+    st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+    st.data(),
+    st.floats(0.0, 100.0),
+)
+def test_drive_stays_in_its_band(gaps, data, stark):
+    # any schedule, negative and all-zero columns included: every |c| lies
+    # in the a-priori band that the step fit spans
+    knots = np.concatenate([[0.0], np.cumsum(gaps)])
+    cols = [
+        data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(knots), max_size=len(knots)))
+        if data.draw(st.booleans()) else [0.0] * len(knots)
+        for _ in range(3)
+    ]
+    schedule = PulseSchedule(times=knots, values=np.array(cols).T)
+    params = make_params(stark=stark, schedule=schedule)
+    times = np.concatenate([knots, np.random.default_rng(len(knots)).uniform(0.0, knots[-1], 200)])
+    lo, hi = _drive_band(params)
+    modulus = np.abs(_drive(times, params))
+    assert np.all(lo <= modulus) and np.all(modulus <= hi)
+
+
+def _one_step(r, dt, blockade, fit):
+    # a single real drive needs no twist, so the product is the step itself
+    return _step_product(np.array([r + 0j]), dt, blockade, _Workspace(1, fit))
+
+
+@pytest.mark.parametrize("a", [1e-12, 4e-4, 0.05, 0.5, 1.0])
+def test_step_fit_matches_cos_sin(a):
+    dt, blockade = 0.01, 30.0
+    h = a / (3.0 * dt)
+    lo, hi = 5.0, 5.0 + 2.0 * h
+    fit = _step_fit(lo, hi, dt, blockade)
+    assert fit is not None
+    rs = np.concatenate([[lo, hi], np.random.default_rng(7).uniform(lo, hi, 200)])
+    direct = _real_steps(rs, dt, blockade).view(complex).reshape(-1, 4, 4)
+    for r, step in zip(rs, direct):
+        assert np.max(np.abs(_one_step(r, dt, blockade, fit) - step)) <= 2e-15
+    # past a = 1, and for a band of one point, the chunks evaluate their own steps
+    assert _step_fit(lo, lo + 2.0 * (1.0 + 1e-12) / (3.0 * dt), dt, blockade) is None
+    assert _step_fit(lo, lo, dt, blockade) is None
+
+
+def test_direct_steps_match_reference():
+    # factor 0.3 at one step per cycle spans a > 1, where no fit is taken
+    params = params_for_factor(row1_schedule(), 0.3, 1)
+    n, dt = _step_grid(params)
+    assert _step_fit(*_drive_band(params), dt, params.blockade) is None
+    psi, steps, _ = _integrate_full(params)
+    ref_psi, _, ref_steps, _ = oracles.full_model_reference(params)
+    assert steps == ref_steps == n
+    assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
+
+
+def test_chunk_drives_match_direct_tone_sum(monkeypatch):
+    # about 1M steps: the first, a middle and the last chunk's drive, from
+    # the run's phase table, against the direct sum of amplitude times
+    # e^{-i w t}
+    params = params_for_factor(row1_schedule(), 30.0, 80)
+    n, dt = _step_grid(params)
+    assert 900_000 < n < 1_200_000
+    chunks = -(-n // _CHUNK)
+    picked = (0, chunks // 2, chunks - 1)
+    drives = []
+
+    def record(drive, *_):
+        drives.append(drive.copy() if len(drives) in picked else None)
+        return np.eye(4)
+
+    monkeypatch.setattr("ghzforge.fullmodel._step_product", record)
+    _integrate_full(params)
+    assert len(drives) == chunks
+    freqs = tone_frequencies(params)
+    for index in picked:
+        t = (_CHUNK * index + np.arange(len(drives[index])) + 0.5) * dt
+        amps = np.column_stack(
+            [np.full(len(t), params.stark_amp), oracles.TONE_WEIGHTS * params.schedule.values_at(t)]
+        )
+        phase = np.multiply.outer(t, freqs)
+        direct = np.sum(amps * np.exp(-1j * phase), axis=1)
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(phase))) * np.sum(np.abs(amps), axis=1)
+        assert np.all(np.abs(drives[index] - direct) <= bound)
 
 
 def test_integrate_full_memory_stays_bounded():
