@@ -6,7 +6,10 @@ and both analysis scripts at small sizes, in a temporary directory.  It
 prints one ``name sha256`` line per payload: a captured stdout, a stderr
 that holds no timing, or an output file.  Two checkouts that print the
 same lines wrote the same bytes, so a diff of this output between them
-shows which payloads a change moved.  It takes no options:
+shows which payloads a change moved.  It then fills every output file
+with longer junk and runs the same commands again: a command that
+rewrites a file must leave the bytes of a fresh write, and the script
+exits 1 naming each payload that differs.  It takes no options:
 
     PYTHONPATH=src python scripts/payload_digest.py
 """
@@ -83,8 +86,22 @@ def digests(work: Path) -> list[tuple[str, str]]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in digests(Path(tmp)):
-            print(name, digest)
+        work = Path(tmp)
+        fresh = digests(work)
+        for path in work.iterdir():
+            # blank lines, which the schedule reader skips, so a stale tail
+            # shows in the digests; a new file, as truncating the old one
+            # starts a writeback that the rewrite would wait for
+            size = path.stat().st_size
+            path.unlink()
+            path.write_bytes(b"\n" * (size + 4096))
+        rewritten = dict(digests(work))
+    for name, digest in fresh:
+        print(name, digest)
+    moved = [name for name, digest in fresh if rewritten[name] != digest]
+    if moved:
+        print(f"rewriting over a longer file changed: {', '.join(moved)}", file=sys.stderr)
+        return 1
     return 0
 
 

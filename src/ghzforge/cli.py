@@ -15,7 +15,9 @@ against that declaration (JSON type, then choices) and becomes the
 command's default, so explicit flags override config values.  Ranges are
 checked where a value is used.  Output payloads (CSV, JSON) are
 deterministic: identical inputs give bit-identical files, and progress
-messages with timings go to stderr only.
+messages with timings go to stderr only.  An existing output file is
+rewritten in place, not atomically: it keeps its inode, permissions and
+links, and a symlink's target is written.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -25,6 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -121,23 +125,44 @@ def load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     return raw
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def write_schedule_csv(schedule: PulseSchedule, out: str | None) -> None:
-    lines = [SCHEDULE_HEADER]
-    for t, (o1, o2, o3) in zip(schedule.times, schedule.values):
-        lines.append(f"{_fmt(t)},{_fmt(o1)},{_fmt(o2)},{_fmt(o3)}")
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write text to stdout, or over the file at out in place."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    # no O_TRUNC: on ext4 (auto_da_alloc) truncating a written file to zero
+    # starts its writeback at close, and the next open(O_TRUNC) waits for it
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(text.encode())
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.truncate()
+
+
+def _csv(header: str, *columns: np.ndarray) -> str:
+    rows = zip(*(map(float.__repr__, column.tolist()) for column in columns))
+    return "\n".join([header, *map(",".join, rows), ""])
+
+
+def write_schedule_csv(schedule: PulseSchedule, out: str | None) -> None:
+    _write(_csv(SCHEDULE_HEADER, schedule.times, *schedule.values.T), out)
+
+
+def _parse_rows(lines: list[str]) -> list[list[float]]:
+    """Data lines parsed one by one with float(), naming the first bad line."""
+    rows = []
+    for ln, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {ln}: expected 4 comma-separated fields")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
+    return rows
 
 
 def read_schedule_csv(path: str) -> PulseSchedule:
@@ -147,30 +172,37 @@ def read_schedule_csv(path: str) -> PulseSchedule:
     lines = file.read_text().strip().splitlines()
     if not lines or lines[0].strip() != SCHEDULE_HEADER:
         raise ValueError(f"schedule CSV must start with header {SCHEDULE_HEADER!r}")
-    times = []
-    values = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {ln}: expected 4 comma-separated fields")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"line {ln}: {exc}") from None
-        times.append(row[0])
-        values.append(row[1:])
+    data = lines[1:]
+    # loadtxt parses a field as float() does, but refuses some that float()
+    # takes (1_0, non-ASCII digits) and skips blank lines, so _parse_rows
+    # settles every file it does not read whole
     try:
-        return PulseSchedule(times=np.array(times), values=np.array(values))
+        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if data else None
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(data), 4):
+        table = np.array(_parse_rows(data)).reshape(-1, 4)
+    try:
+        return PulseSchedule(times=table[:, 0].copy(), values=table[:, 1:].copy())
     except ValueError as exc:
         raise ValueError(f"invalid schedule in {path!r}: {exc}") from None
 
 
+def _json_field(value) -> str:
+    """json.dumps(value, indent=2, allow_nan=False) one level deep; float lists in bulk."""
+    if type(value) is list and value:
+        try:
+            # float.__repr__ is what json writes for a finite float
+            if all(map(math.isfinite, value)):
+                return "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
+        except TypeError:
+            pass
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
 def write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    fields = (f"  {json.dumps(key)}: {_json_field(value)}" for key, value in payload.items())
+    _write("{\n" + ",\n".join(fields) + "\n}\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +344,7 @@ def cmd_propagate(cfg: argparse.Namespace) -> int:
     write_json(payload, cfg.out)
 
     if cfg.trace_csv is not None:
-        lines = ["t,fidelity"]
-        lines += [
-            f"{_fmt(t)},{_fmt(f)}" for t, f in zip(result.times, result.fidelity_trace)
-        ]
-        Path(cfg.trace_csv).write_text("\n".join(lines) + "\n")
+        _write(_csv("t,fidelity", result.times, result.fidelity_trace), cfg.trace_csv)
     return EXIT_OK
 
 

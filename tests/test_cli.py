@@ -1,9 +1,14 @@
 import ast
+import contextlib
+import dataclasses
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -12,10 +17,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ghzforge.propagate import _MAX_STEPS, squared_area
-from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
-from ghzforge.cli import SCHEDULE_HEADER, main, read_schedule_csv
+from ghzforge import cli
+from ghzforge.propagate import _MAX_STEPS, propagate, squared_area
+from ghzforge.synthesis import PulseSchedule, SphericalCurve, rabi_schedule, solve_endpoints
+from ghzforge.cli import (
+    SCHEDULE_HEADER, main, read_schedule_csv, write_json, write_schedule_csv,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIG = REPO / "configs" / "row1_constant.json"
@@ -673,3 +683,165 @@ def test_payload_key_sets(argv, part, keys, capsys):
     assert main([*argv, "--schedule", str(SHIPPED_CSV)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload if part is None else payload[part]) == keys
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON codecs, and rewriting output files in place
+
+# finite floats, with the edge cases a text round trip can lose
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308]
+)
+
+
+def schedule_file(tmp_path, *rows):
+    path = tmp_path / "sched.csv"
+    path.write_text("\n".join([SCHEDULE_HEADER, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "third_line, message",
+    [
+        ("1.0,1.0,1.0", "line 3: expected 4 comma-separated fields"),
+        ("1.0,1.0,x,1.0", "line 3: could not convert string to float: 'x'"),
+        ("", "line 3: expected 4 comma-separated fields"),
+        ("  \t ", "line 3: expected 4 comma-separated fields"),
+    ],
+    ids=["field-count", "unparseable", "blank", "whitespace"],
+)
+def test_schedule_reader_names_the_bad_line(third_line, message, tmp_path):
+    path = schedule_file(tmp_path, "0.0,1.0,1.0,1.0", third_line, "2.0,1.0,1.0,1.0")
+    with pytest.raises(ValueError) as exc:
+        read_schedule_csv(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_schedule_is_refused_without_warning(tmp_path):
+    path = schedule_file(tmp_path)
+    with pytest.raises(ValueError) as exc:
+        read_schedule_csv(path)
+    assert str(exc.value) == f"invalid schedule in {path!r}: schedule needs at least two time samples"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (" 0.0 ,\t1.5, 2e-3 ,-0.0", "1 , 1,1 ,  1"),
+        ("0,1_0,2.5,3", "1_0.5,١,1e-3,-0.0"),
+    ],
+    ids=["padded", "underscores-and-non-ascii-digits"],
+)
+def test_schedule_reader_parses_fields_as_float_does(rows, tmp_path):
+    schedule = read_schedule_csv(schedule_file(tmp_path, *rows))
+    expected = np.array([[float(field) for field in row.split(",")] for row in rows])
+    assert schedule.times.tobytes() == expected[:, 0].tobytes()
+    assert schedule.values.tobytes() == expected[:, 1:].tobytes()
+
+
+@given(
+    st.sampled_from([0.0, -0.0]),
+    st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+             min_size=1, max_size=20, unique=True),
+    st.lists(FINITE, min_size=63, max_size=63),
+)
+def test_schedule_csv_round_trip_is_exact(tmp_path_factory, start, later, amplitudes):
+    times = np.array([start, *sorted(later)])
+    written = PulseSchedule(times, np.resize(amplitudes, (times.size, 3)))
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.csv")
+    write_schedule_csv(written, path)
+    parsed = read_schedule_csv(path)
+    assert parsed.times.tobytes() == written.times.tobytes()
+    assert parsed.values.tobytes() == written.values.tobytes()
+
+
+VALIDATE_ONE_FACTOR = [
+    "validate-full", "--factor", "3", "--min-factor", "3", "--compare-factor", "0",
+    "--steps-per-cycle", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endpoints"],
+        ["propagate", "--schedule", str(SHIPPED_CSV)],
+        ["propagate", "--schedule", str(SHIPPED_CSV), "--reverse"],
+        [*VALIDATE_TWO_FACTORS, "--schedule", str(SHIPPED_CSV)],
+        [*VALIDATE_ONE_FACTOR, "--schedule", str(SHIPPED_CSV)],
+    ],
+    ids=["endpoints", "propagate", "propagate-reverse", "validate-full", "validate-full-one-factor"],
+)
+def test_json_payload_is_what_json_dumps_writes(argv, tmp_path, capsys):
+    out = tmp_path / "payload.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    # json reads back every float it wrote exactly
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
+@given(
+    st.lists(FINITE),
+    st.lists(st.one_of(FINITE, st.integers(-10**6, 10**6), st.none())),
+    FINITE,
+)
+def test_json_writer_matches_json_dumps(floats, mixed, scalar):
+    payload = {"floats": floats, "mixed": mixed, "scalar": scalar, "nested": {"floats": floats}}
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        write_json(payload, None)
+    assert text.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_leaves_out_file_unchanged(bad, tmp_path, monkeypatch, capsys):
+    def spoiled(*args, **kwargs):
+        result = propagate(*args, **kwargs)
+        trace = result.fidelity_trace.copy()
+        trace[1] = bad
+        return dataclasses.replace(result, fidelity_trace=trace)
+
+    monkeypatch.setattr(cli, "propagate", spoiled)
+    out = tmp_path / "result.json"
+    out.write_text("an earlier payload\n")
+    assert main(["propagate", "--schedule", str(SHIPPED_CSV), "--out", str(out)]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert out.read_text() == "an earlier payload\n"
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["synthesize", "--duration", "1"], ["--out"]),
+        (["propagate", "--schedule", str(SHIPPED_CSV)], ["--out", "--trace-csv"]),
+    ],
+    ids=["synthesize", "propagate"],
+)
+def test_output_files_are_rewritten_in_place(argv, outputs, tmp_path, capsys):
+    fresh = {flag: tmp_path / f"fresh{flag}" for flag in outputs}
+    assert main([*argv, *(a for flag, path in fresh.items() for a in (flag, str(path)))]) == 0
+    # a new file gets the mode any file the process creates gets
+    created = tmp_path / "created"
+    created.write_text("")
+    assert {path.stat().st_mode for path in fresh.values()} == {created.stat().st_mode}
+
+    # each output goes through a symlink to a longer file of mode 0o640
+    targets = {flag: tmp_path / f"target{flag}" for flag in outputs}
+    links = {flag: tmp_path / f"link{flag}" for flag in outputs}
+    for flag, target in targets.items():
+        target.write_bytes(b"x" * (fresh[flag].stat().st_size + 4096))
+        target.chmod(0o640)
+        links[flag].symlink_to(target)
+    inodes = {flag: target.stat().st_ino for flag, target in targets.items()}
+    assert main([*argv, *(a for flag, link in links.items() for a in (flag, str(link)))]) == 0
+
+    for flag, target in targets.items():
+        assert links[flag].is_symlink()
+        assert target.read_bytes() == fresh[flag].read_bytes()
+        assert target.stat().st_ino == inodes[flag]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_propagate_out_dev_null(capsys):
+    assert main(["propagate", "--schedule", str(SHIPPED_CSV), "--out", os.devnull]) == 0
