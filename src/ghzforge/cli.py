@@ -256,9 +256,9 @@ def cmd_endpoints(cfg: argparse.Namespace) -> int:
 
 
 def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
-    signs = (cfg.q1 if cfg.q1 is not None else 1,
-             cfg.q2 if cfg.q2 is not None else -1,
-             cfg.q3 if cfg.q3 is not None else 1)
+    signs = tuple(
+        s if q is None else q for q, s in zip((cfg.q1, cfg.q2, cfg.q3), DEFAULT_SIGN_ORDER[0])
+    )
     endpoint = solve_endpoints(signs)
     if (cfg.duration is None) == (cfg.target_area is None):
         raise ValueError("give exactly one of duration or target_area")

@@ -84,7 +84,6 @@ _LADDER4 = np.diag(_RUNGS, 1) + np.diag(_RUNGS, -1)
 _PAIRS4 = np.diag([0.0, 0.0, 1.0, 3.0])
 # Entry [j, l] is the index of u^(j - l) in the powers (u^-3, ..., u^3).
 _LAGS = np.subtract.outer(np.arange(4), np.arange(4)) + 3
-_EYE4 = np.eye(4)
 
 
 def derived_detunings(stark_amp: float, detuning0: float, blockade: float) -> tuple[float, float, float]:
@@ -265,17 +264,24 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
 
     The stiff scale is the fastest interaction-picture phase, so the
     step size resolves detuning0 + 2 blockade with steps_per_cycle
-    points per unit phase.  Raises TooManySteps, before anything is
+    points per unit phase.  It also takes at least 3 h duration steps,
+    h the half-width of the _drive_band, so that a = 3 h dt <= 1 and
+    _step_fit spans the band.  Raises TooManySteps, before anything is
     allocated, when that needs more than the integrator's step cap.
     """
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
-    cycles = duration * stiff * params.steps_per_cycle
+    lo, hi = _drive_band(params)
+    h = 0.5 * (hi - lo)
+    cycles = max(duration * stiff * params.steps_per_cycle, 3.0 * h * duration)
     if not cycles <= _MAX_STEPS:
         raise TooManySteps(
             f"the full model needs {cycles:.4g} steps, more than the cap of {_MAX_STEPS}"
         )
     n = max(1, math.ceil(cycles))
+    # rounding can leave a one ulp above 1, which one more step undoes
+    if 3.0 * h * (duration / n) > 1.0:
+        n += 1
     return n, duration / n
 
 
@@ -283,11 +289,10 @@ class _Workspace:
     """Buffers for chunks of up to size steps, reused by every chunk of an integration.
 
     A chunk of n steps works on the leading [:n] of each buffer; at
-    size 2,048 they take about 2.4 MiB.  fit is the run's _step_fit, or
-    None to exponentiate every step directly.
+    size 2,048 they take about 2.4 MiB.  fit is the run's _step_fit.
     """
 
-    def __init__(self, size: int, fit: tuple[float, float, np.ndarray] | None = None):
+    def __init__(self, size: int, fit: tuple[float, float, np.ndarray]):
         self.fit = fit
         self.offsets = np.arange(size) + 0.5
         self.times = np.empty(size)
@@ -307,66 +312,45 @@ class _Workspace:
         self.tmp = np.empty(((size + 1) // 2, 4, 4))
 
 
-def _cos_sin(x: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos X and sin X of a stack of real symmetric X, so exp(-iX) = cos X - i sin X.
-
-    theta bounds the infinity norm of every X.  Both are Taylor series in
-    Y = X^2, summed by Horner steps (Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)) side by side: the 8x4 block [cos series; sin X / X series]
-    takes one block @ Y per degree, and sin X is its lower half times X.
-    When theta > 1, X is halved s = ceil(log2 theta) times in place and
-    the result squared s times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 970 (2009)).
-    """
-    s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
-    if s:
-        x *= 0.5**s
-    # the smallest degree m >= 1 whose first dropped term,
-    # theta^(2m+2)/(2m+2)!, is at most 2^-53; m <= 9 once theta <= 1
-    m = 1
-    while (theta * 0.5**s) ** (2 * m + 2) / math.factorial(2 * m + 2) > 2.0**-53:
-        m += 1
-    # row 0: (-1)^k / (2k)!, the cos series; row 1: (-1)^k / (2k+1)!, sin X / X
-    coeffs = np.array(
-        [[(-1) ** k / math.factorial(2 * k + odd) for k in range(m + 1)] for odd in (0, 1)]
-    )
-    y = x @ x
-    poly = np.vstack([coeffs[0, m] * _EYE4, coeffs[1, m] * _EYE4]) @ y
-    for k in range(m - 1, -1, -1):
-        if k < m - 1:
-            poly = poly @ y
-        # entries [i, i] and [4 + i, i] of an 8x4 block lie 5i and 16 + 5i
-        # places into it
-        flat = poly.reshape(-1, 32)
-        for i in range(0, 16, 5):
-            flat[:, i] += coeffs[0, k]
-            flat[:, 16 + i] += coeffs[1, k]
-    cos, sin = poly[:, :4], poly[:, 4:] @ x
-    for _ in range(s):
-        cos, sin = cos @ cos - sin @ sin, cos @ sin + sin @ cos
-    return cos, sin
-
-
 def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
-    """exp(-i S(r) dt) for each r as (len(r), 32) reals: each entry's cos, then -sin."""
+    """exp(-i S(r) dt) for each r as (len(r), 32) reals: each entry's real, then imaginary part.
+
+    A Taylor series of exp(-iX), X = S(r) dt, summed by Horner steps;
+    when the norm theta of X passes 1, X is halved s = ceil(log2 theta)
+    times and the result squared s times (Moler & Van Loan, SIAM Rev.
+    45, 3 (2003)).  The degree m is the least whose first dropped term,
+    theta^(m+1)/(m+1)!, is at most 2^-53.
+    """
     x = np.multiply.outer(r * dt, _LADDER4) + (blockade * dt) * _PAIRS4
     # every entry of X is non-negative, so its row sums give its norm
-    cos, sin = _cos_sin(x, float(np.max(np.sum(x, axis=2))))
-    return (cos - 1j * sin).view(float).reshape(len(r), 32)
+    theta = float(np.max(np.sum(x, axis=2)))
+    s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    theta *= 0.5**s
+    m = 1
+    while theta ** (m + 1) / math.factorial(m + 1) > 2.0**-53:
+        m += 1
+    y = x * (-1j * 0.5**s)
+    step = np.eye(4) + y / m
+    for k in range(m - 1, 0, -1):
+        step = np.eye(4) + (y @ step) / k
+    for _ in range(s):
+        step = step @ step
+    return step.view(float).reshape(len(r), 32)
 
 
 def _step_fit(lo: float, hi: float, dt: float, blockade: float):
-    """Chebyshev interpolant (r0, h, coef) of _real_steps over r in [lo, hi], or None.
+    """Chebyshev interpolant (r0, h, coef) of _real_steps over r in [lo, hi].
 
     The steps at r0 + h x are sum_j coef[j] T_j(x), coef (K, 32).  Their
     K-th r-derivative is at most (3 dt)^K, as ||R + R^T||_2 = 3, so K
     nodes err by at most 2 (a/2)^K / K!, a = 3 h dt; K >= 2 is the least
-    making this 2^-53.  None when a > 1, where K would pass 15, or a = 0.
+    making this 2^-53, and K <= 15 as _step_grid keeps a <= 1.  A band
+    of one point (h = 0) is fitted too.  Raises ValueError when a > 1.
     """
     r0, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
     a = 3.0 * h * dt
-    if not 0.0 < a <= 1.0:
-        return None
+    if not a <= 1.0:
+        raise ValueError(f"the step fit needs a = 3 h dt at most 1, not {a!r}")
     k = 2
     while 2.0 * (0.5 * a) ** k / math.factorial(k) > 2.0**-53:
         k += 1
@@ -380,7 +364,7 @@ def _step_fit(lo: float, hi: float, dt: float, blockade: float):
     return r0, h, coef
 
 
-def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace) -> np.ndarray:
+def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
 
     H_k = c_k R + c_k* R^T + V P is e^{i phi_k N} S(r_k) e^{-i phi_k N}
@@ -388,7 +372,7 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
     the real exponential E_k = exp(-i S(r_k) dt) twisted back entrywise:
     U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
     c_k = 0.  E_k is the table T_j((r_k - r0) / h) times the coefficients
-    of ws.fit, which must span every r_k, or _real_steps without a fit.
+    of ws.fit, which must span every r_k.
     The twisted steps are split into real and imaginary stacks, and
     adjacent pairs are multiplied in log depth, each pair by four real
     products (the up-sweep of Blelloch, Prefix Sums and Their
@@ -413,17 +397,17 @@ def _step_product(drive: np.ndarray, dt: float, blockade: float, ws: _Workspace)
         np.conjugate(power, out=powers[:, 3 - j])
 
     steps, twist = ws.steps[:n], ws.twist[:n]
-    flat = steps.view(float).reshape(n, 32)
-    if ws.fit is None:
-        flat[:] = _real_steps(r, dt, blockade)
-    else:
-        r0, h, coef = ws.fit
-        # T_j((r - r0) / h) by the three-term recurrence, one row per degree
-        table = np.empty((len(coef), n))
-        table[0], table[1] = 1.0, (r - r0) / h
-        for j in range(2, len(coef)):
-            table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-        np.matmul(table.T, coef, out=flat)
+    r0, h, coef = ws.fit
+    # T_j((r - r0) / h) by the three-term recurrence, one row per degree;
+    # on a band of one point every r is r0
+    table = np.empty((len(coef), n))
+    table[0] = 1.0
+    np.subtract(r, r0, out=table[1])
+    if h:
+        table[1] /= h
+    for j in range(2, len(coef)):
+        table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
+    np.matmul(table.T, coef, out=steps.view(float).reshape(n, 32))
     np.take(powers, _LAGS, axis=1, out=twist, mode="clip")
     steps *= twist
     ws.parts[0, :n] = steps.real
@@ -468,7 +452,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
         mids *= dt
         tones = np.multiply(table[:count], np.exp(-1j * (done * dt) * freqs), out=ws.tones[:count])
         drive = _drive(mids, params, tones, interp, ws.drive[:count])
-        psi = _step_product(drive, dt, params.blockade, ws) @ psi
+        psi = _step_product(drive, ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

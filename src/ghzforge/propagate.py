@@ -72,7 +72,8 @@ class ZeroArea(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Step doubling hit the cap without the fidelity settling."""
+    """The knot state-error estimate is not below CERTIFY_TOL at the step cap,
+    or the norm drifted by more than 1e-9."""
 
 
 @dataclass(frozen=True)

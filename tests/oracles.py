@@ -183,16 +183,17 @@ def midpoint_states_reference(hams: np.ndarray, dt: float, psi0: np.ndarray) -> 
     return states
 
 
-def full_model_reference(params, chunk: int = 32768):
+def full_model_reference(params, chunk: int = 32768, steps: int | None = None):
     """Per-step full-model integration with the leakage projected every step.
 
     Returns (final_state, leakage_max, steps, dt).  Builds the eight-level
     Hamiltonians with full_hamiltonian above and steps by its own loop,
-    independent of the package kernel.
+    independent of the package kernel.  Takes the given number of equal
+    steps, or steps_per_cycle per unit of the stiff phase when None.
     """
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
-    n = max(1, math.ceil(duration * stiff * params.steps_per_cycle))
+    n = max(1, math.ceil(duration * stiff * params.steps_per_cycle)) if steps is None else steps
     dt = duration / n
 
     psi = embed_state(np.array([0.0, 1.0, 0.0, 0.0]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ghzforge.fullmodel import (
@@ -349,34 +349,94 @@ def test_drive_stays_in_its_band(gaps, data, stark):
     assert np.all(lo <= modulus) and np.all(modulus <= hi)
 
 
-def _one_step(r, dt, blockade, fit):
+def _one_step(r, fit):
     # a single real drive needs no twist, so the product is the step itself
-    return _step_product(np.array([r + 0j]), dt, blockade, _Workspace(1, fit))
+    return _step_product(np.array([r + 0j]), _Workspace(1, fit))
 
 
 @pytest.mark.parametrize("a", [1e-12, 4e-4, 0.05, 0.5, 1.0])
-def test_step_fit_matches_cos_sin(a):
+def test_step_fit_matches_real_steps(a):
     dt, blockade = 0.01, 30.0
     h = a / (3.0 * dt)
     lo, hi = 5.0, 5.0 + 2.0 * h
     fit = _step_fit(lo, hi, dt, blockade)
-    assert fit is not None
+    assert len(fit[2]) <= 15
     rs = np.concatenate([[lo, hi], np.random.default_rng(7).uniform(lo, hi, 200)])
     direct = _real_steps(rs, dt, blockade).view(complex).reshape(-1, 4, 4)
     for r, step in zip(rs, direct):
-        assert np.max(np.abs(_one_step(r, dt, blockade, fit) - step)) <= 2e-15
-    # past a = 1, and for a band of one point, the chunks evaluate their own steps
-    assert _step_fit(lo, lo + 2.0 * (1.0 + 1e-12) / (3.0 * dt), dt, blockade) is None
-    assert _step_fit(lo, lo, dt, blockade) is None
+        assert np.max(np.abs(_one_step(r, fit) - step)) <= 2e-15
+    # past a = 1 the fit is refused; a band of one point is fitted
+    with pytest.raises(ValueError, match="at most 1"):
+        _step_fit(lo, lo + 2.0 * (1.0 + 1e-12) / (3.0 * dt), dt, blockade)
+    point = _step_fit(lo, lo, dt, blockade)
+    assert np.max(np.abs(_one_step(lo, point) - direct[0])) <= 2e-15
 
 
-def test_direct_steps_match_reference():
-    # factor 0.3 at one step per cycle spans a > 1, where no fit is taken
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3, 2.0, 10.0])
+def test_real_steps_match_eigendecomposition(dt):
+    # step norms theta from 0.015 to 217, so the series runs with and
+    # without halving and squaring
+    rs = np.array([0.0, 0.4, 1.7, 5.0])
+    norms = []
+    for blockade in (0.5, 3.0):
+        hams = oracles.block_hamiltonian(rs + 0j, blockade) * dt
+        norms.extend(np.max(np.sum(np.abs(hams), axis=-1), axis=-1))
+        steps = _real_steps(rs, dt, blockade).view(complex).reshape(-1, 4, 4)
+        for step, ham, norm in zip(steps, hams, norms[-len(rs):]):
+            bound = 16.0 * np.finfo(float).eps * max(1.0, norm)
+            assert np.max(np.abs(step - oracles.expm_eig(ham))) <= bound
+    # every norm is below 1 at the smallest dt and above 1 at the largest two
+    assert (max(norms) <= 1.0) == (dt == 0.01) and (min(norms) > 1.0) == (dt >= 2.0)
+
+
+@given(
+    st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+    st.data(),
+    st.floats(0.05, 3.0),
+    st.integers(1, 4),
+)
+def test_step_grid_admits_the_step_fit(gaps, data, factor, spc):
+    # any schedule at any factor: _step_grid's dt keeps a = 3 h dt <= 1 over
+    # the drive band, so the run's fit is taken with at most 15 nodes
+    knots = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(
+        data.draw(st.lists(
+            st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+            min_size=len(knots), max_size=len(knots),
+        ))
+    )
+    assume(np.max(np.abs(values)) > 0.0)
+    params = params_for_factor(PulseSchedule(times=knots, values=values), factor, spc)
+    n, dt = _step_grid(params)
+    lo, hi = _drive_band(params)
+    assert n >= 1.5 * (hi - lo) * params.schedule.duration
+    assert len(_step_fit(lo, hi, dt, params.blockade)[2]) <= 15
+
+
+def test_step_grid_takes_a_step_more_where_a_rounds_above_one(monkeypatch):
+    # h = 7/3 over 9/7 time units asks for 9 steps, at which 3 h dt rounds
+    # to 1 + 2^-52; the grid takes a tenth so that the fit is admitted
+    monkeypatch.setattr("ghzforge.fullmodel._drive_band", lambda params: (0.0, 14.0 / 3.0))
+    duration = 9.0 / 7.0
+    assert math.ceil(7.0 * duration) == 9 and 7.0 * (duration / 9) > 1.0
+    params = make_params(blockade=1.0, detuning0=1.0, schedule=zero_schedule(duration), spc=1)
+    n, dt = _step_grid(params)
+    assert n == 10
+    assert len(_step_fit(0.0, 14.0 / 3.0, dt, params.blockade)[2]) <= 15
+
+
+def test_refined_steps_match_reference():
+    # factor 0.3 at one step per cycle: the drive band, not the stiff
+    # phase, sets the grid, which then still admits the step fit
     params = params_for_factor(row1_schedule(), 0.3, 1)
     n, dt = _step_grid(params)
-    assert _step_fit(*_drive_band(params), dt, params.blockade) is None
+    lo, hi = _drive_band(params)
+    duration = params.schedule.duration
+    stiff = params.detuning0 + 2.0 * params.blockade
+    assert n == math.ceil(1.5 * (hi - lo) * duration) > math.ceil(stiff * duration)
+    assert len(_step_fit(lo, hi, dt, params.blockade)[2]) <= 15
     psi, steps, _ = _integrate_full(params)
-    ref_psi, _, ref_steps, _ = oracles.full_model_reference(params)
+    ref_psi, _, ref_steps, _ = oracles.full_model_reference(params, steps=n)
     assert steps == ref_steps == n
     assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
 

@@ -14,7 +14,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _step_product, _Workspace
+from ghzforge.fullmodel import _CHUNK, _step_fit, _step_product, _Workspace
 from ghzforge.propagate import (
     AmplitudeTooSmall,
     ConvergenceFailure,
@@ -266,9 +266,16 @@ def _mixed_drive(rng, n):
 
 
 def _long_steps(rng, n):
-    # steps of norm well above 1, so the exponential halves and squares
-    drive, blockade, _ = _random_hermitian(rng, n)
-    return drive, blockade, 0.6
+    # steps of norm well above 1, so the exponential at the fit's nodes
+    # halves and squares; moduli in [1.5, 2.5] keep a = 3 h dt <= 1
+    modulus = rng.uniform(1.5, 2.5, n)
+    return modulus * np.exp(1j * rng.uniform(-math.pi, math.pi, n)), rng.uniform(0.5, 2.0), 0.6
+
+
+def _workspace(size, drive, dt, blockade):
+    """A workspace holding the step fit over the moduli of drive."""
+    r = np.abs(drive)
+    return _Workspace(size, _step_fit(np.min(r), np.max(r), dt, blockade))
 
 
 @pytest.mark.parametrize(
@@ -291,7 +298,7 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(drive, dt, blockade, _Workspace(len(drive)))
+    prod = _step_product(drive, _workspace(len(drive), drive, dt, blockade))
     ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
@@ -302,16 +309,15 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
 )
 def test_step_product_reuses_workspace_exactly(build):
-    # a full chunk, an odd remainder, then a full chunk again through one
-    # workspace: a stale slice or a swapped ping-pong buffer would leave
-    # a trace of the earlier chunk in the later product
-    rng = np.random.default_rng(29)
-    ws = _Workspace(_CHUNK)
-    for steps in (_CHUNK, 999, _CHUNK):
-        drive, blockade, dt = build(rng, steps)
-        reused = _step_product(drive, dt, blockade, ws)
-        fresh = _step_product(drive, dt, blockade, _Workspace(steps))
-        assert np.array_equal(reused, fresh)
+    # a full chunk, an odd remainder, then a full chunk again of one run,
+    # through one workspace and its step fit: a stale slice or a swapped
+    # ping-pong buffer would leave a trace of the earlier chunk in the
+    # later product
+    drive, blockade, dt = build(np.random.default_rng(29), 2 * _CHUNK + 999)
+    ws = _workspace(_CHUNK, drive, dt, blockade)
+    for chunk in np.split(drive, [_CHUNK, _CHUNK + 999]):
+        fresh = _step_product(chunk, _Workspace(len(chunk), ws.fit))
+        assert np.array_equal(_step_product(chunk, ws), fresh)
 
 
 def _cf4_exponent_hams(schedule, sub):
