@@ -289,7 +289,7 @@ class _Workspace:
     """Buffers for chunks of up to size steps, reused by every chunk of an integration.
 
     A chunk of n steps works on the leading [:n] of each buffer; at
-    size 2,048 they take about 2.4 MiB.  fit is the run's _step_fit.
+    size 2,048 they take about 1.5 MiB.  fit is the run's _step_fit.
     """
 
     def __init__(self, size: int, fit: tuple[float, float, np.ndarray]):
@@ -303,13 +303,10 @@ class _Workspace:
         # u = c / |c| and its powers up to 3, then (u^-3, ..., u^3)
         self.u = np.empty((3, size), dtype=complex)
         self.powers = np.empty((size, 7), dtype=complex)
-        # the steps and their entrywise twists
+        # the steps and their entrywise twists, then the product tree's
+        # two ping-pong levels
         self.steps = np.empty((size, 4, 4), dtype=complex)
         self.twist = np.empty((size, 4, 4), dtype=complex)
-        # product tree ping-pong, each (real, imaginary) parts, and one product
-        self.parts = np.empty((2, size, 4, 4))
-        self.pairs = np.empty((2, (size + 1) // 2, 4, 4))
-        self.tmp = np.empty(((size + 1) // 2, 4, 4))
 
 
 def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
@@ -373,11 +370,12 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
     U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
     c_k = 0.  E_k is the table T_j((r_k - r0) / h) times the coefficients
     of ws.fit, which must span every r_k.
-    The twisted steps are split into real and imaginary stacks, and
-    adjacent pairs are multiplied in log depth, each pair by four real
-    products (the up-sweep of Blelloch, Prefix Sums and Their
-    Applications, 1990); an odd last step is copied up to the next level
-    unpaired.  Every stack lives in ws, which must hold len(drive) steps.
+    Adjacent pairs of the complex 4x4 steps are multiplied in log depth,
+    one batched complex product per level (the up-sweep of Blelloch,
+    Prefix Sums and Their Applications, 1990); an odd last step is
+    copied up to the next level unpaired.  The levels alternate between
+    ws.steps and ws.twist, so ws must hold len(drive) steps; the product
+    returned is a copy, which later chunks leave unchanged.
     """
     n = len(drive)
     r = np.abs(drive, out=ws.r[:n])
@@ -410,25 +408,16 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
     np.matmul(table.T, coef, out=steps.view(float).reshape(n, 32))
     np.take(powers, _LAGS, axis=1, out=twist, mode="clip")
     steps *= twist
-    ws.parts[0, :n] = steps.real
-    ws.parts[1, :n] = steps.imag
 
-    level, up = ws.parts, ws.pairs
+    level, up = ws.steps, ws.twist
     while n > 1:
         half = n // 2
-        (a_re, a_im), (b_re, b_im) = level[:, 1 : 2 * half : 2], level[:, 0 : 2 * half : 2]
-        out_re, out_im, tmp = up[0, :half], up[1, :half], ws.tmp[:half]
-        np.matmul(a_re, b_re, out=out_re)
-        out_re -= np.matmul(a_im, b_im, out=tmp)
-        np.matmul(a_re, b_im, out=out_im)
-        out_im += np.matmul(a_im, b_re, out=tmp)
+        np.matmul(level[1 : 2 * half : 2], level[0 : 2 * half : 2], out=up[:half])
         if n % 2:
-            up[:, half] = level[:, n - 1]
+            up[half] = level[n - 1]
         n = half + n % 2
         level, up = up, level
-    prod = np.empty((4, 4), dtype=complex)
-    prod.real, prod.imag = level[0, 0], level[1, 0]
-    return prod
+    return level[0].copy()
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:

@@ -485,6 +485,16 @@ def test_integrate_full_memory_stays_bounded():
     assert peak < 8 << 20
 
 
+def test_workspace_buffers_stay_small():
+    # the steps, their twists and the tree's two levels share two stacks;
+    # a tree of separate real and imaginary stacks took 2.39 MiB here
+    params = params_for_factor(row1_schedule(), 10.0)
+    _, dt = _step_grid(params)
+    ws = _Workspace(_CHUNK, _step_fit(*_drive_band(params), dt, params.blockade))
+    total = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
+    assert total <= 1.6 * (1 << 20)
+
+
 def test_step_cap_refuses_before_allocating():
     # factor 1e5 passes the hierarchy check but needs about 7e12 steps
     params = params_for_factor(row1_schedule(), 1e5)

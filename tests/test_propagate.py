@@ -320,6 +320,22 @@ def test_step_product_reuses_workspace_exactly(build):
         assert np.array_equal(_step_product(chunk, ws), fresh)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK])
+@pytest.mark.parametrize("build", [_random_ladder, _random_hermitian, _long_steps])
+def test_step_product_outlives_the_next_chunk(steps, build):
+    # the tree ends in one of the workspace's ping-pong stacks, so a
+    # product returned as a view into them would change under the next
+    # chunk through the same workspace; these builders never repeat a
+    # chunk, as a zero or half-zero drive of a step or three can
+    drive, blockade, dt = build(np.random.default_rng(31), 2 * steps)
+    ws = _workspace(steps, drive, dt, blockade)
+    first = _step_product(drive[:steps], ws)
+    kept = first.copy()
+    second = _step_product(drive[steps:], ws)
+    assert not np.array_equal(second, kept)
+    assert np.array_equal(first, kept)
+
+
 def _cf4_exponent_hams(schedule, sub):
     """Hamiltonian times duration of every CF4 exponential, in the order applied.
 
