@@ -329,8 +329,8 @@ def cmd_propagate(cfg: argparse.Namespace) -> int:
     _info(f"propagated {result.steps} steps in {time.perf_counter() - start:.3f}s")
 
     payload = {
-        "times": [float(t) for t in result.times],
-        "fidelity_trace": [float(f) for f in result.fidelity_trace],
+        "times": result.times.tolist(),
+        "fidelity_trace": result.fidelity_trace.tolist(),
         "final_fidelity": float(result.final_fidelity),
         "ghz_phase": None if result.ghz_phase is None else float(result.ghz_phase),
         "area": float(result.area),

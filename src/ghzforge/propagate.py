@@ -10,9 +10,12 @@ with closed-form Cayley-Klein coefficients (``unitary.cayley_klein``),
 not an eigendecomposition.  On a rank-1 schedule all exponents commute
 and the steps are exact.  The running products of the steps come from a
 log-depth scan, and the states are read off them at the knots through
-the generators' exact entries.  Accuracy is certified, not assumed: the
-steps per segment double until the Richardson estimate of the state
-error at every knot falls below CERTIFY_TOL.
+the generators' exact entries.  Accuracy is certified, not assumed:
+after each pass a closed-form commutator bound on the state error at
+every knot, computed from the knots alone, ends the run when it is
+below CERTIFY_TOL, as it is after one pass on a rank-1 schedule;
+otherwise the steps per segment double until the Richardson estimate of
+that error falls below CERTIFY_TOL.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .algebra import ggg_state, ghz_state, rrr_state, w_state
 from .dynamics import vectorial_from_rabi
 from .synthesis import NonFiniteSchedule, PulseSchedule
-from .unitary import _UNITS, _compose, _weights, cayley_klein
+from .unitary import _UNITS, _compose, _norm, _weights, cayley_klein
 
 __all__ = [
     "NonFiniteSchedule",
@@ -53,6 +56,8 @@ _SCAN_PIECE = 8192
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ALPHA1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _ALPHA2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+# unit roundoff of double precision
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class NotNormalized(ValueError):
@@ -72,8 +77,9 @@ class ZeroArea(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The knot state-error estimate is not below CERTIFY_TOL at the step cap,
-    or the norm drifted by more than 1e-9."""
+    """Neither the commutator bound nor the Richardson estimate of the knot
+    state error is below CERTIFY_TOL at the step cap, or the norm drifted by
+    more than 1e-9."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,11 @@ class PropagationResult:
     (or phase 0 if extraction is impossible), or the single-excitation
     state for reversed runs.  ``ghz_phase`` is None when the final
     state has no usable extreme components.  ``steps`` counts the CF4
-    steps of the last pass, two exponentials each.
+    steps of the last pass, two exponentials each.  ``certification_delta``
+    is the commutator bound on the discretization error of the state at
+    every knot where that bound ended the run, and otherwise the Richardson
+    estimate of that error; neither covers roundoff, which the norm-drift
+    check watches.
     """
 
     times: np.ndarray
@@ -158,6 +168,45 @@ def _step_factors(
     return _compose(a[:, 1], b[:, 1], a[:, 0], b[:, 0])
 
 
+def _commutator_bound(schedule: PulseSchedule) -> float:
+    """Bound on the state error at every knot of CF4 at one step per segment.
+
+    On a segment of length T each family's rate w is linear between its
+    knot rates w_a and w_b (``dynamics.vectorial_from_rabi``), so
+    c = (w_a x w_b)/T is constant there.  For spin-1/2 and A(t) the
+    integral of H over the first t of a step, ||[A(t), H(t)]|| = t^2 |c|/4,
+    so by variation of constants a step of length h differs from
+    exp(-i A(h)) by at most h^3 |c|/24.  The two Gauss nodes integrate the
+    linear H exactly, so the exponents add up to A(h), and the first-order
+    Trotter bound ||[A2, A1]||/2 = h^3 |c|/24 covers splitting them (the
+    commutator bounds of Childs, Su, Tran, Wiebe & Zhu, Phys. Rev. X 11,
+    011020 (2021)).  The errors of unitary steps and of the two families
+    add, so at sub steps per segment every knot state is within
+
+        sum over segments of T^2 (|w_a x w_b|_L + |w_a x w_b|_R) / (12 sub^2)
+
+    of the exact one; this returns the sum at sub = 1.  It bounds the
+    discretization only, not roundoff.  The cross products get an
+    allowance for the rounding of the rates and of the products, and the
+    sum a relative one for the rest, so the value is never below the
+    exact one.  It is inf or nan where a cross product overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = vectorial_from_rabi(schedule.values)
+        a, b = rates[:, :-1], rates[:, 1:]
+        # the two products of each component of a x b
+        p = a[..., [1, 2, 0]] * b[..., [2, 0, 1]]
+        q = a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+        # rounding the knot rates moves a component of a x b by at most
+        # 2 ulps of its |p| + |q|, and forming it by 3 more
+        slack = 6.0 * _UNIT_ROUNDOFF * np.sum(np.abs(p) + np.abs(q), axis=-1)
+        cross = _norm(p - q) + slack
+        dt = np.diff(schedule.times)
+        total = float((dt * dt) @ (cross[0] + cross[1])) / 12.0
+    # the norms, products and the sum round by fewer ulps than the segments + 32
+    return total * (1.0 + (len(dt) + 32) * _UNIT_ROUNDOFF)
+
+
 def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.ndarray:
     """CF4 integration of the ladder with sub equal steps in each schedule segment.
 
@@ -214,11 +263,15 @@ def propagate(
     the run itself; target "w" scores against the single-excitation
     state (useful for reversed schedules).  The run takes at least
     ``steps`` CF4 steps, an equal number in each segment of the
-    schedule, and reports the states and the trace at the knots.  The
-    steps per segment double at least once, and until the largest state
-    change over the knots, divided by 15, is below CERTIFY_TOL; that
-    Richardson estimate of the state error at every knot is reported as
-    certification_delta.
+    schedule, and reports the states and the trace at the knots.  After
+    each pass the run ends if the commutator bound of _commutator_bound
+    at its steps per segment is below CERTIFY_TOL, and that rigorous
+    bound on the discretization error of the state at every knot is
+    reported as certification_delta; on a rank-1 schedule it ends after
+    the first pass.  Otherwise the steps per segment double until the
+    largest state change over the knots, divided by 15, is below
+    CERTIFY_TOL, and that Richardson estimate of the state error at every
+    knot is reported instead.
     """
     if initial is None:
         initial = w_state()
@@ -230,7 +283,8 @@ def propagate(
     area = squared_area(schedule)
     segments = len(schedule.times) - 1
     sub = -(-steps // segments)
-    # the first pass is always followed by a certifying pass at twice the steps
+    # the cap leaves room for a certifying pass at twice the steps, which a
+    # schedule the commutator bound does not certify takes
     if 2 * segments * sub > _MAX_STEPS:
         raise TooManySteps(
             f"{steps} steps asked for take {segments * sub} on the {segments} schedule "
@@ -249,9 +303,11 @@ def propagate(
             f"by up to {reach[i]:.3e} rad per step, too far to square in double precision"
         )
 
+    bound = _commutator_bound(schedule)
     states = _integrate(schedule, psi0, sub)
-    delta = math.inf
-    while delta >= CERTIFY_TOL:
+    delta = bound / sub**2
+    # a nan bound certifies nothing
+    while not delta < CERTIFY_TOL:
         if 2 * segments * sub > _MAX_STEPS:
             raise ConvergenceFailure(
                 f"knot state error estimate {delta:.3e} at {segments * sub} steps "
@@ -259,8 +315,10 @@ def propagate(
             )
         sub *= 2
         finer = _integrate(schedule, psi0, sub)
-        # the fourth-order error of the finer run is about a fifteenth of the change
-        delta = float(np.max(np.linalg.norm(finer - states, axis=1))) / 15.0
+        delta = bound / sub**2
+        if not delta < CERTIFY_TOL:
+            # the fourth-order error of the finer run is about a fifteenth of the change
+            delta = float(np.max(np.linalg.norm(finer - states, axis=1))) / 15.0
         states = finer
 
     norm_drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))

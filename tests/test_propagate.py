@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from ghzforge.propagate import (
     ZeroArea,
     _MAX_STEPS,
     _SCAN_PIECE,
+    _commutator_bound,
     _integrate,
     extract_ghz_phase,
     ghz_fidelity,
@@ -64,8 +66,9 @@ def test_zero_schedule_is_static():
 def test_constant_schedule_matches_exact_exponential():
     values = np.array([0.7, -0.4, 1.1])
     result = propagate(constant_schedule(values, duration=2.0), steps=256)
-    # at least 256 steps, 18 in each of 15 segments, doubled once to certify
-    assert result.steps == 2 * 15 * 18
+    # at least 256 steps, 18 in each of 15 segments; a constant schedule is
+    # rank 1, so the commutator bound certifies the first pass
+    assert result.steps == 15 * 18
     ham = oracles.ladder_hamiltonian(values)
     exact = oracles.expm_eig(ham * 2.0) @ w_state()
     assert np.max(np.abs(result.states[-1] - exact)) <= 1e-10
@@ -224,12 +227,13 @@ def test_convergence_failure_when_capped(monkeypatch):
 
 
 def test_step_cap_counts_the_certifying_pass(monkeypatch):
-    # the first pass is always doubled once, so the cap bounds twice its steps
+    # the cap leaves room for a certifying pass at twice the first pass's
+    # steps, even where, as on this zero schedule, the first pass certifies
     import ghzforge.propagate as propagate_module
 
     monkeypatch.setattr(propagate_module, "_MAX_STEPS", 64)
     at_cap = PulseSchedule(times=np.arange(33.0), values=np.zeros((33, 3)))
-    assert propagate(at_cap).steps == 64
+    assert propagate(at_cap).steps == 32
     monkeypatch.setattr(propagate_module, "_integrate", lambda *args: pytest.fail("integrated"))
     above = PulseSchedule(times=np.arange(34.0), values=np.zeros((34, 3)))
     with pytest.raises(TooManySteps, match="cap of 64"):
@@ -464,7 +468,7 @@ def test_rank1_trapezoid_is_exact_at_every_knot():
     exact = np.array([oracles.expm_eig(ham * F) @ w_state() for F in area])
 
     result = propagate(schedule)
-    assert result.steps == 2 * (len(schedule.times) - 1)
+    assert result.steps == len(schedule.times) - 1
     assert np.array_equal(result.times, schedule.times)
     assert np.max(np.abs(result.states - exact)) <= 1e-13
     exact_trace = np.abs(exact @ ghz_state(result.ghz_phase).conj()) ** 2
@@ -472,9 +476,10 @@ def test_rank1_trapezoid_is_exact_at_every_knot():
 
 
 def _assert_certificate_tracks_knot_error(schedule):
-    # The certificate is a Richardson estimate of the largest state error at
-    # any knot.  It is exact only in the limit of small steps: on random
-    # 23-knot schedules it fell up to 0.23% short of the error (seed 2).
+    # Where the commutator bound does not certify, the certificate is a
+    # Richardson estimate of the largest state error at any knot.  It is
+    # exact only in the limit of small steps: on random 23-knot schedules it
+    # fell up to 0.23% short of the error (seed 2).
     result = propagate(schedule)
     error = np.max(np.linalg.norm(result.states - _knot_reference(schedule, w_state()), axis=1))
     assert abs(result.certification_delta - error) <= 0.01 * error
@@ -482,9 +487,26 @@ def _assert_certificate_tracks_knot_error(schedule):
     return result
 
 
-def test_rank2_perturbation_takes_integrated_path():
+def _count_passes(monkeypatch):
+    """The steps per segment of every _integrate call that propagate makes."""
+    import ghzforge.propagate as propagate_module
+
+    calls = []
+    integrate = propagate_module._integrate
+
+    def counted(schedule, initial, sub):
+        calls.append(sub)
+        return integrate(schedule, initial, sub)
+
+    monkeypatch.setattr(propagate_module, "_integrate", counted)
+    return calls
+
+
+def test_rank2_perturbation_takes_integrated_path(monkeypatch):
+    calls = _count_passes(monkeypatch)
     schedule = _bump_schedule(50)
     result = _assert_certificate_tracks_knot_error(schedule)
+    assert len(calls) >= 2
     assert result.steps == 2 * (len(schedule.times) - 1)
     base = propagate(row1_schedule("trapezoid", samples=50))
     assert abs(result.final_fidelity - base.final_fidelity) > 1e-3
@@ -517,15 +539,84 @@ def test_cf4_steps_are_fourth_order():
         assert coarse / fine >= 12.0
 
 
+def _one_family_schedule(seed, family):
+    # O1 = +-O3 zeroes the x rate O1 -+ O3 of the other family, whose knot
+    # rates then all lie along y and commute: only this family's do not
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.3, 23)
+    x, y = rng.normal(0.0, 2.0, (2, len(times)))
+    sign = 1.0 if family == "left" else -1.0
+    return PulseSchedule(times=times, values=np.stack([x / 2.0, y, sign * x / 2.0], axis=1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [functools.partial(_random_23_knots, seed) for seed in range(1, 7)]
+    + [functools.partial(_bump_schedule, 50)]
+    + [functools.partial(_one_family_schedule, 7, family) for family in ("left", "right")],
+    ids=[f"random-{seed}" for seed in range(1, 7)] + ["bump", "left-only", "right-only"],
+)
+def test_commutator_bound_is_never_below_the_knot_error(build):
+    schedule = build()
+    ref = _knot_reference(schedule, w_state())
+    bound = _commutator_bound(schedule)
+    for sub in (1, 2, 4):
+        error = np.max(np.linalg.norm(_integrate(schedule, w_state(), sub) - ref, axis=1))
+        assert error > 1e-12
+        assert bound / sub**2 >= error
+
+
+@pytest.mark.parametrize(
+    "first, expected",
+    # knot rates (1, 0, 0) then (0, 1, 0) in the left family, the right one,
+    # or both, over one segment of length 2: T^2 |x cross y| / 12 = 1/3 each
+    [([0.5, 0.0, 0.5], 1.0 / 3.0), ([0.5, 0.0, -0.5], 1.0 / 3.0), ([1.0, 0.0, 0.0], 2.0 / 3.0)],
+)
+def test_commutator_bound_closed_form(first, expected):
+    schedule = PulseSchedule(times=np.array([0.0, 2.0]), values=np.array([first, [0.0, 1.0, 0.0]]))
+    assert _commutator_bound(schedule) == pytest.approx(expected, rel=1e-14)
+    assert _commutator_bound(schedule) >= expected
+
+
+def test_overflowing_bound_falls_back_to_doubling():
+    # Scaling the amplitudes by 2^510 and the times by 2^-510 leaves every
+    # exponent, and so every state, bit for bit the same, but the knot rates'
+    # cross products overflow: the bound is not finite, certifies nothing and
+    # raises no RuntimeWarning, and the run doubles as before.
+    times = np.linspace(0.0, 1.3, 9)
+    values = np.stack([np.full(9, 2.2), 3.9 * (-1.0) ** np.arange(9), np.zeros(9)], axis=1)
+    base = PulseSchedule(times=times, values=values)
+    scale = 2.0**510
+    huge = PulseSchedule(times=times / scale, values=values * scale)
+    assert np.max(np.abs(huge.values)) > 1e154
+    assert math.isfinite(_commutator_bound(base))
+    assert not math.isfinite(_commutator_bound(huge))
+    expected, result = propagate(base), propagate(huge)
+    assert result.steps == expected.steps > 2 * 8
+    assert result.certification_delta == expected.certification_delta < 1e-8
+    assert np.array_equal(result.states, expected.states)
+
+
+@pytest.mark.parametrize("kind", ["constant", "trapezoid"])
+def test_rank1_schedules_take_one_pass(monkeypatch, kind):
+    calls = _count_passes(monkeypatch)
+    schedule = row1_schedule(kind)
+    forward = propagate(schedule)
+    assert calls == [1]
+    assert forward.certification_delta <= 1e-15
+    back = propagate(reverse_schedule(schedule), initial=forward.states[-1], target="w")
+    assert calls == [1, 1]
+    assert back.certification_delta <= 1e-15
+
+
 def test_norms_stay_at_roundoff_over_long_runs():
     # Roundoff in the closed-form step factors is biased; without
-    # renormalized running products the norms drift over long runs, and
-    # the certification delta would read that drift instead of roundoff.
+    # renormalized running products the norms drift over long runs.
     for kind in ("constant", "trapezoid"):
         schedule = row1_schedule(kind)
         result = propagate(schedule, steps=3 * _SCAN_PIECE)
         segments = len(schedule.times) - 1
-        assert result.steps == 2 * segments * math.ceil(3 * _SCAN_PIECE / segments)
+        assert result.steps == segments * math.ceil(3 * _SCAN_PIECE / segments)
         norms = np.linalg.norm(result.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-14
         assert result.certification_delta <= 1e-13
