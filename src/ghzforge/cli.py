@@ -373,11 +373,12 @@ def cmd_validate_full(cfg: argparse.Namespace) -> int:
 # invariant suite
 
 
-def _eig_unitary(vec: np.ndarray, triple: np.ndarray) -> np.ndarray:
-    """Independent route to one rotation factor via eigendecomposition."""
+def _eig_unitary(vecs: np.ndarray, triple: np.ndarray) -> np.ndarray:
+    """Independent route to a stack of rotation factors via eigendecomposition."""
+    vec = vecs.T[..., None, None]
     herm = vec[0] * triple[0] + vec[1] * triple[1] + vec[2] * triple[2]
     evals, evecs = np.linalg.eigh(herm)
-    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * evals)[:, None]) @ evecs.conj().swapaxes(1, 2)
 
 
 def _check_brackets(gens) -> tuple[bool, str]:
@@ -409,14 +410,12 @@ def _check_casimirs(gens) -> tuple[bool, str]:
 
 
 def _check_exp_map(gens) -> tuple[bool, str]:
-    rng = np.random.default_rng(20260814)
-    worst = 0.0
-    for _ in range(100):
-        pair = rng.uniform(-8, 8, (2, 3))
-        closed = unitary.exp_map(pair)
-        reference = _eig_unitary(pair[0], gens[0]) @ _eig_unitary(pair[1], gens[1])
-        worst = max(worst, float(np.max(np.abs(closed - reference))))
-    return worst <= 1e-10, f"max deviation {worst:.2e} over 100 random pairs"
+    # one draw of shape (100, 2, 3) is the stream of 100 draws of shape (2, 3)
+    pairs = np.random.default_rng(20260814).uniform(-8, 8, (100, 2, 3))
+    closed = unitary._unitaries(pairs.transpose(1, 0, 2))
+    reference = _eig_unitary(pairs[:, 0], gens[0]) @ _eig_unitary(pairs[:, 1], gens[1])
+    worst = float(np.max(np.abs(closed - reference)))
+    return worst <= 1e-10, f"max deviation {worst:.2e} over {len(pairs)} random pairs"
 
 
 def _check_constraint_residuals(endpoints) -> tuple[bool, str]:
@@ -533,13 +532,22 @@ _COMMANDS = {
 }
 
 
+# build_parser()'s result, built by the first main() call and shared by
+# every later one; a --config call sets its defaults on a parser of its own
+_PARSER: tuple[argparse.ArgumentParser, dict[str, _Command]] | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser, commands = _PARSER
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
             # config values become the chosen command's defaults, so flags
             # override them when the arguments are parsed again
+            parser, commands = build_parser()
             options = {k: a for command in commands.values() for k, a in command.options.items()}
             chosen = commands[args.command]
             config = load_config(args.config, options)

@@ -388,7 +388,7 @@ def squared_area(schedule: PulseSchedule) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         seg = dt[:, None] * (a * a + a * b + b * b) / 3.0
     try:
-        area = math.fsum(seg.ravel())
+        area = math.fsum(seg.ravel().tolist())
     except OverflowError:
         area = math.inf
     if not math.isfinite(area):

@@ -98,8 +98,13 @@ def exp_map(pair: np.ndarray) -> np.ndarray:
     U = exp(-i pair[0] . L) exp(-i pair[1] . R).  The factors commute, so
     the order only matters for serialization and documentation.
     """
-    a, b = cayley_klein(_pair(pair))
-    return (_weights(a, b).T @ _UNITS.reshape(16, 16)).reshape(4, 4)
+    return _unitaries(_pair(pair))
+
+
+def _unitaries(pairs: np.ndarray) -> np.ndarray:
+    """exp_map of each unchecked pair in an array of shape (2, ..., 3); shape (..., 4, 4)."""
+    a, b = cayley_klein(pairs)
+    return (_weights(a, b).T @ _UNITS.reshape(16, 16)).reshape(*a.shape[1:], 4, 4)
 
 
 def transformed_pseudospin_states(pair: np.ndarray) -> np.ndarray:

@@ -513,6 +513,51 @@ def test_check_suite_passes():
     assert proc.stdout.count("PASS") == 5
 
 
+def test_check_catches_a_wrong_closed_form(monkeypatch, capsys):
+    cayley_klein = cli.unitary.cayley_klein
+
+    def perturbed(vec):
+        a, b = cayley_klein(vec)
+        a.flat[0] += 1e-8
+        return a, b
+
+    monkeypatch.setattr(cli.unitary, "cayley_klein", perturbed)
+    assert main(["check"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  closed form vs eigendecomposition" in out
+    assert "4/5 checks passed" in out
+
+
+@pytest.mark.parametrize("config_first", [True, False])
+def test_config_values_never_carry_into_a_later_call(config_first, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 5}))
+    calls = [
+        ("configured", ["--config", str(cfg), "--duration", "1"], 5),
+        ("plain", ["--duration", "1"], 1000),
+    ]
+    for name, flags, rows in calls if config_first else calls[::-1]:
+        out = tmp_path / f"{name}.csv"
+        assert main(["synthesize", *flags, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows
+
+
+def test_plain_calls_share_one_parser(monkeypatch, capsys):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert main(["endpoints", "--q3", "1"]) == 0
+    assert main(["endpoints", "--q3", "-1"]) == 0
+    assert len(built) == 1
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"duration": 1.0, "samples": 3, "profile": "constant"}))
