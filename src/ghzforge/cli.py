@@ -211,10 +211,10 @@ def write_json(payload: dict, out: str | None) -> None:
 
 def cmd_endpoints(cfg: argparse.Namespace) -> int:
     start = time.perf_counter()
-    rows = [
-        solve_endpoints(signs) for signs in DEFAULT_SIGN_ORDER
+    rows = enumerate_endpoints([
+        signs for signs in DEFAULT_SIGN_ORDER
         if all(q is None or q == s for q, s in zip((cfg.q1, cfg.q2, cfg.q3), signs))
-    ]
+    ])
 
     pins = {
         "theta_left_final": cfg.pin_theta_left,

@@ -23,10 +23,10 @@ On the block the drive enters as H = c R + c* R^T + V P, with R the
 spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
 phase is generated by the excitation number N = diag(0, 1, 2, 3): with
 c = r e^{i phi}, H = e^{i phi N} S(r) e^{-i phi N}, where
-S(r) = r (R + R^T) + V P is real, symmetric and tridiagonal.  Each step
-is the real exp(-i S(r) dt) twisted back by the phase; r = |c| stays in a
-narrow band about stark_amp, over which a run fits it once as a
-Chebyshev polynomial in r, so a chunk of steps costs one matrix product.
+S(r) = r (R + R^T) + V P is real, symmetric and tridiagonal.  r = |c|
+stays in a narrow band about stark_amp, over which a run fits the real
+exp(-i S(r) dt) once as a Chebyshev polynomial in r; each chunk of steps
+is built from it and multiplied in real 8x8 form (see _step_product).
 
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
@@ -82,8 +82,6 @@ class HierarchyViolation(ValueError):
 _RUNGS = [math.sqrt(3.0), 2.0, math.sqrt(3.0)]
 _LADDER4 = np.diag(_RUNGS, 1) + np.diag(_RUNGS, -1)
 _PAIRS4 = np.diag([0.0, 0.0, 1.0, 3.0])
-# Entry [j, l] is the index of u^(j - l) in the powers (u^-3, ..., u^3).
-_LAGS = np.subtract.outer(np.arange(4), np.arange(4)) + 3
 
 
 def derived_detunings(stark_amp: float, detuning0: float, blockade: float) -> tuple[float, float, float]:
@@ -141,50 +139,49 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
 
 
-def _interpolant(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(knots, columns, slopes) of the amplitudes, a contiguous row each, flat past the end."""
-    columns = np.ascontiguousarray(schedule.values.T)
-    slopes = np.zeros_like(columns)
-    slopes[:, :-1] = np.diff(columns, axis=1) / np.diff(schedule.times)
-    return schedule.times, columns, slopes
+def _interpolant(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """(knots, lines): the amplitudes' slopes lines[0] and values lines[1], flat past the end."""
+    lines = np.zeros((2, 3, len(schedule.times)))
+    lines[1] = schedule.values.T
+    lines[0, :, :-1] = np.diff(lines[1], axis=1) / np.diff(schedule.times)
+    return schedule.times, lines
 
 
 def _drive(
     times: np.ndarray,
     params: FullModelParams,
     phases: np.ndarray | None = None,
-    interp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    interp: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
     Sums amplitude times e^{-i w t} over the four tones, pairwise as
     np.sum adds four terms, at times in [0, duration].  phases holds
-    e^{-i w t} and becomes the tones, interp is _interpolant(schedule)
-    and out is written; each is computed, or taken fresh, when None.
+    e^{-i w t}, a row per tone, and becomes the tones, interp is
+    _interpolant(schedule) and out is written; each is computed, or
+    taken fresh, when None.
     """
     if phases is None:
-        phases = np.exp(np.multiply.outer(times, -1j * tone_frequencies(params)))
-    knots, columns, slopes = _interpolant(params.schedule) if interp is None else interp
+        phases = np.exp(np.multiply.outer(-1j * tone_frequencies(params), times))
+    knots, lines = _interpolant(params.schedule) if interp is None else interp
     out = np.empty(len(times), dtype=complex) if out is None else out
     # each amplitude as np.interp forms it, slope (t - t_j) + value_j
-    seg = np.searchsorted(knots, times, side="right")
-    seg -= 1
+    lo, hi = np.searchsorted(knots, (times.min(), times.max()), side="right")
+    seg = np.searchsorted(knots[lo:hi], times, side="right")
+    seg += lo - 1
     offset = np.take(knots, seg, mode="clip")
     np.subtract(times, offset, out=offset)
-    # out is written last, so its two halves hold each amplitude until then
-    amp, value = out.view(float).reshape(2, -1)
-    phases[:, 0] *= params.stark_amp
-    for k in range(3):
-        np.take(slopes[k], seg, out=amp, mode="clip")
-        amp *= offset
-        amp += np.take(columns[k], seg, out=value, mode="clip")
-        amp *= TONE_WEIGHTS[k]
-        phases.real[:, k + 1] *= amp
-        phases.imag[:, k + 1] *= amp
-    np.add(phases[:, 0], phases[:, 1], out=out)
-    np.add(phases[:, 2], phases[:, 3], out=phases[:, 2])
-    out += phases[:, 2]
+    amp, value = np.take(lines, seg, axis=2, mode="clip")
+    amp *= offset
+    amp += value
+    amp *= TONE_WEIGHTS[:, None]
+    phases[0] *= params.stark_amp
+    phases.real[1:] *= amp
+    phases.imag[1:] *= amp
+    np.add(phases[0], phases[1], out=out)
+    np.add(phases[2], phases[3], out=phases[2])
+    out += phases[2]
     return out
 
 
@@ -288,25 +285,27 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
 class _Workspace:
     """Buffers for chunks of up to size steps, reused by every chunk of an integration.
 
-    A chunk of n steps works on the leading [:n] of each buffer; at
-    size 2,048 they take about 1.5 MiB.  fit is the run's _step_fit.
+    leaves holds a chunk's steps, level the tree's second level and all
+    else (see _step_product); at size 2,048 they take about 1.5 MiB.
+    fit is the run's _step_fit.
     """
 
     def __init__(self, size: int, fit: tuple[float, float, np.ndarray]):
         self.fit = fit
+        k = len(fit[2])
+        # row s k + m of maps[l] is column l of i^s C_m, then i^(s+1) C_m, as reals
+        cols = fit[2].view(complex).reshape(k, 4, 4).transpose(2, 0, 1)[:, None, :, None]
+        maps = np.multiply(np.array([[1, 1j], [1j, -1]])[:, None, :, None], cols, order="C")
+        self.maps = maps.view(float).reshape(4, 2 * k, 16)
         self.offsets = np.arange(size) + 0.5
-        self.times = np.empty(size)
-        self.tones = np.empty((size, 4), dtype=complex)
-        self.drive = np.empty(size, dtype=complex)
-        self.r = np.empty(size)
-        self.nonzero = np.empty(size, dtype=bool)
-        # u = c / |c| and its powers up to 3, then (u^-3, ..., u^3)
-        self.u = np.empty((3, size), dtype=complex)
-        self.powers = np.empty((size, 7), dtype=complex)
-        # the steps and their entrywise twists, then the product tree's
-        # two ping-pong levels
-        self.steps = np.empty((size, 4, 4), dtype=complex)
-        self.twist = np.empty((size, 4, 4), dtype=complex)
+        self.leaves = np.empty((size, 8, 8))
+        self.level = np.empty(max(32, 3 * k + 4) * (size + size % 2))
+
+    def carve(self, n: int):
+        """times, tones and drive of an n-step chunk, atop level."""
+        s = n + n % 2  # even keeps complex views 16-byte aligned
+        top = self.level[len(self.level) - 11 * s :]
+        return top[:n], top[s : 9 * s].view(complex).reshape(4, s)[:, :n], top[9 * s :].view(complex)[:n]
 
 
 def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
@@ -364,60 +363,61 @@ def _step_fit(lo: float, hi: float, dt: float, blockade: float):
 def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
 
-    H_k = c_k R + c_k* R^T + V P is e^{i phi_k N} S(r_k) e^{-i phi_k N}
-    with c_k = r_k e^{i phi_k} (see the module docstring), so each step is
-    the real exponential E_k = exp(-i S(r_k) dt) twisted back entrywise:
-    U_k[j, l] = u_k^(j - l) E_k[j, l] with u_k = c_k / r_k, or 1 where
-    c_k = 0.  E_k is the table T_j((r_k - r0) / h) times the coefficients
-    of ws.fit, which must span every r_k.
-    Adjacent pairs of the complex 4x4 steps are multiplied in log depth,
-    one batched complex product per level (the up-sweep of Blelloch,
-    Prefix Sums and Their Applications, 1990); an odd last step is
-    copied up to the next level unpaired.  The levels alternate between
-    ws.steps and ws.twist, so ws must hold len(drive) steps; the product
-    returned is a copy, which later chunks leave unchanged.
+    With c_k = r_k u_k (u_k = 1 where c_k = 0) and D_k = diag(u_k^j), a
+    step is D_k E_k D_k* (module docstring), E_k = sum_m T_m(x_k) C_m by
+    ws.fit, which must span every r_k.  The gauges telescope: the
+    product is D_n X_n ... X_1, X_k = E_k diag(v_k^j), v_k = conj(u_k)
+    u_(k-1), u_0 = 1.  One GEMM per column builds every X_k in real
+    form, entry a + ib as the block [[a, -b], [b, a]], transposed: rows
+    2l, 2l + 1 are column l of X_k and of i X_k.  Pairs are multiplied
+    in log depth, one batched product per level (the up-sweep of
+    Blelloch, Prefix Sums and Their Applications, 1990), an odd last
+    step copied up; the levels alternate between ws.leaves and ws.level,
+    so ws must hold len(drive) steps.  Returns D_n times the product, a
+    copy.
     """
     n = len(drive)
-    r = np.abs(drive, out=ws.r[:n])
-    # u, u^2, u^3 on contiguous rows, where numpy's loops round as they
-    # do on fresh arrays; r divides as a complex number, stored in the
-    # row of u^2 until u^2 is taken
-    u, u2, u3 = ws.u[:, :n]
-    u[:] = 1.0
-    u2.real, u2.imag = r, 0.0
-    np.divide(drive, u2, out=u, where=np.greater(r, 0.0, out=ws.nonzero[:n]))
-    np.multiply(u, u, out=u2)
-    np.multiply(u2, u, out=u3)
-    powers = ws.powers[:n]
-    powers[:, 3] = 1.0
-    for j, power in enumerate((u, u2, u3), start=1):
-        powers[:, 3 + j] = power
-        np.conjugate(power, out=powers[:, 3 - j])
-
-    steps, twist = ws.steps[:n], ws.twist[:n]
     r0, h, coef = ws.fit
-    # T_j((r - r0) / h) by the three-term recurrence, one row per degree;
-    # on a band of one point every r is r0
-    table = np.empty((len(coef), n))
+    k, s = len(coef), n + n % 2
+    # below the drive in ws.level: the Chebyshev table (row 1 holds r
+    # until x is taken), v, u then v^l, and the features
+    table = ws.level[: k * s].reshape(k, s)[:, :n]
+    v, u = ws.level[k * s : (k + 4) * s].view(complex).reshape(2, s)[:, :n]
+    planes = ws.level[(k + 4) * s : (3 * k + 4) * s].reshape(2 * k, s)[:, :n]
+    r = np.abs(drive, out=table[1])
+    nonzero = r > 0.0
+    np.divide(drive, r, out=u, where=nonzero)
+    u[~nonzero] = 1.0
+    last = u[-1]
+    np.conjugate(u, out=v)
+    v[1:] *= u[:-1]
+    # T_j((r - r0) / h) by the three-term recurrence; on a band of one
+    # point every r is r0
     table[0] = 1.0
-    np.subtract(r, r0, out=table[1])
+    table[1] -= r0
     if h:
         table[1] /= h
-    for j in range(2, len(coef)):
+    for j in range(2, k):
         table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-    np.matmul(table.T, coef, out=steps.view(float).reshape(n, 32))
-    np.take(powers, _LAGS, axis=1, out=twist, mode="clip")
-    steps *= twist
+    leaves = ws.leaves[:n].reshape(n, 4, 16)
+    np.matmul(table.T, ws.maps[0, :k], out=leaves[:, 0])
+    power = v
+    for col in (1, 2, 3):
+        if col > 1:
+            power = np.multiply(power, v, out=u)
+        np.multiply(table, power.real, out=planes[:k])
+        np.multiply(table, power.imag, out=planes[k:])
+        np.matmul(planes.T, ws.maps[col], out=leaves[:, col])
 
-    level, up = ws.steps, ws.twist
+    level, up = ws.leaves, ws.level[: 64 * (s // 2)].reshape(-1, 8, 8)
     while n > 1:
         half = n // 2
-        np.matmul(level[1 : 2 * half : 2], level[0 : 2 * half : 2], out=up[:half])
+        np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
         if n % 2:
             up[half] = level[n - 1]
         n = half + n % 2
         level, up = up, level
-    return level[0].copy()
+    return np.cumprod([1.0, last, last, last])[:, None] * level[0, ::2].view(complex).T
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
@@ -433,15 +433,15 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     n, dt = _step_grid(params)
     ws = _Workspace(min(_CHUNK, n), _step_fit(*_drive_band(params), dt, params.blockade))
     freqs, interp = tone_frequencies(params), _interpolant(params.schedule)
-    table = np.exp(np.multiply.outer(ws.offsets * dt, -1j * freqs))
+    table = np.exp(np.multiply.outer(-1j * freqs, ws.offsets * dt))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
-        mids = np.add(ws.offsets[:count], done, out=ws.times[:count])
+        mids, tones, drive = ws.carve(count)
+        np.add(ws.offsets[:count], done, out=mids)
         mids *= dt
-        tones = np.multiply(table[:count], np.exp(-1j * (done * dt) * freqs), out=ws.tones[:count])
-        drive = _drive(mids, params, tones, interp, ws.drive[:count])
-        psi = _step_product(drive, ws) @ psi
+        np.multiply(table[:, :count], np.exp(-1j * (done * dt) * freqs)[:, None], out=tones)
+        psi = _step_product(_drive(mids, params, tones, interp, drive), ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

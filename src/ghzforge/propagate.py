@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import ggg_state, ghz_state, rrr_state, w_state
 from .dynamics import vectorial_from_rabi
 from .synthesis import NonFiniteSchedule, PulseSchedule
-from .unitary import _UNITS, _compose, _norm, _weights, cayley_klein
+from .unitary import _UNITS, _compose, _weights, cayley_klein
 
 __all__ = [
     "NonFiniteSchedule",
@@ -192,18 +192,18 @@ def _commutator_bound(schedule: PulseSchedule) -> float:
     exact one.  It is inf or nan where a cross product overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = vectorial_from_rabi(schedule.values)
-        a, b = rates[:, :-1], rates[:, 1:]
-        # the two products of each component of a x b
-        p = a[..., [1, 2, 0]] * b[..., [2, 0, 1]]
-        q = a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
-        # rounding the knot rates moves a component of a x b by at most
-        # 2 ulps of its |p| + |q|, and forming it by 3 more
-        slack = 6.0 * _UNIT_ROUNDOFF * np.sum(np.abs(p) + np.abs(q), axis=-1)
-        cross = _norm(p - q) + slack
+        o1, o2, o3 = schedule.values.T
+        cross = 0.0
+        # a family's knot rates are (O1 +- O3, O2, 0), so w_a x w_b lies
+        # along z, p - q with p = x_a y_b and q = y_a x_b
+        for x in (o1 + o3, o1 - o3):
+            p, q = x[:-1] * o2[1:], o2[:-1] * x[1:]
+            # rounding the knot rates moves p - q by at most 2 ulps of
+            # |p| + |q|, and forming it by 3 more
+            cross = cross + (np.abs(p - q) + 6.0 * _UNIT_ROUNDOFF * (np.abs(p) + np.abs(q)))
         dt = np.diff(schedule.times)
-        total = float((dt * dt) @ (cross[0] + cross[1])) / 12.0
-    # the norms, products and the sum round by fewer ulps than the segments + 32
+        total = float((dt * dt) @ cross) / 12.0
+    # the products and the sum round by fewer ulps than the segments + 32
     return total * (1.0 + (len(dt) + 32) * _UNIT_ROUNDOFF)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import w_state
-from .unitary import exp_map
+from .unitary import _unitaries
 
 __all__ = [
     "NoSolution",
@@ -180,22 +180,37 @@ def _bisect_root(f, lo: float, hi: float) -> float:
 
 
 def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
-    """Solve the endpoint problem for one sign triple.
+    """Solve the endpoint problem for one sign triple."""
+    return enumerate_endpoints([signs])[0]
 
-    The scalar root is searched on the half-interval of cos(theta_left_final)
-    that admits one: negative for q3 = +1, positive for q3 = -1.  The other
-    half has no sign change of the mismatch for either q3.
+
+def enumerate_endpoints(signs=DEFAULT_SIGN_ORDER) -> list[EndpointSolution]:
+    """The admissible endpoint of each sign triple in signs, in order; all of them by default.
+
+    The scalar root depends on q3 alone, so it is solved once for each
+    q3 branch in signs, on the half-interval of cos(theta_left_final)
+    that admits one: negative for q3 = +1, positive for q3 = -1.  The
+    other half has no sign change of the mismatch for either q3.  The
+    GHZ phases come from one batch of endpoint unitaries.
     """
-    q1, q2, q3 = (int(s) for s in signs)
-    for q in (q1, q2, q3):
-        if q not in (-1, 1):
-            raise ValueError("sign entries must be +1 or -1")
-    if q3 > 0:
-        lo, hi = -1.0 / math.sqrt(2.0) + _ROOT_EPS, -_ROOT_EPS
-    else:
-        lo, hi = _ROOT_EPS, 1.0 / math.sqrt(2.0) - _ROOT_EPS
-    a3 = _bisect_root(lambda a: _boundary_mismatch(a, q3), lo, hi)
+    triples = [tuple(int(q) for q in t) for t in signs]
+    if any(len(t) != 3 or not set(t) <= {-1, 1} for t in triples):
+        raise ValueError("sign entries must be +1 or -1")
+    roots = {}
+    for q3 in dict.fromkeys(t[2] for t in triples):
+        if q3 > 0:
+            lo, hi = -1.0 / math.sqrt(2.0) + _ROOT_EPS, -_ROOT_EPS
+        else:
+            lo, hi = _ROOT_EPS, 1.0 / math.sqrt(2.0) - _ROOT_EPS
+        roots[q3] = _bisect_root(lambda a, q3=q3: _boundary_mismatch(a, q3), lo, hi)
+    solutions = [_endpoint(t, roots[t[2]]) for t in triples]
+    unitaries = _unitaries(np.stack([sol.vectors() for sol in solutions], axis=1))
+    return [replace(sol, ghz_phase=_reached_ghz_phase(u)) for sol, u in zip(solutions, unitaries)]
 
+
+def _endpoint(signs: tuple[int, int, int], a3: float) -> EndpointSolution:
+    """The endpoint of a sign triple at the root a3 of its branch, its GHZ phase 0."""
+    q1, q2, q3 = signs
     theta_left = math.acos(a3)
     theta_right = math.acos(q3 * math.sqrt(max(0.0, 0.5 - a3 * a3)))
 
@@ -222,13 +237,11 @@ def solve_endpoints(signs: tuple[int, int, int]) -> EndpointSolution:
             f"root for signs ({q1:+d}, {q2:+d}, {q3:+d}) fails the endpoint "
             f"conditions, residuals {solution.endpoint_residuals()}"
         )
+    return solution
 
-    return replace(solution, ghz_phase=_reached_ghz_phase(solution))
 
-
-def _reached_ghz_phase(solution: EndpointSolution) -> float:
-    """Phase of the GHZ state produced by the endpoint's exact unitary."""
-    unitary = exp_map(solution.vectors())
+def _reached_ghz_phase(unitary: np.ndarray) -> float:
+    """Phase of the GHZ state produced by an endpoint's exact unitary."""
     psi = unitary @ w_state()
     weight = abs(psi[0]) ** 2 + abs(psi[3]) ** 2
     if weight < 1.0 - _ENDPOINT_TOL:
@@ -237,11 +250,6 @@ def _reached_ghz_phase(solution: EndpointSolution) -> float:
             f"ggg/rrr plane (weight {weight:.12f})"
         )
     return float((np.angle(psi[3]) - np.angle(psi[0])) % (2.0 * math.pi))
-
-
-def enumerate_endpoints() -> list[EndpointSolution]:
-    """All admissible endpoints, one per sign triple, in DEFAULT_SIGN_ORDER."""
-    return [solve_endpoints(signs) for signs in DEFAULT_SIGN_ORDER]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from ghzforge.algebra import build_generators
-from ghzforge.unitary import exp_map
+from ghzforge.dynamics import vectorial_from_rabi
+from ghzforge.unitary import _norm, exp_map
 
 GENS = build_generators()
 
@@ -30,6 +31,25 @@ def generator_form(rates: np.ndarray) -> np.ndarray:
 
 def exp_map_reference(pair: np.ndarray) -> np.ndarray:
     return expm_eig(generator_form(pair))
+
+
+def commutator_bound_reference(schedule) -> float:
+    """The ladder's commutator bound with every component of the knot rates' cross products.
+
+    The formula propagate._commutator_bound had before it used that the
+    rates have no z component: all three components of each w_a x w_b,
+    their rounding allowance summed over them and the Euclidean norm.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = vectorial_from_rabi(schedule.values)
+        a, b = rates[:, :-1], rates[:, 1:]
+        p = a[..., [1, 2, 0]] * b[..., [2, 0, 1]]
+        q = a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+        slack = 6.0 * 2.0**-53 * np.sum(np.abs(p) + np.abs(q), axis=-1)
+        cross = _norm(p - q) + slack
+        dt = np.diff(schedule.times)
+        total = float((dt * dt) @ (cross[0] + cross[1])) / 12.0
+    return total * (1.0 + (len(dt) + 32) * 2.0**-53)
 
 
 def detunings_reference(stark_amp: float, detuning0: float, blockade: float):

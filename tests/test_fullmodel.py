@@ -486,8 +486,9 @@ def test_integrate_full_memory_stays_bounded():
 
 
 def test_workspace_buffers_stay_small():
-    # the steps, their twists and the tree's two levels share two stacks;
-    # a tree of separate real and imaginary stacks took 2.39 MiB here
+    # the real 8x8 steps and the tree's second level, from which the
+    # drive, the Chebyshev table and the features are carved; a chunk of
+    # 4,096 steps, or separate buffers for those, would break the bound
     params = params_for_factor(row1_schedule(), 10.0)
     _, dt = _step_grid(params)
     ws = _Workspace(_CHUNK, _step_fit(*_drive_band(params), dt, params.blockade))

@@ -2,6 +2,7 @@ import functools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -576,6 +577,31 @@ def test_commutator_bound_closed_form(first, expected):
     schedule = PulseSchedule(times=np.array([0.0, 2.0]), values=np.array([first, [0.0, 1.0, 0.0]]))
     assert _commutator_bound(schedule) == pytest.approx(expected, rel=1e-14)
     assert _commutator_bound(schedule) >= expected
+
+
+@pytest.mark.parametrize("rows", [2, 3, 50, 1000, 50_000])
+def test_commutator_bound_matches_the_three_component_formula(rows):
+    # the z components alone give the bound of all three components of
+    # each cross product, bit for bit, over amplitudes of many scales
+    rng = np.random.default_rng(rows)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, rows - 1))])
+    values = rng.normal(0.0, 1.0, (rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    schedule = PulseSchedule(times=times, values=values)
+    bound = _commutator_bound(schedule)
+    assert math.isfinite(bound)
+    assert bound == oracles.commutator_bound_reference(schedule)
+
+
+def test_commutator_bound_of_overflowing_rates_is_not_finite():
+    # O1 + O3 overflows in the left family, O1 - O3 in the right one: the
+    # rates and so the bound are not finite, as in the earlier formula,
+    # and no RuntimeWarning is raised
+    values = np.array([[1e308, 1.0, 1e308], [1.0, 2.0, 0.5], [1e308, 3.0, -1e308]])
+    schedule = PulseSchedule(times=np.array([0.0, 0.5, 1.0]), values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(_commutator_bound(schedule))
+    assert not math.isfinite(oracles.commutator_bound_reference(schedule))
 
 
 def test_overflowing_bound_falls_back_to_doubling():

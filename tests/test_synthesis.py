@@ -168,6 +168,23 @@ def test_bisect_root_rejects_same_sign():
         synthesis._bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_enumerate_endpoints_solves_each_branch_once(monkeypatch):
+    # the root depends on q3 alone: the eight endpoints take two
+    # bisections and equal the endpoints solved one at a time
+    calls = []
+    bisect = synthesis._bisect_root
+
+    def counted(f, lo, hi):
+        calls.append((lo, hi))
+        return bisect(f, lo, hi)
+
+    monkeypatch.setattr(synthesis, "_bisect_root", counted)
+    solutions = enumerate_endpoints()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert solutions == [solve_endpoints(signs) for signs in DEFAULT_SIGN_ORDER]
+
+
 def test_endpoints_without_sign_change_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(synthesis, "_boundary_mismatch", lambda a3, q3: 1.0)
     assert main(["endpoints"]) == 2
