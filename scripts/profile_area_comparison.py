@@ -9,7 +9,8 @@ conversion fidelity stays put, which is the point of the area account:
 the integrated squared amplitude, not the shape, fixes the resource.
 
 Writes one CSV row per ramp fraction.  Progress goes to stderr so the
-CSV on stdout stays clean.
+CSV on stdout stays clean.  Input the package refuses, such as a
+duration that is not positive and finite, is a usage error (exit 2).
 """
 
 import argparse
@@ -81,8 +82,11 @@ def main(argv=None):
     if args.points < 1:
         parser.error("--points must be at least 1")
 
-    endpoint = solve_endpoints(tuple(args.signs))
-    baseline = build_schedule(endpoint, "constant", 0.0, args.duration, args.samples)
+    try:
+        endpoint = solve_endpoints(tuple(args.signs))
+        baseline = build_schedule(endpoint, "constant", 0.0, args.duration, args.samples)
+    except ValueError as exc:
+        parser.error(str(exc))
     reference_area = squared_area(baseline)
     print(
         f"baseline constant profile: duration {baseline.duration:g}, "

@@ -10,8 +10,10 @@ yielding the infidelity.
 
 The infidelity should fall roughly like 1/factor^2.  There is no leakage
 column: the symmetric drive never couples to the antisymmetric states,
-so the block integration cannot leave the manifold.  A factor that
-needs more steps than the integrator's cap is refused as a usage error.
+so the block integration cannot leave the manifold.  Input the package
+refuses, such as a factor that is not positive and finite, is a usage
+error (exit 2) before any factor is integrated; so is a factor that
+needs more steps than the integrator's cap, when its turn comes.
 Writes one CSV row per factor.
 """
 
@@ -80,17 +82,16 @@ def main(argv=None):
         help="CSV output path, '-' for stdout (default: -)",
     )
     args = parser.parse_args(argv)
-    if any(f <= 0 for f in args.factors):
-        parser.error("--factors must all be positive")
-
-    endpoint = solve_endpoints(tuple(args.signs))
-    curve = SphericalCurve(endpoint, "constant", args.duration)
-    schedule = rabi_schedule(curve, args.samples)
+    try:
+        endpoint = solve_endpoints(tuple(args.signs))
+        schedule = rabi_schedule(SphericalCurve(endpoint, "constant", args.duration), args.samples)
+        runs = [(f, params_for_factor(schedule, f, args.steps_per_cycle)) for f in args.factors]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rows = []
-    for factor in args.factors:
+    for factor, params in runs:
         start = time.perf_counter()
-        params = params_for_factor(schedule, factor, steps_per_cycle=args.steps_per_cycle)
         try:
             report = validate_reduction(params, force=True)
         except TooManySteps as exc:

@@ -41,7 +41,7 @@ from .fullmodel import DEFAULT_COMPARE_FACTOR, DEFAULT_FACTOR, DEFAULT_STEPS_PER
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
-    _MAX_STEPS,
+    MAX_ROWS,
     _rescale,
     normalize_to_area,
     propagate,
@@ -99,7 +99,7 @@ _PATH_KEYS = ("schedule", "out", "trace_csv", "reference_schedule")
 def load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     """A JSON config's values, each checked against the option it sets."""
     file = Path(path)
-    raw = json.loads(file.read_text())
+    raw = json.loads(file.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("config file must contain a JSON object")
     for key, value in raw.items():
@@ -169,7 +169,7 @@ def read_schedule_csv(path: str) -> PulseSchedule:
     file = Path(path)
     if not file.exists():
         raise ValueError(f"schedule file {path!r} does not exist")
-    lines = file.read_text().strip().splitlines()
+    lines = file.read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0].strip() != SCHEDULE_HEADER:
         raise ValueError(f"schedule CSV must start with header {SCHEDULE_HEADER!r}")
     data = lines[1:]
@@ -262,11 +262,8 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
     endpoint = solve_endpoints(signs)
     if (cfg.duration is None) == (cfg.target_area is None):
         raise ValueError("give exactly one of duration or target_area")
-    # propagate certifies a schedule of at most _MAX_STEPS // 2 segments
-    if cfg.samples > _MAX_STEPS // 2 + 1:
-        raise ValueError(
-            f"samples {cfg.samples} exceeds the {_MAX_STEPS // 2 + 1} rows propagate can certify"
-        )
+    if cfg.samples > MAX_ROWS:
+        raise ValueError(f"samples {cfg.samples} exceeds the {MAX_ROWS} rows propagate can certify")
     duration = cfg.duration if cfg.duration is not None else 1.0
     curve = SphericalCurve(endpoint, cfg.profile, duration, cfg.tau, cfg.pole)
     schedule = rabi_schedule(curve, cfg.samples)

@@ -67,7 +67,7 @@ DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
 DEFAULT_COMPARE_FACTOR = 30.0
 
-# Steps reduced to one product at a time; sizes the buffers of _Workspace.
+# Steps reduced to one product at a time; sizes the tree stacks of _Workspace.
 _CHUNK = 2048
 
 
@@ -152,20 +152,17 @@ def _drive(
     params: FullModelParams,
     phases: np.ndarray | None = None,
     interp: tuple[np.ndarray, np.ndarray] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
     Sums amplitude times e^{-i w t} over the four tones, pairwise as
     np.sum adds four terms, at times in [0, duration].  phases holds
-    e^{-i w t}, a row per tone, and becomes the tones, interp is
-    _interpolant(schedule) and out is written; each is computed, or
-    taken fresh, when None.
+    e^{-i w t}, a row per tone, and becomes the tones, and interp is
+    _interpolant(schedule); each is computed when None.
     """
     if phases is None:
         phases = np.exp(np.multiply.outer(-1j * tone_frequencies(params), times))
     knots, lines = _interpolant(params.schedule) if interp is None else interp
-    out = np.empty(len(times), dtype=complex) if out is None else out
     # each amplitude as np.interp forms it, slope (t - t_j) + value_j
     lo, hi = np.searchsorted(knots, (times.min(), times.max()), side="right")
     seg = np.searchsorted(knots[lo:hi], times, side="right")
@@ -179,7 +176,7 @@ def _drive(
     phases[0] *= params.stark_amp
     phases.real[1:] *= amp
     phases.imag[1:] *= amp
-    np.add(phases[0], phases[1], out=out)
+    out = np.add(phases[0], phases[1])
     np.add(phases[2], phases[3], out=phases[2])
     out += phases[2]
     return out
@@ -283,11 +280,12 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
 
 
 class _Workspace:
-    """Buffers for chunks of up to size steps, reused by every chunk of an integration.
+    """The run's step fit and the product tree's two stacks, reused by every chunk.
 
-    leaves holds a chunk's steps, level the tree's second level and all
-    else (see _step_product); at size 2,048 they take about 1.5 MiB.
-    fit is the run's _step_fit.
+    fit is the run's _step_fit and maps its coefficients as one GEMM per
+    column needs them.  leaves holds a chunk of up to size steps and up
+    the tree's second level; the levels alternate between the two (see
+    _step_product).  At size 2,048 they take 1.5 MiB.
     """
 
     def __init__(self, size: int, fit: tuple[float, float, np.ndarray]):
@@ -297,15 +295,8 @@ class _Workspace:
         cols = fit[2].view(complex).reshape(k, 4, 4).transpose(2, 0, 1)[:, None, :, None]
         maps = np.multiply(np.array([[1, 1j], [1j, -1]])[:, None, :, None], cols, order="C")
         self.maps = maps.view(float).reshape(4, 2 * k, 16)
-        self.offsets = np.arange(size) + 0.5
         self.leaves = np.empty((size, 8, 8))
-        self.level = np.empty(max(32, 3 * k + 4) * (size + size % 2))
-
-    def carve(self, n: int):
-        """times, tones and drive of an n-step chunk, atop level."""
-        s = n + n % 2  # even keeps complex views 16-byte aligned
-        top = self.level[len(self.level) - 11 * s :]
-        return top[:n], top[s : 9 * s].view(complex).reshape(4, s)[:, :n], top[9 * s :].view(complex)[:n]
+        self.up = np.empty(((size + 1) // 2, 8, 8))
 
 
 def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
@@ -372,24 +363,18 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
     2l, 2l + 1 are column l of X_k and of i X_k.  Pairs are multiplied
     in log depth, one batched product per level (the up-sweep of
     Blelloch, Prefix Sums and Their Applications, 1990), an odd last
-    step copied up; the levels alternate between ws.leaves and ws.level,
-    so ws must hold len(drive) steps.  Returns D_n times the product, a
+    step copied up; the levels alternate between ws.leaves and ws.up, so
+    ws must hold len(drive) steps.  Returns D_n times the product, a
     copy.
     """
     n = len(drive)
     r0, h, coef = ws.fit
-    k, s = len(coef), n + n % 2
-    # below the drive in ws.level: the Chebyshev table (row 1 holds r
-    # until x is taken), v, u then v^l, and the features
-    table = ws.level[: k * s].reshape(k, s)[:, :n]
-    v, u = ws.level[k * s : (k + 4) * s].view(complex).reshape(2, s)[:, :n]
-    planes = ws.level[(k + 4) * s : (3 * k + 4) * s].reshape(2 * k, s)[:, :n]
+    k = len(coef)
+    table = np.empty((k, n))  # row 1 holds r until x is taken
     r = np.abs(drive, out=table[1])
     nonzero = r > 0.0
-    np.divide(drive, r, out=u, where=nonzero)
-    u[~nonzero] = 1.0
-    last = u[-1]
-    np.conjugate(u, out=v)
+    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=nonzero)
+    v = np.conjugate(u)
     v[1:] *= u[:-1]
     # T_j((r - r0) / h) by the three-term recurrence; on a band of one
     # point every r is r0
@@ -401,15 +386,16 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
         table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
     leaves = ws.leaves[:n].reshape(n, 4, 16)
     np.matmul(table.T, ws.maps[0, :k], out=leaves[:, 0])
+    planes = np.empty((2 * k, n))
     power = v
     for col in (1, 2, 3):
         if col > 1:
-            power = np.multiply(power, v, out=u)
+            power = power * v
         np.multiply(table, power.real, out=planes[:k])
         np.multiply(table, power.imag, out=planes[k:])
         np.matmul(planes.T, ws.maps[col], out=leaves[:, col])
 
-    level, up = ws.leaves, ws.level[: 64 * (s // 2)].reshape(-1, 8, 8)
+    level, up = ws.leaves, ws.up
     while n > 1:
         half = n // 2
         np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
@@ -417,7 +403,7 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
             up[half] = level[n - 1]
         n = half + n % 2
         level, up = up, level
-    return np.cumprod([1.0, last, last, last])[:, None] * level[0, ::2].view(complex).T
+    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * level[0, ::2].view(complex).T
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
@@ -431,17 +417,17 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     rrr) basis.
     """
     n, dt = _step_grid(params)
-    ws = _Workspace(min(_CHUNK, n), _step_fit(*_drive_band(params), dt, params.blockade))
+    size = min(_CHUNK, n)
+    ws = _Workspace(size, _step_fit(*_drive_band(params), dt, params.blockade))
     freqs, interp = tone_frequencies(params), _interpolant(params.schedule)
-    table = np.exp(np.multiply.outer(-1j * freqs, ws.offsets * dt))
+    centres = np.arange(size) + 0.5
+    table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
-        mids, tones, drive = ws.carve(count)
-        np.add(ws.offsets[:count], done, out=mids)
-        mids *= dt
-        np.multiply(table[:, :count], np.exp(-1j * (done * dt) * freqs)[:, None], out=tones)
-        psi = _step_product(_drive(mids, params, tones, interp, drive), ws) @ psi
+        mids = (centres[:count] + done) * dt
+        tones = table[:, :count] * np.exp(-1j * (done * dt) * freqs)[:, None]
+        psi = _step_product(_drive(mids, params, tones, interp), ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

@@ -48,6 +48,9 @@ __all__ = [
 DEFAULT_STEPS = 1
 CERTIFY_TOL = 1e-8
 _MAX_STEPS = 1 << 22
+# The most rows of a schedule propagate can certify: a step per segment,
+# and room for a certifying pass at twice that.
+MAX_ROWS = _MAX_STEPS // 2 + 1
 _PHASE_AMPLITUDE_FLOOR = 0.1
 # The ladder scans its running products _SCAN_PIECE steps at a time, so
 # temporaries stay bounded however long the run.

@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzforge import cli
-from ghzforge.propagate import _MAX_STEPS, propagate, squared_area
+from ghzforge.propagate import MAX_ROWS, propagate, squared_area
 from ghzforge.synthesis import PulseSchedule, SphericalCurve, rabi_schedule, solve_endpoints
 from ghzforge.cli import (
     SCHEDULE_HEADER, main, read_schedule_csv, write_json, write_schedule_csv,
@@ -32,8 +32,9 @@ SHIPPED_CONFIG = REPO / "configs" / "row1_constant.json"
 SHIPPED_CSV = REPO / "configs" / "row1_constant.csv"
 
 
-def run_python(*args, cwd=None):
-    # the child imports the package from this checkout, installed or not
+def run_python(*args, cwd=None, env=None):
+    # the child imports the package from this checkout, installed or not;
+    # env adds to the environment
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -41,12 +42,12 @@ def run_python(*args, cwd=None):
         text=True,
         cwd=cwd,
         timeout=240,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
 
 
-def run_cli(*args, cwd=None):
-    return run_python("-m", "ghzforge.cli", *args, cwd=cwd)
+def run_cli(*args, cwd=None, env=None):
+    return run_python("-m", "ghzforge.cli", *args, cwd=cwd, env=env)
 
 
 def test_endpoints_default_table():
@@ -570,6 +571,29 @@ def test_config_file_with_flag_override(tmp_path):
     assert run_cli("synthesize", "--config", str(unknown)).returncode == 2
 
 
+@pytest.mark.parametrize("where", ["config", "schedule"])
+def test_inputs_are_read_as_utf8_under_an_ascii_locale(where, tmp_path):
+    # outputs are UTF-8 under any locale, so inputs are read as UTF-8 too;
+    # float() reads digits of any script, here the GHZ phase 0.5 or the
+    # first time 0.0 in Arabic-Indic digits
+    rows = SHIPPED_CSV.read_text(encoding="utf-8")
+    phase = "0.5"
+    if where == "config":
+        phase = "\u0660.\u0665"
+    else:
+        rows = rows.replace("\n0.0,", "\n\u0660.\u0660,", 1)
+    (tmp_path / "s.csv").write_text(rows, encoding="utf-8")
+    config = {"schedule": "s.csv", "initial": f"ghz:{phase}", "out": "got.json"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    proc = run_cli("propagate", "--config", str(cfg), env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+    assert proc.returncode == 0, proc.stderr
+    want = tmp_path / "want.json"
+    args = ["propagate", "--schedule", str(SHIPPED_CSV), "--initial", "ghz:0.5", "--out", str(want)]
+    assert main(args) == 0
+    assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -683,7 +707,7 @@ def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("samples", [str(_MAX_STEPS // 2 + 2), "10000000000000"])
+@pytest.mark.parametrize("samples", [str(MAX_ROWS + 1), "10000000000000"])
 def test_synthesize_samples_beyond_certifiable_rows_is_usage_error(samples, tmp_path, capsys):
     out = tmp_path / "long.csv"
     tracemalloc.start()
@@ -693,7 +717,7 @@ def test_synthesize_samples_beyond_certifiable_rows_is_usage_error(samples, tmp_
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert f"{_MAX_STEPS // 2 + 1} rows propagate can certify" in capsys.readouterr().err
+    assert f"{MAX_ROWS} rows propagate can certify" in capsys.readouterr().err
     assert not out.exists()
     assert peak < 1 << 20
 

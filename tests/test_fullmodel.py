@@ -486,9 +486,9 @@ def test_integrate_full_memory_stays_bounded():
 
 
 def test_workspace_buffers_stay_small():
-    # the real 8x8 steps and the tree's second level, from which the
-    # drive, the Chebyshev table and the features are carved; a chunk of
-    # 4,096 steps, or separate buffers for those, would break the bound
+    # the fit's maps and the tree's two stacks of real 8x8 matrices, the
+    # steps and the second level, 1.5 MiB; a chunk of 4,096 steps, or a
+    # buffer of 128 KiB beside them (a chunk's tones), would break the bound
     params = params_for_factor(row1_schedule(), 10.0)
     _, dt = _step_grid(params)
     ws = _Workspace(_CHUNK, _step_fit(*_drive_band(params), dt, params.blockade))

@@ -35,6 +35,30 @@ def test_script_writes_csv(script, args, header):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("reduction_scan.py", ("--factors", "2", "nan"), "must be positive and finite, not nan"),
+        ("reduction_scan.py", ("--factors", "inf"), "must be positive and finite, not inf"),
+        ("reduction_scan.py", ("--factors", "-1"), "must be positive and finite, not -1.0"),
+        ("reduction_scan.py", ("--duration", "0"), "duration must be positive and finite"),
+        ("reduction_scan.py", ("--duration", "nan"), "duration must be positive and finite"),
+        ("reduction_scan.py", ("--samples", "1"), "at least 2 samples"),
+        ("profile_area_comparison.py", ("--duration", "0"), "duration must be positive and finite"),
+        ("profile_area_comparison.py", ("--duration", "nan"), "duration must be positive and finite"),
+        ("profile_area_comparison.py", ("--samples", "1"), "at least 2 samples"),
+    ],
+)
+def test_script_refuses_bad_input_as_usage_error(script, args, message):
+    # the package's message, with no traceback, and nothing integrated first
+    proc = run_python(str(REPO / "scripts" / script), *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "fidelity" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_payload_digest_prints_one_named_sha256_per_payload():
     start = time.perf_counter()
     proc = run_python(str(REPO / "scripts" / "payload_digest.py"))
