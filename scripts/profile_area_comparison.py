@@ -10,7 +10,8 @@ the integrated squared amplitude, not the shape, fixes the resource.
 
 Writes one CSV row per ramp fraction.  Progress goes to stderr so the
 CSV on stdout stays clean.  Input the package refuses, such as a
-duration that is not positive and finite, is a usage error (exit 2).
+duration that is not positive and finite or more samples than propagate
+can certify, is a usage error (exit 2).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import time
 
 import numpy as np
 
-from ghzforge.propagate import normalize_to_area, propagate, squared_area
+from ghzforge.propagate import MAX_ROWS, normalize_to_area, propagate, squared_area
 from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
@@ -81,6 +82,8 @@ def main(argv=None):
         parser.error("--max-ramp must lie in [0, 0.5)")
     if args.points < 1:
         parser.error("--points must be at least 1")
+    if args.samples > MAX_ROWS:
+        parser.error(f"--samples {args.samples} exceeds the {MAX_ROWS} rows propagate can certify")
 
     try:
         endpoint = solve_endpoints(tuple(args.signs))

@@ -1,21 +1,23 @@
 """Schroedinger integration under a pulse schedule, fidelities, and areas.
 
-The schedule is piecewise linear between its knots, and the integrator
-never steps across one: each segment gets the same number of equal
-steps, and each step is the 2-exponential commutator-free scheme of
-order four (CF4) with the amplitudes at the step's Gauss nodes.  Each
-exponent is w_L . L + w_R . R for the two commuting spin-1/2 families
-of ``algebra``, so its exponential is a left and a right 2x2 rotation
-with closed-form Cayley-Klein coefficients (``unitary.cayley_klein``),
-not an eigendecomposition.  On a rank-1 schedule all exponents commute
-and the steps are exact.  The running products of the steps come from a
-log-depth scan, and the states are read off them at the knots through
-the generators' exact entries.  Accuracy is certified, not assumed:
-after each pass a closed-form commutator bound on the state error at
-every knot, computed from the knots alone, ends the run when it is
-below CERTIFY_TOL, as it is after one pass on a rank-1 schedule;
-otherwise the steps per segment double until the Richardson estimate of
-that error falls below CERTIFY_TOL.
+The schedule is piecewise linear between its knots.  Each exponent is
+w_L . L + w_R . R for the two commuting spin-1/2 families of ``algebra``,
+so its exponential is a left and a right 2x2 rotation with closed-form
+Cayley-Klein coefficients (``unitary.cayley_klein``), and the states are
+read off them at the knots through the generators' exact entries.
+Accuracy is certified, not assumed: the run ends at the first of three
+steps whose bound or estimate of the state error at every knot is below
+CERTIFY_TOL.
+
+1. Closed form, at one exponent per segment: the state at knot k is the
+   rotation by the summed exact segment integrals, certified by the
+   commutator bound plus a telescoped Trotter bound; on a rank-1 schedule
+   all exponents commute and this step ends the run.
+2. A CF4 pass: equal steps in each segment, each the 2-exponential
+   commutator-free scheme of order four, their running products from a
+   log-depth scan, certified by the commutator bound.
+3. Richardson doubling: the steps per segment double until the
+   Richardson estimate of the error falls below CERTIFY_TOL.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ class PropagationResult:
     (or phase 0 if extraction is impossible), or the single-excitation
     state for reversed runs.  ``ghz_phase`` is None when the final
     state has no usable extreme components.  ``steps`` counts the CF4
-    steps of the last pass, two exponentials each.  ``certification_delta``
-    is the commutator bound on the discretization error of the state at
-    every knot where that bound ended the run, and otherwise the Richardson
-    estimate of that error; neither covers roundoff, which the norm-drift
-    check watches.
+    steps of the last pass, two exponentials each, or on the closed-form
+    path the segments, one exact exponent each.  ``certification_delta``
+    is the bound of the step that ended the run (the closed form's
+    certificate or the commutator bound) on the discretization error of
+    the state at every knot, or else the Richardson estimate of that
+    error; none covers roundoff, which the norm-drift check watches.
     """
 
     times: np.ndarray
@@ -210,30 +213,73 @@ def _commutator_bound(schedule: PulseSchedule) -> float:
     return total * (1.0 + (len(dt) + 32) * _UNIT_ROUNDOFF)
 
 
+def _closed_form(schedule: PulseSchedule, dt: np.ndarray, bound: float, psi0: np.ndarray):
+    """Knot states by one exponent per segment, or None, and their certificate.
+
+    exp(-i a_j . spin), a_j a family's exact rate integral over segment j,
+    is within the bound's share of the segment's propagator, and by the
+    first-order Trotter bound ||e^A e^B - e^{A+B}|| <= ||[A, B]||/2 merging
+    it into exp(-i S_j . spin), S_j = a_0 + ... + a_{j-1}, costs at most
+    |S_j x a_j|/4.  The certificate, the bound plus the sum of those over
+    both families with rounding allowances, bounds the discretization error
+    of the states; they are None where it is not below CERTIFY_TOL.
+    """
+    amps = schedule.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        # no term is negative, so the first 256 segments alone refuse most
+        # schedules that are not rank 1; area is twice the amplitude integrals
+        for stop in dict.fromkeys((min(256, len(dt)), len(dt))):
+            area = (amps[:stop] + amps[1 : stop + 1]) * dt[:stop, None]
+            sums = np.add.accumulate(area)
+            # rows (u, 0, w): 4 S_j x a_j is u + w along z in the left family
+            # and u - w in the right one; |u + w| + |u - w| = 2 max(|u|, |w|)
+            turn = sums[:-1] * area[1:, 1:2] - sums[:-1, 1:2] * area[1:]
+            total = bound + float(np.maximum(abs(turn[:, 0]), abs(turn[:, 2])).sum()) / 8.0
+            if not total < CERTIFY_TOL:
+                return None, total
+        # rounding moves each entry of area by at most 3 ulps of its reach, so
+        # u and w by at most 6 ulps of |sums|_1 reach; the sums round by fewer
+        # ulps than the segments + 32
+        mag = np.abs(amps).sum(axis=1)
+        slack = float(np.abs(sums[:-1]).sum(axis=1) @ ((mag[1:-1] + mag[2:]) * dt[1:]))
+        total = (total + 0.75 * _UNIT_ROUNDOFF * slack) * (1.0 + (len(dt) + 32) * _UNIT_ROUNDOFF)
+        # each sum's rounding error, exact by TwoSum (Knuth, TAOCP 2, 4.2.2),
+        # added back: sequential rounding errors grow with the rows
+        step = sums[1:] - sums[:-1]
+        sums[1:] += np.add.accumulate((sums[:-1] - (sums[1:] - step)) + (area[1:] - step))
+    if not total < CERTIFY_TOL:
+        return None, total
+    states, read = _knot_readout(psi0, len(dt) + 1)
+    read(1, *cayley_klein(vectorial_from_rabi(sums / 2.0)))
+    return states, total
+
+
+def _knot_readout(psi0: np.ndarray, knots: int):
+    """Knot states with psi0 in row 0, and read(knot, a, b), which writes the states
+    that Cayley-Klein pairs (a, b) of shape (2, rows) take psi0 to from row knot on."""
+    # row 4 mu + nu is (left unit mu)(right unit nu) psi0, as 8 real columns
+    images = (_UNITS @ (psi0 / math.sqrt(np.vdot(psi0, psi0).real))).view(np.float64)
+    states = np.empty((knots, 4), dtype=complex)
+    states[0] = psi0
+
+    def read(knot: int, a: np.ndarray, b: np.ndarray) -> None:
+        np.matmul(_weights(a, b).T, images, out=states[knot : knot + a.shape[1]].view(np.float64))
+
+    return states, read
+
+
 def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.ndarray:
     """CF4 integration of the ladder with sub equal steps in each schedule segment.
 
     No step straddles a knot, so the amplitudes are linear within each
-    step and the 2-exponential commutator-free scheme of Blanes & Moan
-    (Appl. Numer. Math. 56, 1519 (2006)) is fourth order; on a rank-1
-    schedule the exponents commute and every step is exact.  Each
-    exponential is a left and a right SU(2) rotation in closed form
-    (_step_factors), not an eigendecomposition.  The running products of
-    the steps come from a log-depth scan over pieces of _SCAN_PIECE
-    steps, each piece multiplied by the renormalized product of all
-    earlier ones.  The states are read out at the knots only, as the unit
-    products of ``unitary`` applied to psi0 and weighted by both products.
-
-    Returns the states at the knots, shape (len(schedule.times), 4).
+    step and the 2-exponential scheme of Blanes & Moan (Appl. Numer.
+    Math. 56, 1519 (2006)) is fourth order.  The running products of the
+    steps (_step_factors) come from a log-depth scan over pieces of
+    _SCAN_PIECE steps, each multiplied by the renormalized product of all
+    earlier ones.  Returns the states at the knots, shape (knots, 4).
     """
     steps = (len(schedule.times) - 1) * sub
-    psi0 = np.asarray(initial, dtype=complex)
-    unit = psi0 / math.sqrt(np.vdot(psi0, psi0).real)
-    # row 4 mu + nu is (left unit mu)(right unit nu) psi0, as 8 real columns
-    images = (_UNITS @ unit).view(np.float64)
-
-    states = np.empty((len(schedule.times), 4), dtype=complex)
-    states[0] = psi0
+    states, read = _knot_readout(np.asarray(initial, dtype=complex), len(schedule.times))
     carry_a = np.ones((2, 1), dtype=complex)
     carry_b = np.zeros((2, 1), dtype=complex)
     for start in range(0, steps, _SCAN_PIECE):
@@ -249,8 +295,7 @@ def _integrate(schedule: PulseSchedule, initial: np.ndarray, sub: int) -> np.nda
         # the steps in this piece that end on a knot
         first = (-start - 1) % sub
         a, b = a[:, first::sub], b[:, first::sub]
-        knot = (start + first + 1) // sub
-        np.matmul(_weights(a, b).T, images, out=states[knot : knot + a.shape[1]].view(np.float64))
+        read((start + first + 1) // sub, a, b)
     return states
 
 
@@ -266,15 +311,13 @@ def propagate(
     the run itself; target "w" scores against the single-excitation
     state (useful for reversed schedules).  The run takes at least
     ``steps`` CF4 steps, an equal number in each segment of the
-    schedule, and reports the states and the trace at the knots.  After
-    each pass the run ends if the commutator bound of _commutator_bound
-    at its steps per segment is below CERTIFY_TOL, and that rigorous
-    bound on the discretization error of the state at every knot is
-    reported as certification_delta; on a rank-1 schedule it ends after
-    the first pass.  Otherwise the steps per segment double until the
-    largest state change over the knots, divided by 15, is below
-    CERTIFY_TOL, and that Richardson estimate of the state error at every
-    knot is reported instead.
+    schedule, unless the closed form of _closed_form certifies the
+    default request, and reports the states and the trace at the knots.
+    After each CF4 pass the run ends if the commutator bound of
+    _commutator_bound at its steps per segment is below CERTIFY_TOL;
+    otherwise the steps per segment double until the largest state
+    change over the knots, divided by 15, is.  The bound or estimate
+    that ended the run is reported as certification_delta.
     """
     if initial is None:
         initial = w_state()
@@ -295,9 +338,10 @@ def propagate(
         )
     # a step's rotation vectors are shorter than its length times the summed
     # |amplitudes| at its segment's knots; their squares must not overflow
+    dt = np.diff(schedule.times)
     with np.errstate(over="ignore"):
         peak = np.abs(schedule.values).sum(axis=1)
-        reach = np.diff(schedule.times) / sub * (peak[:-1] + peak[1:])
+        reach = dt / sub * (peak[:-1] + peak[1:])
         bad = np.flatnonzero(~np.isfinite(reach * reach))
     if bad.size:
         i = bad[0]
@@ -307,8 +351,12 @@ def propagate(
         )
 
     bound = _commutator_bound(schedule)
-    states = _integrate(schedule, psi0, sub)
-    delta = bound / sub**2
+    # the closed form's certificate is at least the bound
+    tried = sub == 1 and bound < CERTIFY_TOL
+    states, delta = _closed_form(schedule, dt, bound, psi0) if tried else (None, math.nan)
+    if states is None:
+        states = _integrate(schedule, psi0, sub)
+        delta = bound / sub**2
     # a nan bound certifies nothing
     while not delta < CERTIFY_TOL:
         if 2 * segments * sub > _MAX_STEPS:

@@ -18,6 +18,7 @@ from ghzforge.algebra import (
 )
 from ghzforge.fullmodel import _CHUNK, _step_fit, _step_product, _Workspace
 from ghzforge.propagate import (
+    CERTIFY_TOL,
     AmplitudeTooSmall,
     ConvergenceFailure,
     NonFiniteSchedule,
@@ -37,6 +38,7 @@ from ghzforge.propagate import (
 from ghzforge.synthesis import (
     PulseSchedule,
     SphericalCurve,
+    enumerate_endpoints,
     rabi_schedule,
     reverse_schedule,
     solve_endpoints,
@@ -400,17 +402,22 @@ def _random_schedule(rng, segments):
     return PulseSchedule(times=times, values=values)
 
 
+def _bend(schedule, eta):
+    # a second amplitude direction, eta times a sine over the schedule
+    direction = np.cross(schedule.values[len(schedule.values) // 2], [0.0, 0.0, 1.0])
+    bump = eta * np.sin(2.0 * np.pi * schedule.times / schedule.duration)
+    values = schedule.values + bump[:, None] * direction / np.linalg.norm(direction)
+    return PulseSchedule(times=schedule.times, values=values)
+
+
 def _bump_schedule(samples):
     # A synthesized schedule is rank 1; bending it with a second amplitude
     # direction makes the Hamiltonians at different times fail to commute,
     # so only an integrator can get it right.
-    base = row1_schedule("trapezoid", samples=samples)
-    direction = np.cross(base.values[len(base.values) // 2], [0.0, 0.0, 1.0])
-    bump = np.sin(2.0 * np.pi * base.times / base.duration)
-    values = base.values + bump[:, None] * direction / np.linalg.norm(direction)
-    singular = np.linalg.svd(values, compute_uv=False)
+    schedule = _bend(row1_schedule("trapezoid", samples=samples), 1.0)
+    singular = np.linalg.svd(schedule.values, compute_uv=False)
     assert singular[1] > 0.1 * singular[0]
-    return PulseSchedule(times=base.times, values=values)
+    return schedule
 
 
 # Total step counts on both sides of the scan's piece boundaries, each
@@ -625,14 +632,72 @@ def test_overflowing_bound_falls_back_to_doubling():
 
 @pytest.mark.parametrize("kind", ["constant", "trapezoid"])
 def test_rank1_schedules_take_one_pass(monkeypatch, kind):
+    # A default request takes the closed form, with no CF4 pass; its
+    # certificate is mostly rounding allowance, measured at 7.0e-15 to
+    # 1.2e-14 on the 16 synthesized schedules and their reverses.  Asked for
+    # two steps per segment, the commutator bound ends the run after one pass.
     calls = _count_passes(monkeypatch)
     schedule = row1_schedule(kind)
+    segments = len(schedule.times) - 1
     forward = propagate(schedule)
-    assert calls == [1]
-    assert forward.certification_delta <= 1e-15
     back = propagate(reverse_schedule(schedule), initial=forward.states[-1], target="w")
-    assert calls == [1, 1]
+    assert calls == []
+    assert forward.steps == back.steps == segments
+    assert max(forward.certification_delta, back.certification_delta) <= 2e-14
+    forward = propagate(schedule, steps=2 * segments)
+    assert calls == [2]
+    assert forward.certification_delta <= 1e-15
+    back = propagate(
+        reverse_schedule(schedule), initial=forward.states[-1], steps=2 * segments, target="w"
+    )
+    assert calls == [2, 2]
     assert back.certification_delta <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["constant", "trapezoid"])
+def test_closed_form_matches_cf4_on_synthesized_schedules(monkeypatch, kind):
+    # the oracle is CF4 at two steps per segment, which the commutator bound
+    # alone certifies
+    calls = _count_passes(monkeypatch)
+    for endpoint in enumerate_endpoints():
+        schedule = rabi_schedule(SphericalCurve(endpoint, kind, 1.0), 1000)
+        closed = propagate(schedule)
+        assert calls == []
+        cf4 = propagate(schedule, steps=2 * (len(schedule.times) - 1))
+        assert calls == [2]
+        calls.clear()
+        assert np.array_equal(closed.states[0], w_state())
+        gap = np.max(np.linalg.norm(closed.states - cf4.states, axis=1))
+        assert gap <= closed.certification_delta + cf4.certification_delta + 1e-14
+
+
+def _summed_exponent_states(schedule, psi0):
+    """exp(-i H(S_k)) psi0 by eigendecomposition, S_k the exact integral of
+    the piecewise-linear amplitudes up to knot k."""
+    areas = np.diff(schedule.times)[:, None] * (schedule.values[:-1] + schedule.values[1:]) / 2.0
+    sums = np.vstack([np.zeros(3), np.cumsum(areas, axis=0)])
+    return np.array([oracles.expm_eig(ham) @ psi0 for ham in oracles.ladder_hamiltonian(sums)])
+
+
+@pytest.mark.parametrize("eta, passes", [(1e-12, []), (1e-9, []), (1e-6, [1])])
+def test_closed_form_certificate_bounds_a_bent_schedule(monkeypatch, eta, passes):
+    # The exponents of a bent rank-1 schedule no longer commute.  Up to
+    # eta = 1e-9 the closed form is certified, at 1.6 times its measured
+    # error; at 1e-6 its telescoped Trotter term reaches CERTIFY_TOL and a
+    # CF4 pass takes over.  The commutator bound alone is below the closed
+    # form's error at every eta: 1.3e-12 against 2.5e-7 at 1e-6.
+    calls = _count_passes(monkeypatch)
+    schedule = _bend(row1_schedule("trapezoid"), eta)
+    result = propagate(schedule)
+    assert calls == passes
+    fine, coarse = (_integrate(schedule, w_state(), sub) for sub in (16, 8))
+    assert np.max(np.linalg.norm(fine - coarse, axis=1)) / 15.0 <= 1e-15
+    error = np.max(np.linalg.norm(result.states - fine, axis=1))
+    assert error <= result.certification_delta < CERTIFY_TOL
+    closed = _summed_exponent_states(schedule, w_state())
+    assert np.max(np.linalg.norm(closed - fine, axis=1)) > _commutator_bound(schedule)
+    if not passes:
+        assert np.max(np.linalg.norm(result.states - closed, axis=1)) <= 1e-14
 
 
 def test_norms_stay_at_roundoff_over_long_runs():

@@ -47,6 +47,9 @@ def test_script_writes_csv(script, args, header):
         ("profile_area_comparison.py", ("--duration", "0"), "duration must be positive and finite"),
         ("profile_area_comparison.py", ("--duration", "nan"), "duration must be positive and finite"),
         ("profile_area_comparison.py", ("--samples", "1"), "at least 2 samples"),
+        # refused before the 3,000,000-row baseline is built
+        ("profile_area_comparison.py", ("--points", "1", "--samples", "3000000"),
+         "3000000 exceeds the 2097153 rows propagate can certify"),
     ],
 )
 def test_script_refuses_bad_input_as_usage_error(script, args, message):
