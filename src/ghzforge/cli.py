@@ -173,6 +173,11 @@ def read_schedule_csv(path: str) -> PulseSchedule:
     if not lines or lines[0].strip() != SCHEDULE_HEADER:
         raise ValueError(f"schedule CSV must start with header {SCHEDULE_HEADER!r}")
     data = lines[1:]
+    if len(data) > MAX_ROWS:
+        raise ValueError(
+            f"schedule {path!r} has {len(data)} rows, more than the {MAX_ROWS} rows "
+            "propagate can certify"
+        )
     # loadtxt parses a field as float() does, but refuses some that float()
     # takes (1_0, non-ASCII digits) and skips blank lines, so _parse_rows
     # settles every file it does not read whole
@@ -379,24 +384,21 @@ def _eig_unitary(vecs: np.ndarray, triple: np.ndarray) -> np.ndarray:
 
 
 def _check_brackets(gens) -> tuple[bool, str]:
-    eye = np.eye(4)
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    worst = 0.0
-    for fam in gens:
-        for i in range(3):
-            for j in range(3):
-                comm = fam[i] @ fam[j] - fam[j] @ fam[i]
-                expected = 1j * sum(eps[i, j, k] * fam[k] for k in range(3))
-                worst = max(worst, float(np.max(np.abs(comm - expected))))
-                prod = (2 * fam[i]) @ (2 * fam[j])
-                expected_p = 1j * sum(eps[i, j, k] * 2 * fam[k] for k in range(3)) + (i == j) * eye
-                worst = max(worst, float(np.max(np.abs(prod - expected_p))))
-    for i in range(3):
-        for j in range(3):
-            cross = gens[0][i] @ gens[1][j] - gens[1][j] @ gens[0][i]
-            worst = max(worst, float(np.max(np.abs(cross))))
+    # prods[f, i, j] = fam[i] @ fam[j] in family f, and expected[f, i, j] the
+    # bracket's value i eps_ijk fam[k]; the doubled generators multiply to
+    # 2 expected + delta_ij, and the two families commute
+    prods = gens[:, :, None] @ gens[:, None, :]
+    expected = 1j * np.einsum("ijk,fkab->fijab", eps, gens)
+    left, right = gens[0][:, None], gens[1][None, :]
+    residuals = (
+        prods - prods.swapaxes(1, 2) - expected,
+        4 * prods - 2 * expected - np.eye(3)[:, :, None, None] * np.eye(4),
+        left @ right - right @ left,
+    )
+    worst = max(float(np.max(np.abs(r))) for r in residuals)
     return worst <= 1e-14, f"max residual {worst:.2e}"
 
 
@@ -417,12 +419,12 @@ def _check_exp_map(gens) -> tuple[bool, str]:
 
 def _check_constraint_residuals(endpoints) -> tuple[bool, str]:
     times = np.linspace(0.0, 1.0, 250)
-    worst = 0.0
-    for endpoint in endpoints:
-        for kind in ("constant", "trapezoid"):
-            curve = SphericalCurve(endpoint, kind)
-            rates = dynamics.rotation_rate(curve.vectors_at(times), curve.velocities_at(times))
-            worst = max(worst, float(np.max(np.abs(dynamics.check_constraints(rates)))))
+    curves = [SphericalCurve(e, kind) for e in endpoints for kind in ("constant", "trapezoid")]
+    # every curve's points (2, 250, 3) side by side on axis 1, so one call rates them all
+    vectors = np.stack([curve.vectors_at(times) for curve in curves], axis=1)
+    velocities = np.stack([curve.velocities_at(times) for curve in curves], axis=1)
+    rates = dynamics.rotation_rate(vectors, velocities)
+    worst = float(np.max(np.abs(dynamics.check_constraints(rates))))
     return worst <= 1e-9, f"max residual {worst:.2e}"
 
 

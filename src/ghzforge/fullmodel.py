@@ -139,39 +139,19 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
 
 
-def _interpolant(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """(knots, lines): the amplitudes' slopes lines[0] and values lines[1], flat past the end."""
-    lines = np.zeros((2, 3, len(schedule.times)))
-    lines[1] = schedule.values.T
-    lines[0, :, :-1] = np.diff(lines[1], axis=1) / np.diff(schedule.times)
-    return schedule.times, lines
-
-
 def _drive(
-    times: np.ndarray,
-    params: FullModelParams,
-    phases: np.ndarray | None = None,
-    interp: tuple[np.ndarray, np.ndarray] | None = None,
+    times: np.ndarray, params: FullModelParams, phases: np.ndarray | None = None
 ) -> np.ndarray:
     """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
     Sums amplitude times e^{-i w t} over the four tones, pairwise as
-    np.sum adds four terms, at times in [0, duration].  phases holds
-    e^{-i w t}, a row per tone, and becomes the tones, and interp is
-    _interpolant(schedule); each is computed when None.
+    np.sum adds four terms, at times in [0, duration].  The amplitudes
+    are the schedule's values_at; phases holds e^{-i w t}, a row per
+    tone, and becomes the tones, computed when None.
     """
     if phases is None:
         phases = np.exp(np.multiply.outer(-1j * tone_frequencies(params), times))
-    knots, lines = _interpolant(params.schedule) if interp is None else interp
-    # each amplitude as np.interp forms it, slope (t - t_j) + value_j
-    lo, hi = np.searchsorted(knots, (times.min(), times.max()), side="right")
-    seg = np.searchsorted(knots[lo:hi], times, side="right")
-    seg += lo - 1
-    offset = np.take(knots, seg, mode="clip")
-    np.subtract(times, offset, out=offset)
-    amp, value = np.take(lines, seg, axis=2, mode="clip")
-    amp *= offset
-    amp += value
+    amp = params.schedule.values_at(times).T
     amp *= TONE_WEIGHTS[:, None]
     phases[0] *= params.stark_amp
     phases.real[1:] *= amp
@@ -419,7 +399,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     n, dt = _step_grid(params)
     size = min(_CHUNK, n)
     ws = _Workspace(size, _step_fit(*_drive_band(params), dt, params.blockade))
-    freqs, interp = tone_frequencies(params), _interpolant(params.schedule)
+    freqs = tone_frequencies(params)
     centres = np.arange(size) + 0.5
     table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
@@ -427,7 +407,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
         count = min(_CHUNK, n - done)
         mids = (centres[:count] + done) * dt
         tones = table[:, :count] * np.exp(-1j * (done * dt) * freqs)[:, None]
-        psi = _step_product(_drive(mids, params, tones, interp), ws) @ psi
+        psi = _step_product(_drive(mids, params, tones), ws) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

@@ -467,13 +467,20 @@ def _rescale(schedule: PulseSchedule, factor: float, cause: str) -> PulseSchedul
     """The schedule with its times divided and its amplitudes multiplied by factor.
 
     The schedule's own checks and squared_area refuse a factor that
-    overflows or collapses the times, amplitudes or area; the error names
-    the cause.
+    overflows or collapses the times, amplitudes or area, and a squared
+    area that is not factor times the original to 1e-12 relative is
+    refused as underflowed; the error names the cause.
     """
     try:
         with np.errstate(all="ignore"):
             scaled = PulseSchedule(times=schedule.times / factor, values=schedule.values * factor)
-        squared_area(scaled)
+        area = squared_area(scaled)
+        expected = factor * squared_area(schedule)
+        if not abs(area - expected) <= 1e-12 * expected:
+            raise ValueError(
+                f"its squared area {area!r} is not {expected!r} to 1e-12 relative; "
+                "its squares underflow"
+            )
     except ValueError as exc:
         raise ValueError(f"{cause} makes the schedule invalid: {exc}") from None
     return scaled

@@ -342,8 +342,10 @@ def _spherical_tangent(theta, phi: float, pole: int) -> np.ndarray:
 class PulseSchedule:
     """Sampled real Rabi amplitudes over [0, T].
 
-    Consumers interpolate linearly between samples, which is exact for
-    the trapezoid family on grids aligned with its corners.
+    The amplitudes are linear between samples, which is exact for the
+    trapezoid family on grids aligned with its corners.  values_at is
+    the one evaluation of them at arbitrary times, and the full model's
+    drive reads it; the ladder steps through each segment's linear form.
     """
 
     times: np.ndarray
@@ -379,7 +381,8 @@ class PulseSchedule:
         """Piecewise-linear amplitudes at arbitrary times, shape (..., 3)."""
         ts = np.asarray(ts, dtype=float)
         cols = [np.interp(ts, self.times, self.values[:, k]) for k in range(3)]
-        return np.stack(cols, axis=-1)
+        # stacked first, so that a 1-d result transposed is C-contiguous
+        return np.moveaxis(np.stack(cols), 0, -1)
 
 
 def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:

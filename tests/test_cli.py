@@ -687,9 +687,17 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
          "area of the schedule is inf"),
         # a finite area (1e260) whose per-step rotation vector cannot be squared
         (["propagate"], [(0.0, 1e100, 0.0, 0.0), (1e60, 1e100, 0.0, 0.0)], "segment 0"),
+        # finite, increasing times and amplitudes whose squares underflow to 0
+        (["propagate", "--schedule", str(SHIPPED_CSV), "--normalize-area", "1e-300"], None,
+         "target area 1e-300"),
+        (["synthesize", "--samples", "5", "--target-area", "1e-250"], None, "target area 1e-250"),
+        (["synthesize", "--duration", "1", "--samples", "5", "--omega-ref", "1e-200"], None,
+         "omega_ref 1e-200"),
     ],
     ids=["target-area-huge", "omega-ref-huge", "target-area-tiny", "normalize-area-tiny",
-         "normalize-area-underflows", "squares-overflow", "sum-overflows", "step-rotation-overflows"],
+         "normalize-area-underflows", "squares-overflow", "sum-overflows", "step-rotation-overflows",
+         "normalize-area-squares-underflow", "target-area-squares-underflow",
+         "omega-ref-squares-underflow"],
 )
 def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, capsys):
     # refused before anything is written; a RuntimeWarning would fail the
@@ -792,6 +800,33 @@ def test_header_only_schedule_is_refused_without_warning(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_schedule_csv(path)
     assert str(exc.value) == f"invalid schedule in {path!r}: schedule needs at least two time samples"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["propagate"], ["validate-full", "--factor", "10", "--compare-factor", "0",
+                     "--steps-per-cycle", "2"]],
+    ids=["propagate", "validate-full"],
+)
+def test_schedule_beyond_max_rows_is_refused_before_parsing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ROWS", 4)
+    at_cap = schedule_file(tmp_path, *(f"{t}.0,1.0,0.5,0.0" for t in range(4)))
+    out = tmp_path / "out.json"
+    assert main([*argv, "--schedule", at_cap, "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+
+    def parse(*args, **kwargs):
+        raise AssertionError("an oversized schedule was parsed")
+
+    monkeypatch.setattr(cli.np, "loadtxt", parse)
+    monkeypatch.setattr(cli, "_parse_rows", parse)
+    over_cap = schedule_file(tmp_path, *(f"{t}.0,1.0,0.5,0.0" for t in range(5)))
+    assert main([*argv, "--schedule", over_cap, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: schedule {over_cap!r} has 5 rows, more than the 4 rows propagate can certify\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

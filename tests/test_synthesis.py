@@ -354,6 +354,14 @@ def test_schedule_interpolation_hits_nodes():
     assert np.allclose(mid, [1.5, 0.0, -0.75], atol=1e-15)
 
 
+def test_schedule_interpolation_transposes_to_c_order():
+    # the full model's drive scales the transposed amplitudes in place, a row per tone
+    schedule = rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 9)
+    amps = schedule.values_at(np.linspace(0.0, 1.0, 100))
+    assert amps.shape == (100, 3)
+    assert amps.T.flags.c_contiguous
+
+
 @given(st.integers(2, 40), st.floats(0.1, 8.0, allow_nan=False))
 def test_sampling_duration_consistency(samples, duration):
     schedule = rabi_schedule(SphericalCurve(ROW1, "constant", duration), samples)
