@@ -165,19 +165,37 @@ def _parse_rows(lines: list[str]) -> list[list[float]]:
     return rows
 
 
+# every byte but printable ASCII, which str.strip never removes
+_UNPRINTED = bytes(b for b in range(256) if not 0x21 <= b <= 0x7E)
+
+
 def read_schedule_csv(path: str) -> PulseSchedule:
     file = Path(path)
     if not file.exists():
         raise ValueError(f"schedule file {path!r} does not exist")
-    lines = file.read_text(encoding="utf-8").strip().splitlines()
+    too_long = f"schedule {path!r} has more than {MAX_ROWS} rows, the most propagate can certify"
+    # the lines from the first to the last that hold printable ASCII survive
+    # the strip below, the first as the header at best, so the file is
+    # refused as soon as the newlines between them pass the cap
+    blocks, first, seen = [], None, 0
+    with file.open("rb") as stream:
+        while block := stream.read(1 << 16):
+            blocks.append(block)
+            body = block.rstrip(_UNPRINTED)
+            if body and first is None:
+                first = seen + body.count(b"\n", 0, len(body) - len(body.lstrip(_UNPRINTED)))
+            # numpy counts a block's newlines about 5 times faster than bytes.count
+            within = np.count_nonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+            if body and seen + within - first > MAX_ROWS:
+                raise ValueError(too_long)
+            seen += within + block.count(b"\n", len(body))
+    lines = b"".join(blocks).decode("utf-8").strip().splitlines()
     if not lines or lines[0].strip() != SCHEDULE_HEADER:
         raise ValueError(f"schedule CSV must start with header {SCHEDULE_HEADER!r}")
     data = lines[1:]
+    # a line break other than a newline escapes the count above
     if len(data) > MAX_ROWS:
-        raise ValueError(
-            f"schedule {path!r} has {len(data)} rows, more than the {MAX_ROWS} rows "
-            "propagate can certify"
-        )
+        raise ValueError(too_long)
     # loadtxt parses a field as float() does, but refuses some that float()
     # takes (1_0, non-ASCII digits) and skips blank lines, so _parse_rows
     # settles every file it does not read whole
@@ -419,12 +437,14 @@ def _check_exp_map(gens) -> tuple[bool, str]:
 
 def _check_constraint_residuals(endpoints) -> tuple[bool, str]:
     times = np.linspace(0.0, 1.0, 250)
-    curves = [SphericalCurve(e, kind) for e in endpoints for kind in ("constant", "trapezoid")]
-    # every curve's points (2, 250, 3) side by side on axis 1, so one call rates them all
-    vectors = np.stack([curve.vectors_at(times) for curve in curves], axis=1)
-    velocities = np.stack([curve.velocities_at(times) for curve in curves], axis=1)
-    rates = dynamics.rotation_rate(vectors, velocities)
-    worst = float(np.max(np.abs(dynamics.check_constraints(rates))))
+    worst = 0.0
+    for kind in ("constant", "trapezoid"):
+        curves = [SphericalCurve(e, kind) for e in endpoints]
+        # a profile's curves side by side on axis 1, rated by one call each
+        vectors = np.stack([curve.vectors_at(times) for curve in curves], axis=1)
+        velocities = np.stack([curve.velocities_at(times) for curve in curves], axis=1)
+        rates = dynamics.rotation_rate(vectors, velocities)
+        worst = max(worst, float(np.max(np.abs(dynamics.check_constraints(rates)))))
     return worst <= 1e-9, f"max residual {worst:.2e}"
 
 

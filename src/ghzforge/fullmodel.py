@@ -67,7 +67,7 @@ DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
 DEFAULT_COMPARE_FACTOR = 30.0
 
-# Steps reduced to one product at a time; sizes the tree stacks of _Workspace.
+# Steps reduced to one product at a time; sizes the product tree's two stacks.
 _CHUNK = 2048
 
 
@@ -139,18 +139,14 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
 
 
-def _drive(
-    times: np.ndarray, params: FullModelParams, phases: np.ndarray | None = None
-) -> np.ndarray:
+def _drive(times: np.ndarray, params: FullModelParams, phases: np.ndarray) -> np.ndarray:
     """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
 
     Sums amplitude times e^{-i w t} over the four tones, pairwise as
     np.sum adds four terms, at times in [0, duration].  The amplitudes
     are the schedule's values_at; phases holds e^{-i w t}, a row per
-    tone, and becomes the tones, computed when None.
+    tone of tone_frequencies, and becomes the tones.
     """
-    if phases is None:
-        phases = np.exp(np.multiply.outer(-1j * tone_frequencies(params), times))
     amp = params.schedule.values_at(times).T
     amp *= TONE_WEIGHTS[:, None]
     phases[0] *= params.stark_amp
@@ -259,28 +255,8 @@ def _step_grid(params: FullModelParams) -> tuple[int, float]:
     return n, duration / n
 
 
-class _Workspace:
-    """The run's step fit and the product tree's two stacks, reused by every chunk.
-
-    fit is the run's _step_fit and maps its coefficients as one GEMM per
-    column needs them.  leaves holds a chunk of up to size steps and up
-    the tree's second level; the levels alternate between the two (see
-    _step_product).  At size 2,048 they take 1.5 MiB.
-    """
-
-    def __init__(self, size: int, fit: tuple[float, float, np.ndarray]):
-        self.fit = fit
-        k = len(fit[2])
-        # row s k + m of maps[l] is column l of i^s C_m, then i^(s+1) C_m, as reals
-        cols = fit[2].view(complex).reshape(k, 4, 4).transpose(2, 0, 1)[:, None, :, None]
-        maps = np.multiply(np.array([[1, 1j], [1j, -1]])[:, None, :, None], cols, order="C")
-        self.maps = maps.view(float).reshape(4, 2 * k, 16)
-        self.leaves = np.empty((size, 8, 8))
-        self.up = np.empty(((size + 1) // 2, 8, 8))
-
-
 def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
-    """exp(-i S(r) dt) for each r as (len(r), 32) reals: each entry's real, then imaginary part.
+    """exp(-i S(r) dt) for each r, shape (len(r), 4, 4).
 
     A Taylor series of exp(-iX), X = S(r) dt, summed by Horner steps;
     when the norm theta of X passes 1, X is halved s = ceil(log2 theta)
@@ -302,17 +278,18 @@ def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:
         step = np.eye(4) + (y @ step) / k
     for _ in range(s):
         step = step @ step
-    return step.view(float).reshape(len(r), 32)
+    return step
 
 
 def _step_fit(lo: float, hi: float, dt: float, blockade: float):
-    """Chebyshev interpolant (r0, h, coef) of _real_steps over r in [lo, hi].
+    """Chebyshev interpolant (r0, h, maps) of _real_steps over r in [lo, hi].
 
-    The steps at r0 + h x are sum_j coef[j] T_j(x), coef (K, 32).  Their
-    K-th r-derivative is at most (3 dt)^K, as ||R + R^T||_2 = 3, so K
-    nodes err by at most 2 (a/2)^K / K!, a = 3 h dt; K >= 2 is the least
+    The steps at r0 + h x are sum_j C_j T_j(x), j < K.  Their K-th
+    r-derivative is at most (3 dt)^K, as ||R + R^T||_2 = 3, so K nodes
+    err by at most 2 (a/2)^K / K!, a = 3 h dt; K >= 2 is the least
     making this 2^-53, and K <= 15 as _step_grid keeps a <= 1.  A band
-    of one point (h = 0) is fitted too.  Raises ValueError when a > 1.
+    of one point (h = 0) is fitted too.  maps holds the C_j as the GEMMs
+    of _step_product take them.  Raises ValueError when a > 1.
     """
     r0, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
     a = 3.0 * h * dt
@@ -326,30 +303,34 @@ def _step_fit(lo: float, hi: float, dt: float, blockade: float):
     m = np.outer(np.arange(k), 2 * np.arange(k) + 1) % (4 * k)
     m = np.minimum(m, 4 * k - m)
     cheb = np.where(m > k, -1.0, 1.0) * np.cos(np.minimum(m, 2 * k - m) * (0.5 * math.pi / k))
-    coef = (2.0 / k) * cheb @ _real_steps(r0 + h * cheb[1], dt, blockade)
+    steps = _real_steps(r0 + h * cheb[1], dt, blockade)
+    coef = (2.0 / k) * cheb @ steps.view(float).reshape(k, 32)
     coef[0] *= 0.5
-    return r0, h, coef
+    # row s K + j of maps[l] is column l of i^s C_j, then of i^(s+1) C_j, as reals
+    cols = coef.view(complex).reshape(k, 4, 4).transpose(2, 0, 1)[:, None, :, None]
+    maps = np.multiply(np.array([[1, 1j], [1j, -1]])[:, None, :, None], cols, order="C")
+    return r0, h, maps.view(float).reshape(4, 2 * k, 16)
 
 
-def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _step_product(drive: np.ndarray, fit, leaves: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
 
     With c_k = r_k u_k (u_k = 1 where c_k = 0) and D_k = diag(u_k^j), a
-    step is D_k E_k D_k* (module docstring), E_k = sum_m T_m(x_k) C_m by
-    ws.fit, which must span every r_k.  The gauges telescope: the
+    step is D_k E_k D_k* (module docstring), E_k = sum_j T_j(x_k) C_j by
+    the fit, which must span every r_k.  The gauges telescope: the
     product is D_n X_n ... X_1, X_k = E_k diag(v_k^j), v_k = conj(u_k)
     u_(k-1), u_0 = 1.  One GEMM per column builds every X_k in real
     form, entry a + ib as the block [[a, -b], [b, a]], transposed: rows
     2l, 2l + 1 are column l of X_k and of i X_k.  Pairs are multiplied
     in log depth, one batched product per level (the up-sweep of
     Blelloch, Prefix Sums and Their Applications, 1990), an odd last
-    step copied up; the levels alternate between ws.leaves and ws.up, so
-    ws must hold len(drive) steps.  Returns D_n times the product, a
-    copy.
+    step copied up; the levels alternate between the stacks leaves and
+    up, (len(drive), 8, 8) and ((len(drive) + 1) // 2, 8, 8) or longer.
+    Returns D_n times the product, a copy.
     """
     n = len(drive)
-    r0, h, coef = ws.fit
-    k = len(coef)
+    r0, h, maps = fit
+    k = maps.shape[1] // 2
     table = np.empty((k, n))  # row 1 holds r until x is taken
     r = np.abs(drive, out=table[1])
     nonzero = r > 0.0
@@ -364,8 +345,8 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
         table[1] /= h
     for j in range(2, k):
         table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-    leaves = ws.leaves[:n].reshape(n, 4, 16)
-    np.matmul(table.T, ws.maps[0, :k], out=leaves[:, 0])
+    steps = leaves[:n].reshape(n, 4, 16)
+    np.matmul(table.T, maps[0, :k], out=steps[:, 0])
     planes = np.empty((2 * k, n))
     power = v
     for col in (1, 2, 3):
@@ -373,9 +354,9 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
             power = power * v
         np.multiply(table, power.real, out=planes[:k])
         np.multiply(table, power.imag, out=planes[k:])
-        np.matmul(planes.T, ws.maps[col], out=leaves[:, col])
+        np.matmul(planes.T, maps[col], out=steps[:, col])
 
-    level, up = ws.leaves, ws.up
+    level = leaves
     while n > 1:
         half = n // 2
         np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
@@ -389,16 +370,17 @@ def _step_product(drive: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block: fits the real steps over the
-    _drive_band once; each chunk of _CHUNK steps then takes the drive at
-    its midpoints, with tone phases e^{-i w done dt} times one table of
-    e^{-i w (j + 1/2) dt}, as one _step_product and renormalizes after
-    it.  Returns (final_state, steps, dt), the state in the (ggg, W, W',
-    rrr) basis.
+    Runs on the 4x4 symmetric block: fits the steps over the _drive_band
+    and allocates the product tree's two stacks once; each chunk of
+    _CHUNK steps then takes the drive at its midpoints, with tone phases
+    e^{-i w done dt} times one table of e^{-i w (j + 1/2) dt}, as one
+    _step_product and renormalizes after it.  Returns (final_state,
+    steps, dt), the state in the (ggg, W, W', rrr) basis.
     """
     n, dt = _step_grid(params)
     size = min(_CHUNK, n)
-    ws = _Workspace(size, _step_fit(*_drive_band(params), dt, params.blockade))
+    fit = _step_fit(*_drive_band(params), dt, params.blockade)
+    leaves, up = np.empty((size, 8, 8)), np.empty(((size + 1) // 2, 8, 8))
     freqs = tone_frequencies(params)
     centres = np.arange(size) + 0.5
     table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
@@ -407,7 +389,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
         count = min(_CHUNK, n - done)
         mids = (centres[:count] + done) * dt
         tones = table[:, :count] * np.exp(-1j * (done * dt) * freqs)[:, None]
-        psi = _step_product(_drive(mids, params, tones), ws) @ psi
+        psi = _step_product(_drive(mids, params, tones), fit, leaves, up) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

@@ -226,17 +226,13 @@ def _closed_form(schedule: PulseSchedule, dt: np.ndarray, bound: float, psi0: np
     """
     amps = schedule.values
     with np.errstate(over="ignore", invalid="ignore"):
-        # no term is negative, so the first 256 segments alone refuse most
-        # schedules that are not rank 1; area is twice the amplitude integrals
-        for stop in dict.fromkeys((min(256, len(dt)), len(dt))):
-            area = (amps[:stop] + amps[1 : stop + 1]) * dt[:stop, None]
-            sums = np.add.accumulate(area)
-            # rows (u, 0, w): 4 S_j x a_j is u + w along z in the left family
-            # and u - w in the right one; |u + w| + |u - w| = 2 max(|u|, |w|)
-            turn = sums[:-1] * area[1:, 1:2] - sums[:-1, 1:2] * area[1:]
-            total = bound + float(np.maximum(abs(turn[:, 0]), abs(turn[:, 2])).sum()) / 8.0
-            if not total < CERTIFY_TOL:
-                return None, total
+        # area is twice the amplitude integrals
+        area = (amps[:-1] + amps[1:]) * dt[:, None]
+        sums = np.add.accumulate(area)
+        # rows (u, 0, w): 4 S_j x a_j is u + w along z in the left family
+        # and u - w in the right one; |u + w| + |u - w| = 2 max(|u|, |w|)
+        turn = sums[:-1] * area[1:, 1:2] - sums[:-1, 1:2] * area[1:]
+        total = bound + float(np.maximum(abs(turn[:, 0]), abs(turn[:, 2])).sum()) / 8.0
         # rounding moves each entry of area by at most 3 ulps of its reach, so
         # u and w by at most 6 ulps of |sums|_1 reach; the sums round by fewer
         # ulps than the segments + 32

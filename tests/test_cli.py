@@ -824,9 +824,27 @@ def test_schedule_beyond_max_rows_is_refused_before_parsing(argv, tmp_path, monk
     over_cap = schedule_file(tmp_path, *(f"{t}.0,1.0,0.5,0.0" for t in range(5)))
     assert main([*argv, "--schedule", over_cap, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: schedule {over_cap!r} has 5 rows, more than the 4 rows propagate can certify\n"
+        f"error: schedule {over_cap!r} has more than 4 rows, the most propagate can certify\n"
     )
     assert not out.exists()
+
+
+def test_schedule_rows_are_counted_as_they_are_read(tmp_path, monkeypatch, capsys):
+    # the row cap applies before the file is decoded: a line that is not
+    # UTF-8 after the first row past the cap is never read as text
+    monkeypatch.setattr(cli, "MAX_ROWS", 4)
+    head = f"{SCHEDULE_HEADER}\n".encode()
+    rows = [f"{t}.0,1.0,0.5,0.0\n".encode() for t in range(5)]
+    path = tmp_path / "sched.csv"
+    path.write_bytes(head + b"".join(rows) + b"\xff\xfe,\x80\n")
+    assert main(["propagate", "--schedule", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: schedule {str(path)!r} has more than 4 rows, the most propagate can certify\n"
+    )
+    # blank lines at either end are stripped before rows are counted, as
+    # are lines of other whitespace, so four rows stay within the cap
+    path.write_bytes(b"\n \n" + head + b"".join(rows[:4]) + b"\n\t\n\xc2\xa0\n" * 1000)
+    assert np.array_equal(read_schedule_csv(str(path)).times, [0.0, 1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from ghzforge.fullmodel import (
     _LADDER4,
     _CHUNK,
     _PAIRS4,
-    _Workspace,
     _drive,
     _drive_band,
     _integrate_full,
@@ -162,6 +161,11 @@ def _max_rel(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
 
+def _tone_drive(times, params):
+    """_drive at times, with the tone phases e^{-i w t} built here."""
+    return _drive(times, params, np.exp(np.multiply.outer(-1j * tone_frequencies(params), times)))
+
+
 def test_symmetric_block_reduction_identities():
     # the package's block literals against the oracle's eight-level
     # operators: each maps the manifold onto itself as the literal says
@@ -175,7 +179,7 @@ def test_symmetric_block_reduction_identities():
         assert _max_rel(op8 @ manifold, manifold @ op4) <= 1e-14
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         for t in (0.0, 0.21, 0.5, 0.77, 1.0):
-            drive = _drive(np.array([t]), params)[0]
+            drive = _tone_drive(np.array([t]), params)[0]
             block = drive * raising4 + drive.conjugate() * raising4.T + params.blockade * _PAIRS4
             ham = oracles.full_hamiltonian(t, params)
             assert _max_rel(ham @ manifold, manifold @ block) <= 1e-14
@@ -229,7 +233,7 @@ def test_gauge_identity_of_block_hamiltonian():
     rng = np.random.default_rng(11)
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         times = rng.uniform(0.0, params.schedule.duration, 50)
-        drive = _drive(times, params)
+        drive = _tone_drive(times, params)
         hams = oracles.block_hamiltonian(drive, params.blockade)
         real = np.abs(drive)[:, None, None] * _LADDER4 + params.blockade * _PAIRS4
         twist = np.exp(1j * np.angle(drive)[:, None] * np.arange(4))
@@ -345,13 +349,18 @@ def test_drive_stays_in_its_band(gaps, data, stark):
     params = make_params(stark=stark, schedule=schedule)
     times = np.concatenate([knots, np.random.default_rng(len(knots)).uniform(0.0, knots[-1], 200)])
     lo, hi = _drive_band(params)
-    modulus = np.abs(_drive(times, params))
+    modulus = np.abs(_tone_drive(times, params))
     assert np.all(lo <= modulus) and np.all(modulus <= hi)
+
+
+def _nodes(fit):
+    # maps holds two rows per node
+    return fit[2].shape[1] // 2
 
 
 def _one_step(r, fit):
     # a single real drive needs no twist, so the product is the step itself
-    return _step_product(np.array([r + 0j]), _Workspace(1, fit))
+    return _step_product(np.array([r + 0j]), fit, np.empty((1, 8, 8)), np.empty((1, 8, 8)))
 
 
 @pytest.mark.parametrize("a", [1e-12, 4e-4, 0.05, 0.5, 1.0])
@@ -360,9 +369,9 @@ def test_step_fit_matches_real_steps(a):
     h = a / (3.0 * dt)
     lo, hi = 5.0, 5.0 + 2.0 * h
     fit = _step_fit(lo, hi, dt, blockade)
-    assert len(fit[2]) <= 15
+    assert _nodes(fit) <= 15
     rs = np.concatenate([[lo, hi], np.random.default_rng(7).uniform(lo, hi, 200)])
-    direct = _real_steps(rs, dt, blockade).view(complex).reshape(-1, 4, 4)
+    direct = _real_steps(rs, dt, blockade)
     for r, step in zip(rs, direct):
         assert np.max(np.abs(_one_step(r, fit) - step)) <= 2e-15
     # past a = 1 the fit is refused; a band of one point is fitted
@@ -381,7 +390,7 @@ def test_real_steps_match_eigendecomposition(dt):
     for blockade in (0.5, 3.0):
         hams = oracles.block_hamiltonian(rs + 0j, blockade) * dt
         norms.extend(np.max(np.sum(np.abs(hams), axis=-1), axis=-1))
-        steps = _real_steps(rs, dt, blockade).view(complex).reshape(-1, 4, 4)
+        steps = _real_steps(rs, dt, blockade)
         for step, ham, norm in zip(steps, hams, norms[-len(rs):]):
             bound = 16.0 * np.finfo(float).eps * max(1.0, norm)
             assert np.max(np.abs(step - oracles.expm_eig(ham))) <= bound
@@ -410,7 +419,7 @@ def test_step_grid_admits_the_step_fit(gaps, data, factor, spc):
     n, dt = _step_grid(params)
     lo, hi = _drive_band(params)
     assert n >= 1.5 * (hi - lo) * params.schedule.duration
-    assert len(_step_fit(lo, hi, dt, params.blockade)[2]) <= 15
+    assert _nodes(_step_fit(lo, hi, dt, params.blockade)) <= 15
 
 
 def test_step_grid_takes_a_step_more_where_a_rounds_above_one(monkeypatch):
@@ -422,7 +431,7 @@ def test_step_grid_takes_a_step_more_where_a_rounds_above_one(monkeypatch):
     params = make_params(blockade=1.0, detuning0=1.0, schedule=zero_schedule(duration), spc=1)
     n, dt = _step_grid(params)
     assert n == 10
-    assert len(_step_fit(0.0, 14.0 / 3.0, dt, params.blockade)[2]) <= 15
+    assert _nodes(_step_fit(0.0, 14.0 / 3.0, dt, params.blockade)) <= 15
 
 
 def test_refined_steps_match_reference():
@@ -434,7 +443,7 @@ def test_refined_steps_match_reference():
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
     assert n == math.ceil(1.5 * (hi - lo) * duration) > math.ceil(stiff * duration)
-    assert len(_step_fit(lo, hi, dt, params.blockade)[2]) <= 15
+    assert _nodes(_step_fit(lo, hi, dt, params.blockade)) <= 15
     psi, steps, _ = _integrate_full(params)
     ref_psi, _, ref_steps, _ = oracles.full_model_reference(params, steps=n)
     assert steps == ref_steps == n
@@ -486,14 +495,20 @@ def test_integrate_full_memory_stays_bounded():
 
 
 def test_workspace_buffers_stay_small():
-    # the fit's maps and the tree's two stacks of real 8x8 matrices, the
-    # steps and the second level, 1.5 MiB; a chunk of 4,096 steps, or a
-    # buffer of 128 KiB beside them (a chunk's tones), would break the bound
+    # a second run, past any first-call allocation: the tree's two stacks
+    # of real 8x8 matrices, 1.5 MiB, and each chunk's temporaries peak at
+    # 2.17 MiB; a chunk of 4,096 steps (4.26 MiB), or one more buffer of
+    # 128 KiB held across chunks (2.29 MiB), breaks the bound
     params = params_for_factor(row1_schedule(), 10.0)
-    _, dt = _step_grid(params)
-    ws = _Workspace(_CHUNK, _step_fit(*_drive_band(params), dt, params.blockade))
-    total = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
-    assert total <= 1.6 * (1 << 20)
+    _integrate_full(params)
+    tracemalloc.start()
+    try:
+        _, steps, _ = _integrate_full(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps > 4 * _CHUNK
+    assert peak <= 2.25 * (1 << 20)
 
 
 def test_step_cap_refuses_before_allocating():

@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _step_fit, _step_product, _Workspace
+from ghzforge.fullmodel import _CHUNK, _step_fit, _step_product
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -279,10 +279,15 @@ def _long_steps(rng, n):
     return modulus * np.exp(1j * rng.uniform(-math.pi, math.pi, n)), rng.uniform(0.5, 2.0), 0.6
 
 
-def _workspace(size, drive, dt, blockade):
-    """A workspace holding the step fit over the moduli of drive."""
+def _fit(drive, dt, blockade):
+    """The step fit over the moduli of drive."""
     r = np.abs(drive)
-    return _Workspace(size, _step_fit(np.min(r), np.max(r), dt, blockade))
+    return _step_fit(np.min(r), np.max(r), dt, blockade)
+
+
+def _stacks(size):
+    """The product tree's two stacks for chunks of up to size steps."""
+    return np.empty((size, 8, 8)), np.empty(((size + 1) // 2, 8, 8))
 
 
 @pytest.mark.parametrize(
@@ -305,7 +310,7 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(drive, _workspace(len(drive), drive, dt, blockade))
+    prod = _step_product(drive, _fit(drive, dt, blockade), *_stacks(len(drive)))
     ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
@@ -317,28 +322,28 @@ def test_midpoint_states_match_per_step_reference(steps, build):
 )
 def test_step_product_reuses_workspace_exactly(build):
     # a full chunk, an odd remainder, then a full chunk again of one run,
-    # through one workspace and its step fit: a stale slice or a swapped
-    # ping-pong buffer would leave a trace of the earlier chunk in the
-    # later product
+    # through one step fit and one pair of stacks: a stale slice or a
+    # swapped ping-pong buffer would leave a trace of the earlier chunk in
+    # the later product
     drive, blockade, dt = build(np.random.default_rng(29), 2 * _CHUNK + 999)
-    ws = _workspace(_CHUNK, drive, dt, blockade)
+    fit, stacks = _fit(drive, dt, blockade), _stacks(_CHUNK)
     for chunk in np.split(drive, [_CHUNK, _CHUNK + 999]):
-        fresh = _step_product(chunk, _Workspace(len(chunk), ws.fit))
-        assert np.array_equal(_step_product(chunk, ws), fresh)
+        fresh = _step_product(chunk, fit, *_stacks(len(chunk)))
+        assert np.array_equal(_step_product(chunk, fit, *stacks), fresh)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK])
 @pytest.mark.parametrize("build", [_random_ladder, _random_hermitian, _long_steps])
 def test_step_product_outlives_the_next_chunk(steps, build):
-    # the tree ends in one of the workspace's ping-pong stacks, so a
-    # product returned as a view into them would change under the next
-    # chunk through the same workspace; these builders never repeat a
-    # chunk, as a zero or half-zero drive of a step or three can
+    # the tree ends in one of its two ping-pong stacks, so a product
+    # returned as a view into them would change under the next chunk
+    # through the same stacks; these builders never repeat a chunk, as a
+    # zero or half-zero drive of a step or three can
     drive, blockade, dt = build(np.random.default_rng(31), 2 * steps)
-    ws = _workspace(steps, drive, dt, blockade)
-    first = _step_product(drive[:steps], ws)
+    fit, stacks = _fit(drive, dt, blockade), _stacks(steps)
+    first = _step_product(drive[:steps], fit, *stacks)
     kept = first.copy()
-    second = _step_product(drive[steps:], ws)
+    second = _step_product(drive[steps:], fit, *stacks)
     assert not np.array_equal(second, kept)
     assert np.array_equal(first, kept)
 
