@@ -8,12 +8,13 @@ each factor the full model is integrated on its permutation-symmetric
 4x4 block and compared with the four-level effective prediction,
 yielding the infidelity.
 
-The infidelity should fall roughly like 1/factor^2.  There is no leakage
+How the infidelity falls with the factor is recorded under item 2 of
+ROADMAP.md: it is not monotone.  There is no leakage
 column: the symmetric drive never couples to the antisymmetric states,
 so the block integration cannot leave the manifold.  Input the package
 refuses, such as a factor that is not positive and finite, is a usage
 error (exit 2) before any factor is integrated; so is a factor that
-needs more steps than the integrator's cap, when its turn comes.
+needs more steps than the integrator's cap.
 Writes one CSV row per factor.
 """
 
@@ -22,12 +23,7 @@ import csv
 import sys
 import time
 
-from ghzforge.fullmodel import (
-    DEFAULT_STEPS_PER_CYCLE,
-    TooManySteps,
-    params_for_factor,
-    validate_reduction,
-)
+from ghzforge.fullmodel import DEFAULT_FACTOR, DEFAULT_STEPS_PER_CYCLE, compare_factors
 from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
@@ -85,17 +81,16 @@ def main(argv=None):
     try:
         endpoint = solve_endpoints(tuple(args.signs))
         schedule = rabi_schedule(SphericalCurve(endpoint, "constant", args.duration), args.samples)
-        runs = [(f, params_for_factor(schedule, f, args.steps_per_cycle)) for f in args.factors]
+        start = time.perf_counter()
+        reports, _ = compare_factors(
+            schedule, args.factors, args.steps_per_cycle, min_factor=DEFAULT_FACTOR, force=True
+        )
     except ValueError as exc:
         parser.error(str(exc))
+    print(f"scanned {len(reports)} factors in {time.perf_counter() - start:.2f} s", file=sys.stderr)
 
     rows = []
-    for factor, params in runs:
-        start = time.perf_counter()
-        try:
-            report = validate_reduction(params, force=True)
-        except TooManySteps as exc:
-            parser.error(f"factor {factor:g}: {exc}")
+    for factor, report in zip(args.factors, reports):
         rows.append(
             {
                 "factor": repr(float(factor)),
@@ -109,7 +104,7 @@ def main(argv=None):
         )
         print(
             f"factor {factor:g}: infidelity {report.effective_vs_full_infidelity:.3e}, "
-            f"{report.steps} steps ({time.perf_counter() - start:.2f} s)",
+            f"{report.steps} steps",
             file=sys.stderr,
         )
 

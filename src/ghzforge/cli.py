@@ -142,8 +142,20 @@ def _write(text: str, out: str | None) -> None:
             file.truncate()
 
 
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """float.__repr__ of each entry, called once per distinct bit pattern.
+
+    A constant-rate schedule repeats its amplitudes on every row and a
+    trapezoid across its plateau and mirrored ramps.  Bits, not values,
+    keep 0.0 and -0.0 apart.
+    """
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return strings[index]
+
+
 def _csv(header: str, *columns: np.ndarray) -> str:
-    rows = zip(*(map(float.__repr__, column.tolist()) for column in columns))
+    rows = zip(*map(_reprs, columns))
     return "\n".join([header, *map(",".join, rows), ""])
 
 
@@ -189,7 +201,11 @@ def read_schedule_csv(path: str) -> PulseSchedule:
             if body and seen + within - first > MAX_ROWS:
                 raise ValueError(too_long)
             seen += within + block.count(b"\n", len(body))
-    lines = b"".join(blocks).decode("utf-8").strip().splitlines()
+    try:
+        lines = b"".join(blocks).decode("utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"schedule {path!r} is not UTF-8: line {line}: {exc.reason}") from None
     if not lines or lines[0].strip() != SCHEDULE_HEADER:
         raise ValueError(f"schedule CSV must start with header {SCHEDULE_HEADER!r}")
     data = lines[1:]

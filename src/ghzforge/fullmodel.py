@@ -473,8 +473,11 @@ def compare_factors(
             f"minimum hierarchy factor must be positive and finite, not {min_factor!r}"
         )
     runs = [(f, params_for_factor(schedule, f, steps_per_cycle)) for f in factors]
-    for _, params in runs:
-        _step_grid(params)  # refuse an oversized factor before integrating any
+    for f, params in runs:
+        try:
+            _step_grid(params)  # refuse an oversized factor before integrating any
+        except TooManySteps as exc:
+            raise TooManySteps(f"factor {f:g}: {exc}") from None
     effective = propagate(schedule, target="ghz").states[-1]
     reports = [
         validate_reduction(

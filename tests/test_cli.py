@@ -341,7 +341,7 @@ def test_validate_full_step_cap(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2
         err = capsys.readouterr().err
-        assert "steps" in err and "4194304" in err
+        assert "factor 100000: the full model needs" in err and "4194304" in err
 
 
 @pytest.mark.parametrize(
@@ -876,6 +876,38 @@ def test_schedule_csv_round_trip_is_exact(tmp_path_factory, start, later, amplit
     parsed = read_schedule_csv(path)
     assert parsed.times.tobytes() == written.times.tobytes()
     assert parsed.values.tobytes() == written.values.tobytes()
+
+
+# what writing each distinct float once could get wrong: runs, repeats that
+# are not neighbours, zeros of either sign, subnormals, both sides of
+# repr's switch to exponent notation, one row, no repeat at all
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.5] * 5 + [2.5] * 4 + [1.5] * 3 + [2.5, 0.25, 1.5],
+        [0.0, -0.0, 0.0, 5e-324, -0.0, -5e-324, 2.225073858507201e-308, 5e-324],
+        [1e16, 9999999999999998.0, 1e-5, 0.0001, 1e16, 1e-5, 1.0000000000000002e16],
+        [0.1],
+        np.random.default_rng(3).standard_normal(257).tolist(),
+    ],
+    ids=["runs-and-repeats", "zeros-and-subnormals", "exponent-switch", "single-row",
+         "all-distinct"],
+)
+def test_csv_writer_bytes_are_the_repr_of_every_entry(column):
+    values = np.array(column)
+    # strided views, as write_schedule_csv passes the amplitude columns
+    table = np.column_stack([values, values[::-1], np.roll(values, 1)])
+    columns = (values, *table.T)
+    expected = [",".join(map(float.__repr__, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert cli._csv("h", *columns) == "\n".join(["h", *expected, ""])
+
+
+def test_schedule_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "sched.csv"
+    path.write_bytes(f"{SCHEDULE_HEADER}\n0.0,1.0,0.5,0.0\n1.0,1.0,0.5,0.0\n".encode() + b"\xff\n")
+    assert main(["propagate", "--schedule", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(path)) in err and "line 4" in err
 
 
 VALIDATE_ONE_FACTOR = [

@@ -62,6 +62,15 @@ def test_script_refuses_bad_input_as_usage_error(script, args, message):
     assert proc.stdout == ""
 
 
+def test_reduction_scan_refuses_an_oversized_factor_before_integrating_any():
+    # factor 1000 needs about 7e8 steps, over the cap; factor 2 comes first
+    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "2", "1000")
+    assert proc.returncode == 2
+    assert "factor 1000: the full model needs" in proc.stderr
+    assert "infidelity" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_payload_digest_prints_one_named_sha256_per_payload():
     start = time.perf_counter()
     proc = run_python(str(REPO / "scripts" / "payload_digest.py"))
