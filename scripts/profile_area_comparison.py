@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from ghzforge.propagate import MAX_ROWS, normalize_to_area, propagate, squared_area
+from ghzforge.propagate import normalize_to_area, propagate, squared_area
 from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
@@ -82,8 +82,6 @@ def main(argv=None):
         parser.error("--max-ramp must lie in [0, 0.5)")
     if args.points < 1:
         parser.error("--points must be at least 1")
-    if args.samples > MAX_ROWS:
-        parser.error(f"--samples {args.samples} exceeds the {MAX_ROWS} rows propagate can certify")
 
     try:
         endpoint = solve_endpoints(tuple(args.signs))

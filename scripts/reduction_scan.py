@@ -8,7 +8,7 @@ each factor the full model is integrated on its permutation-symmetric
 4x4 block and compared with the four-level effective prediction,
 yielding the infidelity.
 
-How the infidelity falls with the factor is recorded under item 2 of
+How the infidelity falls with the factor is recorded under item 1 of
 ROADMAP.md: it is not monotone.  There is no leakage
 column: the symmetric drive never couples to the antisymmetric states,
 so the block integration cannot leave the manifold.  Input the package

@@ -10,7 +10,7 @@ the permutation-symmetric 4x4 block that the drive never leaves.  The
 tests check that block against an eight-dimensional model of their own.
 """
 
-from .algebra import build_generators, casimirs, pseudospin_basis
+from .algebra import build_generators, casimirs, extract_ghz_phase, pseudospin_basis
 from .unitary import cayley_klein, exp_map, transformed_pseudospin_states
 from .dynamics import check_constraints, rabi_from_vectorial
 from .synthesis import (
@@ -26,7 +26,6 @@ from .synthesis import (
 # re-exporting the function here would shadow the submodule attribute.
 from .propagate import (
     ghz_fidelity,
-    extract_ghz_phase,
     squared_area,
     normalize_to_area,
 )

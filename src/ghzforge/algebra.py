@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "NotScalarMultiple",
+    "AmplitudeTooSmall",
     "build_generators",
     "casimirs",
     "pseudospin_basis",
@@ -28,11 +29,16 @@ __all__ = [
     "wprime_state",
     "rrr_state",
     "ghz_state",
+    "extract_ghz_phase",
 ]
 
 
 class NotScalarMultiple(ValueError):
     """A matrix that must be a multiple of the identity is not one."""
+
+
+class AmplitudeTooSmall(ValueError):
+    """Phase extraction needs both extreme components to be populated."""
 
 
 def build_generators() -> np.ndarray:
@@ -128,3 +134,21 @@ def rrr_state() -> np.ndarray:
 def ghz_state(phase: float) -> np.ndarray:
     """(|ggg> + e^{i phase} |rrr>)/sqrt(2)."""
     return np.array([1.0, 0.0, 0.0, np.exp(1j * phase)]) / np.sqrt(2.0)
+
+
+def extract_ghz_phase(state: np.ndarray) -> float:
+    """Relative phase between the two extreme components, in [0, 2 pi).
+
+    Raises AmplitudeTooSmall unless both |<ggg|state>| and
+    |<rrr|state>| exceed 0.1; below that the phase is numerically
+    meaningless.
+    """
+    vec = np.asarray(state, dtype=complex)
+    lo = complex(np.vdot(ggg_state(), vec))
+    hi = complex(np.vdot(rrr_state(), vec))
+    if abs(lo) <= 0.1 or abs(hi) <= 0.1:
+        raise AmplitudeTooSmall(
+            f"extreme components {abs(lo):.3f}, {abs(hi):.3f} are too small "
+            "for phase extraction"
+        )
+    return float((np.angle(hi) - np.angle(lo)) % (2.0 * np.pi))

@@ -41,7 +41,6 @@ from .fullmodel import DEFAULT_COMPARE_FACTOR, DEFAULT_FACTOR, DEFAULT_STEPS_PER
 from .propagate import (
     ConvergenceFailure,
     DEFAULT_STEPS,
-    MAX_ROWS,
     _rescale,
     normalize_to_area,
     propagate,
@@ -49,6 +48,7 @@ from .propagate import (
 )
 from .synthesis import (
     DEFAULT_SIGN_ORDER,
+    MAX_ROWS,
     PulseSchedule,
     SphericalCurve,
     enumerate_endpoints,
@@ -99,7 +99,7 @@ _PATH_KEYS = ("schedule", "out", "trace_csv", "reference_schedule")
 def load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     """A JSON config's values, each checked against the option it sets."""
     file = Path(path)
-    raw = json.loads(file.read_text(encoding="utf-8"))
+    raw = json.loads(file.read_text(encoding="utf-8-sig"))
     if not isinstance(raw, dict):
         raise ValueError("config file must contain a JSON object")
     for key, value in raw.items():
@@ -202,7 +202,7 @@ def read_schedule_csv(path: str) -> PulseSchedule:
                 raise ValueError(too_long)
             seen += within + block.count(b"\n", len(body))
     try:
-        lines = b"".join(blocks).decode("utf-8").strip().splitlines()
+        lines = b"".join(blocks).decode("utf-8-sig").strip().splitlines()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"schedule {path!r} is not UTF-8: line {line}: {exc.reason}") from None
@@ -301,8 +301,6 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
     endpoint = solve_endpoints(signs)
     if (cfg.duration is None) == (cfg.target_area is None):
         raise ValueError("give exactly one of duration or target_area")
-    if cfg.samples > MAX_ROWS:
-        raise ValueError(f"samples {cfg.samples} exceeds the {MAX_ROWS} rows propagate can certify")
     duration = cfg.duration if cfg.duration is not None else 1.0
     curve = SphericalCurve(endpoint, cfg.profile, duration, cfg.tau, cfg.pole)
     schedule = rabi_schedule(curve, cfg.samples)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ggg_state, ghz_state, rrr_state, w_state
+from .algebra import AmplitudeTooSmall, extract_ghz_phase, ghz_state, w_state
 from .dynamics import vectorial_from_rabi
-from .synthesis import NonFiniteSchedule, PulseSchedule
+from .synthesis import MAX_ROWS, NonFiniteSchedule, PulseSchedule
 from .unitary import _UNITS, _compose, _weights, cayley_klein
 
 __all__ = [
@@ -49,11 +49,7 @@ __all__ = [
 
 DEFAULT_STEPS = 1
 CERTIFY_TOL = 1e-8
-_MAX_STEPS = 1 << 22
-# The most rows of a schedule propagate can certify: a step per segment,
-# and room for a certifying pass at twice that.
-MAX_ROWS = _MAX_STEPS // 2 + 1
-_PHASE_AMPLITUDE_FLOOR = 0.1
+_MAX_STEPS = 2 * (MAX_ROWS - 1)
 # The ladder scans its running products _SCAN_PIECE steps at a time, so
 # temporaries stay bounded however long the run.
 _SCAN_PIECE = 8192
@@ -71,10 +67,6 @@ class NotNormalized(ValueError):
 
 class TooManySteps(ValueError):
     """A run would need more steps than the integrator allows."""
-
-
-class AmplitudeTooSmall(ValueError):
-    """Phase extraction needs both extreme components to be populated."""
 
 
 class ZeroArea(ValueError):
@@ -404,30 +396,14 @@ def ghz_fidelity(state: np.ndarray, phase: float) -> float:
     return float(abs(np.vdot(ghz_state(phase), vec)) ** 2)
 
 
-def extract_ghz_phase(state: np.ndarray) -> float:
-    """Relative phase between the two extreme components, in [0, 2 pi).
-
-    Raises AmplitudeTooSmall unless both |<ggg|state>| and
-    |<rrr|state>| exceed 0.1; below that the phase is numerically
-    meaningless.
-    """
-    vec = np.asarray(state, dtype=complex)
-    lo = complex(np.vdot(ggg_state(), vec))
-    hi = complex(np.vdot(rrr_state(), vec))
-    if abs(lo) <= _PHASE_AMPLITUDE_FLOOR or abs(hi) <= _PHASE_AMPLITUDE_FLOOR:
-        raise AmplitudeTooSmall(
-            f"extreme components {abs(lo):.3f}, {abs(hi):.3f} are too small "
-            "for phase extraction"
-        )
-    return float((np.angle(hi) - np.angle(lo)) % (2.0 * math.pi))
-
-
 def squared_area(schedule: PulseSchedule) -> float:
     """Integral of the summed squared amplitudes over the schedule.
 
     Exact for the piecewise-linear interpolation: each segment of a
     linear amplitude contributes dt (a^2 + a b + b^2)/3.  An area that
-    overflows raises ValueError.
+    overflows raises ValueError, as does one that rounding below the normal
+    range could move by more than 1e-12 relative or 2^-1022, unless every
+    amplitude is 0.
     """
     dt = np.diff(schedule.times)
     a = schedule.values[:-1]
@@ -440,6 +416,12 @@ def squared_area(schedule: PulseSchedule) -> float:
         area = math.inf
     if not math.isfinite(area):
         raise ValueError(f"the squared area of the schedule is {area!r}, not finite")
+    # below the normal range each rounded product or term is off by at most 2^-1074 (times dt)
+    slack = 3.0 * math.ldexp(schedule.duration + 2.0 * len(dt), -1074)
+    if slack > max(1e-12 * area, 2.0**-1022) and np.any(schedule.values):
+        raise ValueError(
+            f"squared area {area!r} may be off by {slack:.3e} in rounding; its squares underflow"
+        )
     return area
 
 
@@ -463,20 +445,12 @@ def _rescale(schedule: PulseSchedule, factor: float, cause: str) -> PulseSchedul
     """The schedule with its times divided and its amplitudes multiplied by factor.
 
     The schedule's own checks and squared_area refuse a factor that
-    overflows or collapses the times, amplitudes or area, and a squared
-    area that is not factor times the original to 1e-12 relative is
-    refused as underflowed; the error names the cause.
+    overflows, collapses or underflows it; the error names the cause.
     """
     try:
         with np.errstate(all="ignore"):
             scaled = PulseSchedule(times=schedule.times / factor, values=schedule.values * factor)
-        area = squared_area(scaled)
-        expected = factor * squared_area(schedule)
-        if not abs(area - expected) <= 1e-12 * expected:
-            raise ValueError(
-                f"its squared area {area!r} is not {expected!r} to 1e-12 relative; "
-                "its squares underflow"
-            )
+        squared_area(scaled)
     except ValueError as exc:
         raise ValueError(f"{cause} makes the schedule invalid: {exc}") from None
     return scaled

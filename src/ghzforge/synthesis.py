@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import w_state
+from .algebra import extract_ghz_phase, w_state
 from .unitary import _unitaries
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "SphericalCurve",
     "PulseSchedule",
     "DEFAULT_SIGN_ORDER",
+    "MAX_ROWS",
     "RADIUS",
     "solve_endpoints",
     "enumerate_endpoints",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 RADIUS = math.pi
+# The most rows propagate can certify: a step per segment and twice that, at most 2^22 steps.
+MAX_ROWS = (1 << 21) + 1
 
 # Sign triples in the canonical emission order.  The first four share the
 # negative-root branch, the last four the positive one; every admissible
@@ -249,7 +252,7 @@ def _reached_ghz_phase(unitary: np.ndarray) -> float:
             "endpoint unitary does not send the initial state onto the "
             f"ggg/rrr plane (weight {weight:.12f})"
         )
-    return float((np.angle(psi[3]) - np.angle(psi[0])) % (2.0 * math.pi))
+    return extract_ghz_phase(psi)
 
 
 @dataclass(frozen=True)
@@ -393,6 +396,8 @@ def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:
     """
     if samples < 2:
         raise ValueError("a schedule needs at least 2 samples")
+    if samples > MAX_ROWS:
+        raise ValueError(f"samples {samples} exceeds the {MAX_ROWS} rows propagate can certify")
     times = np.linspace(0.0, curve.duration, samples)
     rate = curve.rate(times)
     coeffs = plateau_amplitudes(curve.endpoint)

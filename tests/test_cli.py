@@ -571,21 +571,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert run_cli("synthesize", "--config", str(unknown)).returncode == 2
 
 
-@pytest.mark.parametrize("where", ["config", "schedule"])
+@pytest.mark.parametrize("where", ["config", "schedule", "byte-order-mark"])
 def test_inputs_are_read_as_utf8_under_an_ascii_locale(where, tmp_path):
     # outputs are UTF-8 under any locale, so inputs are read as UTF-8 too;
     # float() reads digits of any script, here the GHZ phase 0.5 or the
-    # first time 0.0 in Arabic-Indic digits
+    # first time 0.0 in Arabic-Indic digits; and either file may start with
+    # the byte-order mark that spreadsheets write in "CSV UTF-8"
     rows = SHIPPED_CSV.read_text(encoding="utf-8")
-    phase = "0.5"
+    phase, mark = "0.5", ""
     if where == "config":
         phase = "\u0660.\u0665"
-    else:
+    elif where == "schedule":
         rows = rows.replace("\n0.0,", "\n\u0660.\u0660,", 1)
-    (tmp_path / "s.csv").write_text(rows, encoding="utf-8")
+    else:
+        mark = "\ufeff"
+    (tmp_path / "s.csv").write_text(mark + rows, encoding="utf-8")
     config = {"schedule": "s.csv", "initial": f"ghz:{phase}", "out": "got.json"}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    cfg.write_text(mark + json.dumps(config, ensure_ascii=False), encoding="utf-8")
     proc = run_cli("propagate", "--config", str(cfg), env={"LC_ALL": "C", "PYTHONUTF8": "0"})
     assert proc.returncode == 0, proc.stderr
     want = tmp_path / "want.json"
@@ -693,11 +696,15 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
         (["synthesize", "--samples", "5", "--target-area", "1e-250"], None, "target area 1e-250"),
         (["synthesize", "--duration", "1", "--samples", "5", "--omega-ref", "1e-200"], None,
          "omega_ref 1e-200"),
+        # the schedule of omega-ref-squares-underflow, with no rescaling
+        (["synthesize", "--duration", "1e200", "--samples", "5"], None, "its squares underflow"),
+        (["propagate"], [(0.0, 1e-200, 0.0, 0.0), (1e200, 1e-200, 0.0, 0.0)],
+         "its squares underflow"),
     ],
     ids=["target-area-huge", "omega-ref-huge", "target-area-tiny", "normalize-area-tiny",
          "normalize-area-underflows", "squares-overflow", "sum-overflows", "step-rotation-overflows",
          "normalize-area-squares-underflow", "target-area-squares-underflow",
-         "omega-ref-squares-underflow"],
+         "omega-ref-squares-underflow", "duration-squares-underflow", "schedule-squares-underflow"],
 )
 def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, capsys):
     # refused before anything is written; a RuntimeWarning would fail the
@@ -900,6 +907,35 @@ def test_csv_writer_bytes_are_the_repr_of_every_entry(column):
     columns = (values, *table.T)
     expected = [",".join(map(float.__repr__, row)) for row in zip(*(c.tolist() for c in columns))]
     assert cli._csv("h", *columns) == "\n".join(["h", *expected, ""])
+
+
+# the UTF-8 byte-order mark
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "schedule_head, line3_head, config_head, message",
+    [
+        (b"\n" + BOM, b"", b"", "must start with header"),
+        (BOM + BOM, b"", b"", "must start with header"),
+        (b"", BOM, b"", "line 3: could not convert"),
+        (b"", b"", b" " + BOM, "Expecting value: line 1 column 2"),
+        (b"", b"", BOM + BOM, "Unexpected UTF-8 BOM"),
+    ],
+    ids=["schedule-after-blank-line", "schedule-twice", "schedule-data-line", "config-after-space",
+         "config-twice"],
+)
+def test_byte_order_mark_anywhere_but_the_start_is_refused(
+    schedule_head, line3_head, config_head, message, tmp_path, capsys
+):
+    schedule = tmp_path / "sched.csv"
+    rows = f"{SCHEDULE_HEADER}\n0.0,1.0,0.5,0.0\n".encode() + line3_head + b"1.0,1.0,0.5,0.0\n"
+    schedule.write_bytes(schedule_head + rows)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config_head + json.dumps({"schedule": schedule.name}).encode())
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_schedule_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):

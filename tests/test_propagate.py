@@ -160,6 +160,51 @@ def test_squared_area_exact_for_ramps():
     assert squared_area(schedule) == pytest.approx(14.0 / 3.0, rel=1e-15)
 
 
+# 0, or amplitudes whose squares and products, times the steps between the
+# knots drawn below, stay in the normal range
+NORMAL_AMPLITUDE = st.just(0.0) | st.builds(
+    lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+    st.floats(1.0, 9.0), st.integers(-50, 49), st.sampled_from([1.0, -1.0]),
+)
+
+
+@given(st.data())
+def test_squared_area_is_the_fsum_of_its_segment_terms(data):
+    knots = data.draw(st.lists(st.floats(1e-30, 1e30), min_size=1, max_size=20, unique=True))
+    times = np.array([0.0, *sorted(knots)])
+    row = st.tuples(NORMAL_AMPLITUDE, NORMAL_AMPLITUDE, NORMAL_AMPLITUDE)
+    values = np.array(data.draw(st.lists(row, min_size=len(times), max_size=len(times))))
+    dt = np.diff(times)[:, None]
+    a, b = values[:-1], values[1:]
+    terms = dt * (a * a + a * b + b * b) / 3.0
+    area = squared_area(PulseSchedule(times=times, values=values))
+    assert area.hex() == math.fsum(terms.ravel().tolist()).hex()
+
+
+@given(
+    st.lists(st.floats(1e-30, 1e6), min_size=1, max_size=20, unique=True),
+    st.data(),
+)
+def test_squared_area_below_the_normal_range_is_zero(knots, data):
+    # below 2^-538 every square and product rounds to 0, and on schedules
+    # this short the rounding cannot move the area past 2^-1022
+    times = np.array([0.0, *sorted(knots)])
+    amplitude = st.floats(-(2.0**-538), 2.0**-538)
+    row = st.tuples(amplitude, amplitude, amplitude)
+    values = np.array(data.draw(st.lists(row, min_size=len(times), max_size=len(times))))
+    assert squared_area(PulseSchedule(times=times, values=values)) == 0.0
+
+
+def test_squared_area_refuses_underflow_unless_every_amplitude_is_zero():
+    # the hypothesis example of test_propagation_stays_normalized: its true
+    # area, about 2.4e-427, lies below the subnormal range
+    assert squared_area(constant_schedule(np.array([0.0, 0.0, 4.908400336631002e-214]))) == 0.0
+    assert squared_area(constant_schedule(np.zeros(3), duration=1e300)) == 0.0
+    # a true area of 9.05e-200 that rounds to 0
+    with pytest.raises(ValueError, match="its squares underflow"):
+        squared_area(row1_schedule(duration=1e200))
+
+
 def test_frozen_reference_areas():
     assert squared_area(row1_schedule()) == pytest.approx(9.048318710712635, rel=1e-13)
     assert squared_area(row1_schedule("trapezoid")) == pytest.approx(11.31039838839079, rel=1e-13)

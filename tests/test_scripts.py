@@ -50,6 +50,8 @@ def test_script_writes_csv(script, args, header):
         # refused before the 3,000,000-row baseline is built
         ("profile_area_comparison.py", ("--points", "1", "--samples", "3000000"),
          "3000000 exceeds the 2097153 rows propagate can certify"),
+        ("reduction_scan.py", ("--samples", "10000000000000"),
+         "10000000000000 exceeds the 2097153 rows propagate can certify"),
     ],
 )
 def test_script_refuses_bad_input_as_usage_error(script, args, message):
