@@ -144,8 +144,7 @@ def extract_ghz_phase(state: np.ndarray) -> float:
     meaningless.
     """
     vec = np.asarray(state, dtype=complex)
-    lo = complex(np.vdot(ggg_state(), vec))
-    hi = complex(np.vdot(rrr_state(), vec))
+    lo, hi = complex(vec[0]) + 0j, complex(vec[3]) + 0j  # a -0.0 part reads 0.0, as in np.vdot
     if abs(lo) <= 0.1 or abs(hi) <= 0.1:
         raise AmplitudeTooSmall(
             f"extreme components {abs(lo):.3f}, {abs(hi):.3f} are too small "

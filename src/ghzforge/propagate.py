@@ -428,17 +428,23 @@ def squared_area(schedule: PulseSchedule) -> float:
 def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSchedule:
     """Rescale a schedule to a target squared area.
 
-    Amplitudes scale by lam and times by 1/lam with
-    lam = target / current, which leaves the integral of each amplitude
-    (and therefore the reached state) invariant while scaling the
-    squared area linearly.
+    Amplitudes scale by lam = target / current and times by 1/lam,
+    which leaves the integral of each amplitude (and therefore the
+    reached state) invariant while scaling the squared area linearly.
+    Where the squares underflow, current is 4^-k times the area at
+    amplitudes scaled by 2^k, exactly, into [0.5, 1).
     """
     current = squared_area(schedule)
     if not target_area > 0.0:
         raise ZeroArea("target area must be positive")
-    if current <= 0.0:
+    if not np.any(schedule.values):
         raise ZeroArea("schedule has zero squared area, cannot rescale")
-    return _rescale(schedule, target_area / current, f"target area {target_area!r}")
+    k = -math.frexp(np.max(np.abs(schedule.values)))[1] if current < 2.0**-1022 else 0
+    if k > 0:
+        current = squared_area(PulseSchedule(schedule.times, np.ldexp(schedule.values, k)))
+    with np.errstate(over="ignore", divide="ignore"):  # _rescale refuses an infinite factor
+        factor = np.ldexp(np.float64(target_area) / current, 2 * k)
+    return _rescale(schedule, factor, f"target area {target_area!r}")
 
 
 def _rescale(schedule: PulseSchedule, factor: float, cause: str) -> PulseSchedule:

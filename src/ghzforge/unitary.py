@@ -7,11 +7,11 @@ closed forms and the whole map reduces to a pair of 2x2 Cayley-Klein
 coefficient sets.  A rotation-vector pair is an array of shape
 (2, ..., 3), the left vector first.  The half-angle formula works
 elementwise on arrays of rotation vectors, so the same code serves
-single rotations and the
-per-step factors of the ladder integrator in ``propagate``, which also
-takes its products and its readout from here.  No matrix exponential is
-ever needed at runtime; a dense eigendecomposition oracle lives in the
-test suite instead.
+single rotations and the per-step factors of the ladder integrator in
+``propagate``, which also takes its products and its readout from
+here.  Outside these closed forms the package sums one matrix
+exponential, fullmodel's power series, for the full model's fit and
+``ghz-forge check``; eigendecompositions run only in the test oracles.
 """
 
 from __future__ import annotations

@@ -396,22 +396,32 @@ def test_validate_full_config_compare_factor(compare, code, tmp_path, capsys):
         assert json.loads(out)["comparison"] is None
 
 
-def test_validate_full_runs_without_eigh(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["endpoints", "synthesize", "propagate", "validate-full", "check"])
+def test_commands_run_without_eigh(command, monkeypatch, tmp_path, capsys):
+    # outside the test oracles no command takes an eigendecomposition
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh called on the validate-full path")
+        raise AssertionError(f"an eigendecomposition ran on the {command} path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    code = main([
-        "validate-full", "--schedule", str(SHIPPED_CSV), "--factor", "3", "--min-factor", "3",
-        "--compare-factor", "4", "--steps-per-cycle", "2",
-    ])
-    assert code == 0
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["comparison"]["hierarchy_factor"] >= 4.0
-    # a run of a few ms still reports its time, with the steps of both factors
-    steps = payload["steps"] + payload["comparison"]["steps"]
-    assert re.search(rf"^validated {steps} steps in \d+\.\d{{3}}s$", captured.err, re.M)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    argv = {
+        "endpoints": ["endpoints"],
+        "synthesize": ["synthesize", "--duration", "1", "--samples", "5", "--out", str(tmp_path / "s.csv")],
+        "propagate": ["propagate", "--schedule", str(SHIPPED_CSV)],
+        "validate-full": [
+            "validate-full", "--schedule", str(SHIPPED_CSV), "--factor", "3", "--min-factor", "3",
+            "--compare-factor", "4", "--steps-per-cycle", "2",
+        ],
+        "check": ["check"],
+    }[command]
+    assert main(argv) == 0
+    if command == "validate-full":
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["comparison"]["hierarchy_factor"] >= 4.0
+        # a run of a few ms still reports its time, with the steps of both factors
+        steps = payload["steps"] + payload["comparison"]["steps"]
+        assert re.search(rf"^validated {steps} steps in \d+\.\d{{3}}s$", captured.err, re.M)
 
 
 def test_propagate_step_cap(capsys):
@@ -525,7 +535,7 @@ def test_check_catches_a_wrong_closed_form(monkeypatch, capsys):
     monkeypatch.setattr(cli.unitary, "cayley_klein", perturbed)
     assert main(["check"]) == 3
     out = capsys.readouterr().out
-    assert "FAIL  closed form vs eigendecomposition" in out
+    assert "FAIL  closed form vs power series" in out
     assert "4/5 checks passed" in out
 
 
@@ -720,6 +730,31 @@ def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, ca
     assert shown in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "amplitude, target, code, shown",
+    [
+        # true area 1e-340 reads 0.0, yet the factor 1e40 is representable
+        (1e-170, 1e-300, 0, None),
+        # area 1 needs a factor of 1e340, past the float range
+        (1e-170, 1.0, 2, "target area 1.0 makes the schedule invalid"),
+        (0.0, 1e-300, 2, "schedule has zero squared area"),
+    ],
+    ids=["factor-representable", "factor-overflows", "all-zero"],
+)
+def test_normalize_area_where_the_squares_underflow(amplitude, target, code, shown, tmp_path, capsys):
+    schedule = tmp_path / "in.csv"
+    rows = [f"{t!r},{amplitude!r},0.0,0.0" for t in (0.0, 1.0)]
+    schedule.write_text("\n".join([SCHEDULE_HEADER, *rows]) + "\n")
+    out = tmp_path / "out.json"
+    argv = ["propagate", "--schedule", str(schedule), "--normalize-area", repr(target)]
+    assert main([*argv, "--out", str(out)]) == code
+    if code == 0:
+        assert json.loads(out.read_text())["area"] == target
+    else:
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", [str(MAX_ROWS + 1), "10000000000000"])

@@ -19,6 +19,7 @@ from ghzforge.fullmodel import (
     _drive_band,
     _integrate_full,
     _real_steps,
+    _series_exp,
     _step_fit,
     _step_grid,
     _step_product,
@@ -329,6 +330,39 @@ def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     assert (steps, dt) == (ref_steps, ref_dt)
     assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
     assert ref_leak <= 1e-14
+
+
+@given(st.lists(st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6), min_size=1, max_size=8))
+def test_series_exp_matches_eigendecomposition_on_the_generators(pairs):
+    # complex Hermitian v.L + w.R, the input of check's closed-form comparison
+    hams = oracles.generator_form(np.reshape(pairs, (-1, 2, 3)).transpose(1, 0, 2))
+    for step, ham in zip(_series_exp(hams), hams):
+        assert np.max(np.abs(step - oracles.expm_eig(ham))) <= 1e-12
+
+
+def test_series_exp_takes_numpys_complex_division_bit_for_bit():
+    # the Horner steps multiply float views by 1 / k; written with complex
+    # division by k, the series gives the same bits on both kinds of input
+    def divided(x):
+        theta = float(np.max(np.sum(np.abs(x), axis=-1)))
+        s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+        m = 1
+        while (theta * 0.5**s) ** (m + 1) / math.factorial(m + 1) > 2.0**-53:
+            m += 1
+        y = x * (-1j * 0.5**s)
+        step = np.eye(4) + y / m
+        for k in range(m - 1, 0, -1):
+            step = np.eye(4) + (y @ step) / k
+        for _ in range(s):
+            step = step @ step
+        return step
+
+    rng = np.random.default_rng(37)
+    hams = [oracles.generator_form(rng.uniform(-8.0, 8.0, (2, 50, 3)))]
+    hams += [oracles.block_hamiltonian(rng.uniform(0.0, 5.0, 50), v).real * dt
+             for v, dt in ((0.5, 0.01), (3.0, 2.0))]
+    for x in hams:
+        assert np.array_equal(_series_exp(x).view(np.uint64), divided(x).view(np.uint64))
 
 
 @given(
