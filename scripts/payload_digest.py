@@ -23,7 +23,9 @@ from pathlib import Path
 
 import profile_area_comparison
 import reduction_scan
-from ghzforge.cli import main as cli_main
+from ghzforge.cli import SCHEDULE_HEADER, main as cli_main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # validate-full at the settings of the benchmark's validate workload
 VALIDATE_FLAGS = ("--factor", "10", "--compare-factor", "20", "--steps-per-cycle", "14")
@@ -81,6 +83,16 @@ def digests(work: Path) -> list[tuple[str, str]]:
                            "--out", "@.csv"], entry=reduction_scan.main)
     run("profile_area_comparison", ["--points", "2", "--samples", "100", "--out", "@.csv"],
         entry=profile_area_comparison.main)
+    # runs that skip the closed form: the shipped config asks for 4096
+    # steps, a CF4 pass that the commutator bound ends; the zigzag is not
+    # rank 1, and Richardson doubling ends it
+    run("propagate-config", ["propagate", "--config", str(CONFIGS / "row1_constant.json"),
+                             "--out", "@.json"])
+    zigzag = work / "zigzag.csv"
+    rows = (f"{k / 8!r},2.2,{3.9 * (-1) ** k!r},0.0" for k in range(9))
+    zigzag.write_text("\n".join([SCHEDULE_HEADER, *rows, ""]))
+    run("propagate-zigzag", ["propagate", "--schedule", str(zigzag), "--out", "@.json"])
+    run("reverse-zigzag", ["propagate", "--schedule", str(zigzag), "--reverse", "--out", "@.json"])
     return [(name, hashlib.sha256(data).hexdigest()) for name, data in payloads]
 
 

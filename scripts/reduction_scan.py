@@ -14,7 +14,9 @@ column: the symmetric drive never couples to the antisymmetric states,
 so the block integration cannot leave the manifold.  Input the package
 refuses, such as a factor that is not positive and finite, is a usage
 error (exit 2) before any factor is integrated; so is a factor that
-needs more steps than the integrator's cap.
+needs more steps than the integrator's cap.  A factor below the
+package's minimum hierarchy factor is scanned too, with hierarchy_ok
+false.
 Writes one CSV row per factor.
 """
 
@@ -23,7 +25,7 @@ import csv
 import sys
 import time
 
-from ghzforge.fullmodel import DEFAULT_FACTOR, DEFAULT_STEPS_PER_CYCLE, compare_factors
+from ghzforge.fullmodel import DEFAULT_STEPS_PER_CYCLE, compare_factors
 from ghzforge.synthesis import SphericalCurve, rabi_schedule, solve_endpoints
 
 FIELDS = (
@@ -82,9 +84,7 @@ def main(argv=None):
         endpoint = solve_endpoints(tuple(args.signs))
         schedule = rabi_schedule(SphericalCurve(endpoint, "constant", args.duration), args.samples)
         start = time.perf_counter()
-        reports, _ = compare_factors(
-            schedule, args.factors, args.steps_per_cycle, min_factor=DEFAULT_FACTOR, force=True
-        )
+        reports, _ = compare_factors(schedule, args.factors, args.steps_per_cycle, force=True)
     except ValueError as exc:
         parser.error(str(exc))
     print(f"scanned {len(reports)} factors in {time.perf_counter() - start:.2f} s", file=sys.stderr)

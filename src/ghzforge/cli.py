@@ -312,8 +312,6 @@ def _synthesize_schedule(cfg: argparse.Namespace) -> PulseSchedule:
 def cmd_synthesize(cfg: argparse.Namespace) -> int:
     written = _synthesize_schedule(cfg)
     if cfg.omega_ref is not None:
-        if not cfg.omega_ref > 0:
-            raise ValueError("omega_ref must be positive")
         written = _rescale(written, cfg.omega_ref, f"omega_ref {cfg.omega_ref!r}")
     area = squared_area(written)
     write_schedule_csv(written, cfg.out)

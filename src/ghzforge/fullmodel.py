@@ -400,7 +400,6 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
 def validate_reduction(
     params: FullModelParams,
     required_factor: float = DEFAULT_FACTOR,
-    force: bool = False,
     *,
     _effective: np.ndarray | None = None,
 ) -> ReductionReport:
@@ -408,20 +407,13 @@ def validate_reduction(
 
     The effective prediction is the four-level propagation of the same
     schedule, lifted into the full space with the accumulated
-    frame-alignment phases of the four levels.  Raises
-    HierarchyViolation when the scale ratios fall below
-    required_factor, unless force is set.  compare_factors passes the
-    effective final state it shares between factors as _effective;
-    when it is None the schedule is propagated here.
+    frame-alignment phases of the four levels.  It refuses nothing for
+    the hierarchy, which compare_factors admits: hierarchy_ok reports
+    whether both scale ratios reach required_factor.  compare_factors
+    passes the effective final state it shares between factors as
+    _effective; when it is None the schedule is propagated here.
     """
     upper, lower = hierarchy_ratios(params)
-    ok = min(upper, lower) >= required_factor
-    if not ok and not force:
-        raise HierarchyViolation(
-            f"scale ratios ({upper:.2f}, {lower:.2f}) below required factor "
-            f"{required_factor}; pass force=True to integrate anyway"
-        )
-
     psi_block, steps, dt = _integrate_full(params)
 
     if _effective is None:
@@ -437,7 +429,7 @@ def validate_reduction(
         hierarchy_factor=min(upper, lower),
         ratio_upper=upper,
         ratio_lower=lower,
-        hierarchy_ok=ok,
+        hierarchy_ok=min(upper, lower) >= required_factor,
         # the block integration cannot leave the symmetric manifold; the
         # field stays because the benchmark's validate gate reads it
         leakage_max=0.0,
@@ -456,41 +448,39 @@ def compare_factors(
     schedule: PulseSchedule,
     factors: tuple[float, ...],
     steps_per_cycle: int = DEFAULT_STEPS_PER_CYCLE,
-    min_factor: float | None = None,
+    min_factor: float = DEFAULT_FACTOR,
     force: bool = False,
 ) -> tuple[list[ReductionReport], dict]:
     """Run the reduction check at several hierarchy factors.
 
-    Each run must reach min_factor, which must be positive and finite,
-    or its own factor when min_factor is None (force skips the check as
-    in validate_reduction).  The effective model is propagated once and
-    scores every factor.
+    Every factor is admitted before any is integrated: it raises
+    TooManySteps when the factor needs more steps than the cap and,
+    unless force is set, HierarchyViolation when a scale ratio falls
+    below min_factor, which must be positive and finite; either message
+    starts "factor F: ".  The effective model is then propagated once
+    and scores every factor, hierarchy_ok against min_factor.
     Returns the per-factor reports plus the trend flag
     "infidelity_decreased", comparing the last run against the first:
     the perturbative prediction is that a wider hierarchy tracks the
-    effective model more closely.  Raises TooManySteps before
-    integrating anything when a factor needs more steps than the cap.
+    effective model more closely.
     """
-    if min_factor is not None and not 0 < min_factor < math.inf:
+    if not 0 < min_factor < math.inf:
         raise ValueError(
             f"minimum hierarchy factor must be positive and finite, not {min_factor!r}"
         )
     runs = [(f, params_for_factor(schedule, f, steps_per_cycle)) for f in factors]
     for f, params in runs:
         try:
-            _step_grid(params)  # refuse an oversized factor before integrating any
-        except TooManySteps as exc:
-            raise TooManySteps(f"factor {f:g}: {exc}") from None
+            _step_grid(params)
+            upper, lower = hierarchy_ratios(params)
+            if not (force or min(upper, lower) >= min_factor):
+                raise HierarchyViolation(
+                    f"scale ratios ({upper:.2f}, {lower:.2f}) below the minimum factor {min_factor:g}"
+                )
+        except (TooManySteps, HierarchyViolation) as exc:
+            raise type(exc)(f"factor {f:g}: {exc}") from None
     effective = propagate(schedule, target="ghz").states[-1]
-    reports = [
-        validate_reduction(
-            params,
-            required_factor=f if min_factor is None else min_factor,
-            force=force,
-            _effective=effective,
-        )
-        for f, params in runs
-    ]
+    reports = [validate_reduction(params, min_factor, _effective=effective) for _, params in runs]
     trend = {
         "infidelity_decreased": reports[-1].effective_vs_full_infidelity
         < reports[0].effective_vs_full_infidelity,

@@ -450,10 +450,13 @@ def normalize_to_area(schedule: PulseSchedule, target_area: float) -> PulseSched
 def _rescale(schedule: PulseSchedule, factor: float, cause: str) -> PulseSchedule:
     """The schedule with its times divided and its amplitudes multiplied by factor.
 
-    The schedule's own checks and squared_area refuse a factor that
-    overflows, collapses or underflows it; the error names the cause.
+    A factor that is not positive and finite is refused before it is
+    applied; the schedule's own checks and squared_area refuse one that
+    overflows, collapses or underflows it.  The error names the cause.
     """
     try:
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"its scale factor {float(factor)!r} is not positive and finite")
         with np.errstate(all="ignore"):
             scaled = PulseSchedule(times=schedule.times / factor, values=schedule.values * factor)
         squared_area(scaled)

@@ -299,6 +299,33 @@ def test_propagate_reference_area(tmp_path):
     assert payload["final_fidelity"] >= 0.999
 
 
+
+def test_propagate_convergence_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    # the stiff schedule of test_convergence_failure_when_capped, as a CSV
+    import ghzforge.propagate as propagate_module
+
+    monkeypatch.setattr(propagate_module, "_MAX_STEPS", 64)
+    schedule = tmp_path / "wild.csv"
+    rows = [f"{k / 8!r},80.0,0.0,0.0" if k % 2 == 0 else f"{k / 8!r},0.0,-80.0,0.0" for k in range(9)]
+    schedule.write_text("\n".join([SCHEDULE_HEADER, *rows]) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["propagate", "--schedule", str(schedule), "--steps", "8", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: knot state error estimate ")
+    assert not out.exists()
+
+
+def test_propagate_from_ggg(capsys):
+    assert main(["propagate", "--schedule", str(SHIPPED_CSV), "--initial", "ggg"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "ghz"
+
+
+def test_synthesize_duration_and_target_area_is_usage_error(capsys):
+    assert main(["synthesize", "--duration", "1", "--target-area", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give exactly one of duration or target_area" in captured.err
+
+
 def test_validate_full_quick(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli(
@@ -342,6 +369,42 @@ def test_validate_full_step_cap(capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "factor 100000: the full model needs" in err and "4194304" in err
+
+
+@pytest.mark.parametrize(
+    "compare, message",
+    [("3", "factor 3: scale ratios (6.00, 5.20) below the minimum factor 10"),
+     ("1000", "factor 1000: the full model needs")],
+    ids=["hierarchy", "step-cap"],
+)
+def test_validate_full_refuses_every_factor_before_integrating_any(
+    compare, message, tmp_path, monkeypatch, capsys
+):
+    # --factor 10 passes admission; the refusal of the comparison factor
+    # must come before factor 10 is integrated or the schedule propagated
+    from ghzforge import fullmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before every factor was admitted")
+
+    schedule, out = tmp_path / "s.csv", tmp_path / "r.json"
+    assert main(["synthesize", "--duration", "1", "--out", str(schedule)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fullmodel, "_integrate_full", refuse)
+    monkeypatch.setattr(fullmodel, "propagate", refuse)
+    argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", compare]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_full_all_zero_schedule_is_usage_error(tmp_path, capsys):
+    schedule = tmp_path / "zero.csv"
+    schedule.write_text(SCHEDULE_HEADER + "\n0.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.0\n")
+    assert main(["validate-full", "--schedule", str(schedule)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot scale parameters to an all-zero schedule" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -710,11 +773,22 @@ def test_synthesize_bad_omega_ref_is_usage_error(value, tmp_path, capsys):
         (["synthesize", "--duration", "1e200", "--samples", "5"], None, "its squares underflow"),
         (["propagate"], [(0.0, 1e-200, 0.0, 0.0), (1e200, 1e-200, 0.0, 0.0)],
          "its squares underflow"),
+        # a factor that is not finite is named, not blamed on the schedule:
+        # area 1 needs a factor of 1e340, past the float range
+        (["propagate", "--normalize-area", "1"], [(0.0, 1e-170, 0.0, 0.0), (1.0, 1e-170, 0.0, 0.0)],
+         "target area 1.0 makes the schedule invalid: its scale factor inf is not positive"),
+        # the area stays 0.0 even at amplitudes scaled into [0.5, 1)
+        (["propagate", "--normalize-area", "1e-300"],
+         [(0.0, 1e-170, 0.0, 0.0), (5e-324, 1e-170, 0.0, 0.0)],
+         "target area 1e-300 makes the schedule invalid: its scale factor inf is not positive"),
+        (["synthesize", "--duration", "1", "--omega-ref", "inf"], None,
+         "omega_ref inf makes the schedule invalid: its scale factor inf is not positive"),
     ],
     ids=["target-area-huge", "omega-ref-huge", "target-area-tiny", "normalize-area-tiny",
          "normalize-area-underflows", "squares-overflow", "sum-overflows", "step-rotation-overflows",
          "normalize-area-squares-underflow", "target-area-squares-underflow",
-         "omega-ref-squares-underflow", "duration-squares-underflow", "schedule-squares-underflow"],
+         "omega-ref-squares-underflow", "duration-squares-underflow", "schedule-squares-underflow",
+         "factor-overflows", "factor-divides-by-zero", "omega-ref-inf"],
 )
 def test_overflowing_squared_area_is_usage_error(argv, rows, shown, tmp_path, capsys):
     # refused before anything is written; a RuntimeWarning would fail the

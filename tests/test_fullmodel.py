@@ -256,12 +256,13 @@ def test_params_for_factor_scaling():
 
 def test_hierarchy_violation_and_force():
     schedule = row1_schedule()
-    params = params_for_factor(schedule, 1.0)
-    with pytest.raises(HierarchyViolation):
-        validate_reduction(params, required_factor=10.0)
-    report = validate_reduction(params, required_factor=10.0, force=True)
+    with pytest.raises(HierarchyViolation, match="factor 1: scale ratios"):
+        compare_factors(schedule, (1.0,), min_factor=10.0)
+    report = validate_reduction(params_for_factor(schedule, 1.0), required_factor=10.0)
     assert not report.hierarchy_ok
     assert report.hierarchy_factor < 10.0
+    [forced], _ = compare_factors(schedule, (1.0,), min_factor=10.0, force=True)
+    assert not forced.hierarchy_ok
 
 
 def test_zero_drive_keeps_state_constant():
@@ -556,7 +557,7 @@ def test_step_cap_refuses_before_allocating():
         with pytest.raises(TooManySteps, match="steps"):
             validate_reduction(params, required_factor=1e5)
         with pytest.raises(TooManySteps, match="steps"):
-            validate_reduction(params, force=True)
+            validate_reduction(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

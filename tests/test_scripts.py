@@ -82,5 +82,6 @@ def test_payload_digest_prints_one_named_sha256_per_payload():
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
     names = [line.split()[0] for line in lines]
     assert len(names) == len(set(names))
-    assert {"check.stdout", "endpoints.json", "reduction_scan.csv"} <= set(names)
+    assert {"check.stdout", "endpoints.json", "reduction_scan.csv", "propagate-config.json",
+            "propagate-zigzag.json", "reverse-zigzag.json"} <= set(names)
     assert elapsed < 3.0
