@@ -265,6 +265,8 @@ def cmd_endpoints(cfg: argparse.Namespace) -> int:
     if active_pins:
         if not all(math.isfinite(v) for v in (*active_pins.values(), cfg.pin_tol)):
             raise ValueError("pinned angles and pin_tol must be finite")
+        if cfg.pin_tol < 0:
+            raise ValueError(f"pin_tol must be non-negative, not {cfg.pin_tol!r}")
         residuals = [
             max(abs(getattr(sol, k) - v) for k, v in active_pins.items()) for sol in rows
         ]

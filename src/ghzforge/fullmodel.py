@@ -67,7 +67,7 @@ DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
 DEFAULT_COMPARE_FACTOR = 30.0
 
-# Steps reduced to one product at a time; sizes the product tree's two stacks.
+# Steps reduced to one product at a time; sizes the product tree's one stack.
 _CHUNK = 2048
 
 
@@ -315,7 +315,7 @@ def _step_fit(lo: float, hi: float, dt: float, blockade: float):
     return r0, h, maps.view(float).reshape(4, 2 * k, 16)
 
 
-def _step_product(drive: np.ndarray, fit, leaves: np.ndarray, up: np.ndarray) -> np.ndarray:
+def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
     """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
 
     With c_k = r_k u_k (u_k = 1 where c_k = 0) and D_k = diag(u_k^j), a
@@ -325,11 +325,16 @@ def _step_product(drive: np.ndarray, fit, leaves: np.ndarray, up: np.ndarray) ->
     u_(k-1), u_0 = 1.  One GEMM per column builds every X_k in real
     form, entry a + ib as the block [[a, -b], [b, a]], transposed: rows
     2l, 2l + 1 are column l of X_k and of i X_k.  Pairs are multiplied
-    in log depth, one batched product per level (the up-sweep of
+    in log depth, level by level in batched products (the up-sweep of
     Blelloch, Prefix Sums and Their Applications, 1990), an odd last
-    step copied up; the levels alternate between the stacks leaves and
-    up, (len(drive), 8, 8) and ((len(drive) + 1) // 2, 8, 8) or longer.
-    Returns D_n times the product, a copy.
+    step copied up.  All of it runs in stack, (m, 8, 8) with m at least
+    n + ceil(n / 16), n = len(drive): the steps fill its last n rows.  A
+    level read from rows past the front is written over the front in
+    pieces [lo, hi), hi at most a + 2 lo with a its first row, so that
+    no piece overwrites a pair still to be read: level 0 takes 4 pieces
+    at n = 2048 and m = 2176, each later level one.  A level read from
+    the front is written on the rows after it.  Returns D_n times the
+    product, a copy.
     """
     n = len(drive)
     r0, h, maps = fit
@@ -348,7 +353,7 @@ def _step_product(drive: np.ndarray, fit, leaves: np.ndarray, up: np.ndarray) ->
         table[1] /= h
     for j in range(2, k):
         table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-    steps = leaves[:n].reshape(n, 4, 16)
+    steps = stack[-n:].reshape(n, 4, 16)
     np.matmul(table.T, maps[0, :k], out=steps[:, 0])
     planes = np.empty((2 * k, n))
     power = v
@@ -359,40 +364,45 @@ def _step_product(drive: np.ndarray, fit, leaves: np.ndarray, up: np.ndarray) ->
         np.multiply(table, power.imag, out=planes[k:])
         np.matmul(planes.T, maps[col], out=steps[:, col])
 
-    level = leaves
+    at = len(stack) - n
     while n > 1:
-        half = n // 2
-        np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
+        half, to, lo = n // 2, 0 if at else n, 0
+        while lo < half:
+            hi = half if to else min(half, at + 2 * lo)
+            pairs = stack[at + 2 * lo : at + 2 * hi]
+            np.matmul(pairs[0::2], pairs[1::2], out=stack[to + lo : to + hi])
+            lo = hi
         if n % 2:
-            up[half] = level[n - 1]
-        n = half + n % 2
-        level, up = up, level
-    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * level[0, ::2].view(complex).T
+            stack[to + half] = stack[at + n - 1]
+        n, at = half + n % 2, to
+    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * stack[at, ::2].view(complex).T
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
     Runs on the 4x4 symmetric block: fits the steps over the _drive_band
-    and allocates the product tree's two stacks once; each chunk of
-    _CHUNK steps then takes the drive at its midpoints, with tone phases
-    e^{-i w done dt} times one table of e^{-i w (j + 1/2) dt}, as one
-    _step_product and renormalizes after it.  Returns (final_state,
-    steps, dt), the state in the (ggg, W, W', rrr) basis.
+    and allocates the product tree's one stack once, _CHUNK + _CHUNK / 16
+    real 8x8 matrices at most; each chunk of _CHUNK steps then takes the
+    drive at its midpoints, with tone phases e^{-i w done dt} times one
+    table of e^{-i w (j + 1/2) dt}, as one _step_product and renormalizes
+    after it.  The chunk's tones are dropped once the drive is summed,
+    before the product runs.  Returns (final_state, steps, dt), the
+    state in the (ggg, W, W', rrr) basis.
     """
     n, dt = _step_grid(params)
     size = min(_CHUNK, n)
     fit = _step_fit(*_drive_band(params), dt, params.blockade)
-    leaves, up = np.empty((size, 8, 8)), np.empty(((size + 1) // 2, 8, 8))
+    stack = np.empty((size + -(-size // 16), 8, 8))
     freqs = tone_frequencies(params)
     centres = np.arange(size) + 0.5
     table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
-        mids = (centres[:count] + done) * dt
-        tones = table[:, :count] * np.exp(-1j * (done * dt) * freqs)[:, None]
-        psi = _step_product(_drive(mids, params, tones), fit, leaves, up) @ psi
+        shift = np.exp(-1j * (done * dt) * freqs)[:, None]
+        drive = _drive((centres[:count] + done) * dt, params, table[:, :count] * shift)
+        psi = _step_product(drive, fit, stack) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

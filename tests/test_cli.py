@@ -112,6 +112,16 @@ def test_endpoints_non_finite_pin_is_usage_error(flags, capsys):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+def test_endpoints_negative_pin_tol_is_usage_error(tol, capsys):
+    # no residual can meet a negative tolerance, so the pins are not blamed
+    assert main(["endpoints", "--pin-theta-left", "1.9", f"--pin-tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"pin_tol must be non-negative, not {float(tol)!r}" in captured.err
+    assert "nearest residuals" not in captured.err
+
+
 def test_endpoints_json_payload(tmp_path):
     out = tmp_path / "table.json"
     proc = run_cli("endpoints", "--out", str(out))

@@ -395,7 +395,7 @@ def _nodes(fit):
 
 def _one_step(r, fit):
     # a single real drive needs no twist, so the product is the step itself
-    return _step_product(np.array([r + 0j]), fit, np.empty((1, 8, 8)), np.empty((1, 8, 8)))
+    return _step_product(np.array([r + 0j]), fit, np.empty((2, 8, 8)))
 
 
 @pytest.mark.parametrize("a", [1e-12, 4e-4, 0.05, 0.5, 1.0])
@@ -530,10 +530,12 @@ def test_integrate_full_memory_stays_bounded():
 
 
 def test_workspace_buffers_stay_small():
-    # a second run, past any first-call allocation: the tree's two stacks
-    # of real 8x8 matrices, 1.5 MiB, and each chunk's temporaries peak at
-    # 2.17 MiB; a chunk of 4,096 steps (4.26 MiB), or one more buffer of
-    # 128 KiB held across chunks (2.29 MiB), breaks the bound
+    # a second run, past any first-call allocation: the tree's one stack
+    # of 2,176 real 8x8 matrices, 1.06 MiB, and each chunk's temporaries
+    # peak at 1.59 MiB; a tree in two stacks of 2,048 and 1,024 matrices
+    # (2.17 MiB), or a chunk of 4,096 steps (3.11 MiB), breaks the bound,
+    # while one more buffer of 128 KiB held across chunks (1.72 MiB)
+    # stays within it
     params = params_for_factor(row1_schedule(), 10.0)
     _integrate_full(params)
     tracemalloc.start()
@@ -543,7 +545,7 @@ def test_workspace_buffers_stay_small():
     finally:
         tracemalloc.stop()
     assert steps > 4 * _CHUNK
-    assert peak <= 2.25 * (1 << 20)
+    assert peak <= 1.75 * (1 << 20)
 
 
 def test_step_cap_refuses_before_allocating():

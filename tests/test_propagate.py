@@ -330,9 +330,9 @@ def _fit(drive, dt, blockade):
     return _step_fit(np.min(r), np.max(r), dt, blockade)
 
 
-def _stacks(size):
-    """The product tree's two stacks for chunks of up to size steps."""
-    return np.empty((size, 8, 8)), np.empty(((size + 1) // 2, 8, 8))
+def _stack(size):
+    """The product tree's stack for chunks of up to size steps, at its least size."""
+    return np.empty((size + -(-size // 16), 8, 8))
 
 
 @pytest.mark.parametrize(
@@ -355,7 +355,7 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(drive, _fit(drive, dt, blockade), *_stacks(len(drive)))
+    prod = _step_product(drive, _fit(drive, dt, blockade), _stack(len(drive)))
     ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
@@ -367,28 +367,87 @@ def test_midpoint_states_match_per_step_reference(steps, build):
 )
 def test_step_product_reuses_workspace_exactly(build):
     # a full chunk, an odd remainder, then a full chunk again of one run,
-    # through one step fit and one pair of stacks: a stale slice or a
-    # swapped ping-pong buffer would leave a trace of the earlier chunk in
-    # the later product
+    # through one step fit and one stack: a stale slice or a level read
+    # from the wrong rows would leave a trace of the earlier chunk in the
+    # later product
     drive, blockade, dt = build(np.random.default_rng(29), 2 * _CHUNK + 999)
-    fit, stacks = _fit(drive, dt, blockade), _stacks(_CHUNK)
+    fit, stack = _fit(drive, dt, blockade), _stack(_CHUNK)
     for chunk in np.split(drive, [_CHUNK, _CHUNK + 999]):
-        fresh = _step_product(chunk, fit, *_stacks(len(chunk)))
-        assert np.array_equal(_step_product(chunk, fit, *stacks), fresh)
+        fresh = _step_product(chunk, fit, _stack(len(chunk)))
+        assert np.array_equal(_step_product(chunk, fit, stack), fresh)
+
+
+def _two_stack_product(drive, fit):
+    """The product tree as two stacks: leaves of n steps and up of ceil(n / 2).
+
+    The steps are built as _step_product builds them; the levels then
+    alternate between leaves and up, an odd last step copied up.  The
+    one-stack kernel must take the same products in the same order.
+    """
+    n = len(drive)
+    leaves, up = np.empty((n, 8, 8)), np.empty(((n + 1) // 2, 8, 8))
+    r0, h, maps = fit
+    k = maps.shape[1] // 2
+    table = np.empty((k, n))
+    r = np.abs(drive, out=table[1])
+    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=r > 0.0)
+    v = np.conjugate(u)
+    v[1:] *= u[:-1]
+    table[0] = 1.0
+    table[1] -= r0
+    if h:
+        table[1] /= h
+    for j in range(2, k):
+        table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
+    steps = leaves.reshape(n, 4, 16)
+    np.matmul(table.T, maps[0, :k], out=steps[:, 0])
+    planes = np.empty((2 * k, n))
+    power = v
+    for col in (1, 2, 3):
+        if col > 1:
+            power = power * v
+        np.multiply(table, power.real, out=planes[:k])
+        np.multiply(table, power.imag, out=planes[k:])
+        np.matmul(planes.T, maps[col], out=steps[:, col])
+    level = leaves
+    while n > 1:
+        half = n // 2
+        np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
+        if n % 2:
+            up[half] = level[n - 1]
+        n = half + n % 2
+        level, up = up, level
+    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * level[0, ::2].view(complex).T
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 31, 32, 33, 1023, 1025, _CHUNK - 1, _CHUNK])
+@pytest.mark.parametrize(
+    "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
+)
+def test_one_stack_matches_two_stack_tree_bit_for_bit(steps, build):
+    # through a stack sized for a full chunk, as the last chunk of a run
+    # takes it: below _CHUNK steps the spare rows exceed ceil(steps / 16),
+    # and level 0 runs in fewer pieces.  The stack starts as NaN, so a
+    # row read before it is written shows in the product
+    drive, blockade, dt = build(np.random.default_rng(steps), steps)
+    fit = _fit(drive, dt, blockade)
+    stack = np.full_like(_stack(_CHUNK), np.nan)
+    prod = _step_product(drive, fit, stack)
+    assert np.array_equal(prod, _two_stack_product(drive, fit))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK])
 @pytest.mark.parametrize("build", [_random_ladder, _random_hermitian, _long_steps])
 def test_step_product_outlives_the_next_chunk(steps, build):
-    # the tree ends in one of its two ping-pong stacks, so a product
-    # returned as a view into them would change under the next chunk
-    # through the same stacks; these builders never repeat a chunk, as a
-    # zero or half-zero drive of a step or three can
+    # the tree ends in a row of its stack, so a product returned as a
+    # view into it would change under the next chunk through the same
+    # stack; these builders never repeat a chunk, as a zero or half-zero
+    # drive of a step or three can
     drive, blockade, dt = build(np.random.default_rng(31), 2 * steps)
-    fit, stacks = _fit(drive, dt, blockade), _stacks(steps)
-    first = _step_product(drive[:steps], fit, *stacks)
+    fit, stack = _fit(drive, dt, blockade), _stack(steps)
+    first = _step_product(drive[:steps], fit, stack)
     kept = first.copy()
-    second = _step_product(drive[steps:], fit, *stacks)
+    second = _step_product(drive[steps:], fit, stack)
     assert not np.array_equal(second, kept)
     assert np.array_equal(first, kept)
 
