@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import re
 import stat
 import sys
 import time
@@ -77,12 +78,20 @@ REFERENCE_ENDPOINT_TABLE = (
 )
 
 
+# A token float() reads as a negative number or NaN is a value; argparse's
+# own pattern takes only -N and -N.N and reads -1e-3 or -inf as a flag
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((?=\.?\d)(\d(_?\d)*)?(\.(\d(_?\d)*)?)?(e[-+]?\d(_?\d)*)?|inf(inity)?|nan)$", re.IGNORECASE
+)
+
+
 class _Command(argparse.ArgumentParser):
     """A subcommand's parser: it takes --config and keeps its other options by dest."""
 
     def __init__(self, *args, **kwargs):
         self.options: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
         self.add_argument("--config")
 
     def add_argument(self, *args, **kwargs):

@@ -201,9 +201,12 @@ def params_for_factor(
     peak = float(np.max(np.abs(schedule.values)))
     if peak == 0.0:
         raise ValueError("cannot scale parameters to an all-zero schedule")
+    large = 2.0 * factor * factor * peak
+    if not 0 < large < math.inf:
+        raise ValueError(f"factor {factor:g}: blockade and detuning0 of {large!r} leave the float range")
     return FullModelParams(
-        blockade=2.0 * factor * factor * peak,
-        detuning0=2.0 * factor * factor * peak,
+        blockade=large,
+        detuning0=large,
         stark_amp=factor * peak,
         schedule=schedule,
         steps_per_cycle=steps_per_cycle,
@@ -463,16 +466,16 @@ def compare_factors(
 ) -> tuple[list[ReductionReport], dict]:
     """Run the reduction check at several hierarchy factors.
 
-    Every factor is admitted before any is integrated: it raises
-    TooManySteps when the factor needs more steps than the cap and,
-    unless force is set, HierarchyViolation when a scale ratio falls
-    below min_factor, which must be positive and finite; either message
-    starts "factor F: ".  The effective model is then propagated once
-    and scores every factor, hierarchy_ok against min_factor.
-    Returns the per-factor reports plus the trend flag
-    "infidelity_decreased", comparing the last run against the first:
-    the perturbative prediction is that a wider hierarchy tracks the
-    effective model more closely.
+    Every factor is admitted before any is integrated, each refusal
+    starting "factor F: ": params_for_factor's ValueError when its scales
+    leave the float range, TooManySteps when it needs more steps than the
+    cap and, unless force is set, HierarchyViolation when a scale ratio
+    falls below min_factor, which must be positive and finite.  The
+    effective model is then propagated once and scores every factor,
+    hierarchy_ok against min_factor.  Returns the per-factor reports plus
+    the trend flag "infidelity_decreased", comparing the last run against
+    the first: the perturbative prediction is that a wider hierarchy
+    tracks the effective model more closely.
     """
     if not 0 < min_factor < math.inf:
         raise ValueError(

@@ -203,40 +203,29 @@ def midpoint_states_reference(hams: np.ndarray, dt: float, psi0: np.ndarray) -> 
     return states
 
 
-def full_model_reference(params, chunk: int = 32768, steps: int | None = None):
+_CHUNK = 32768  # steps per batch of the full-model oracle; its result does not depend on it
+
+
+def full_model_reference(params, steps: int | None = None):
     """Per-step full-model integration with the leakage projected every step.
 
-    Returns (final_state, leakage_max, steps, dt).  Builds the eight-level
-    Hamiltonians with full_hamiltonian above and steps by its own loop,
-    independent of the package kernel.  Takes the given number of equal
-    steps, or steps_per_cycle per unit of the stiff phase when None.
+    Returns (final_state, leakage_max, steps, dt) for the given number of
+    equal steps, or steps_per_cycle per unit of the stiff phase when None.
+    full_hamiltonian's matrices go _CHUNK at a time through
+    midpoint_states_reference, independent of the package kernel.
     """
     duration = params.schedule.duration
     stiff = params.detuning0 + 2.0 * params.blockade
     n = max(1, math.ceil(duration * stiff * params.steps_per_cycle)) if steps is None else steps
     dt = duration / n
-
     psi = embed_state(np.array([0.0, 1.0, 0.0, 0.0]))
-    manifold_t = MANIFOLD.T.copy()
     leak_max = 0.0
-
-    done = 0
-    while done < n:
-        count = min(chunk, n - done)
-        hams = full_hamiltonian((done + np.arange(count) + 0.5) * dt, params)
-        evals, evecs = np.linalg.eigh(hams)
-        phases = np.exp(-1j * evals * dt)
-        adjoints = evecs.conj().transpose(0, 2, 1)
-
-        for k in range(count):
-            psi = evecs[k] @ (phases[k] * (adjoints[k] @ psi))
-            psi /= math.sqrt(float(np.sum(psi.real**2 + psi.imag**2)))
-            proj = manifold_t @ psi
-            leak = 1.0 - float(np.sum(proj.real**2 + proj.imag**2))
-            if leak > leak_max:
-                leak_max = leak
-        done += count
-
+    for done in range(0, n, _CHUNK):
+        times = (done + np.arange(min(_CHUNK, n - done)) + 0.5) * dt
+        states = midpoint_states_reference(full_hamiltonian(times, params), dt, psi)
+        proj = MANIFOLD.T @ states[..., None]
+        leak = 1.0 - np.sum(proj.real**2 + proj.imag**2, axis=(1, 2))
+        leak_max, psi = max(leak_max, float(leak.max())), states[-1]
     return psi, leak_max, n, dt
 
 

@@ -103,6 +103,7 @@ def test_endpoints_takes_no_pole():
         ("--pin-phi-right", "inf"),
         ("--pin-theta-left", "1.92423", "--pin-tol", "nan"),
         ("--pin-theta-left", "1.92423", "--pin-tol", "inf"),
+        ("--pin-phi-right", "-inf"),
     ],
 )
 def test_endpoints_non_finite_pin_is_usage_error(flags, capsys):
@@ -115,11 +116,24 @@ def test_endpoints_non_finite_pin_is_usage_error(flags, capsys):
 @pytest.mark.parametrize("tol", ["-1", "-1e-300"])
 def test_endpoints_negative_pin_tol_is_usage_error(tol, capsys):
     # no residual can meet a negative tolerance, so the pins are not blamed
-    assert main(["endpoints", "--pin-theta-left", "1.9", f"--pin-tol={tol}"]) == 2
+    for spelling in ([f"--pin-tol={tol}"], ["--pin-tol", tol]):
+        assert main(["endpoints", "--pin-theta-left", "1.9", *spelling]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"pin_tol must be non-negative, not {float(tol)!r}" in captured.err
+        assert "nearest residuals" not in captured.err
+
+
+# every spelling float() reads as a negative number or NaN is a value, as
+# -1 and -0.5 are to argparse itself, so the command's own range check
+# refuses it rather than argparse's "expected one argument"
+@pytest.mark.parametrize("tau", ["-1e-3", "-2.5E+1", "-.5e-1", "-1_0.", "-inf", "-Infinity", "-nan"])
+def test_negative_value_in_exponent_form_reaches_the_command(tau, capsys):
+    assert main(["synthesize", "--duration", "1", "--tau", tau]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"pin_tol must be non-negative, not {float(tol)!r}" in captured.err
-    assert "nearest residuals" not in captured.err
+    assert "ramp fraction tau must lie in [0, 1/2)" in captured.err
+    assert "expected one argument" not in captured.err
 
 
 def test_endpoints_json_payload(tmp_path):
@@ -435,6 +449,32 @@ def test_validate_full_bad_factor_is_usage_error(flags, message, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "hierarchy factor must be positive and finite" in err and message in err
+
+
+# each factor's scales, 2 factor^2 times the peak amplitude, must stay
+# positive and finite; the refusal names the factor that left the range
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--factor", "1e-300", "--compare-factor", "0", "--force"), "factor 1e-300: "),
+        (("--compare-factor", "1e200"), "factor 1e+200: "),
+    ],
+)
+def test_validate_full_factor_scales_out_of_range_is_usage_error(flags, message, tmp_path, capsys):
+    out = tmp_path / "f.json"
+    start = time.perf_counter()
+    code = main(["validate-full", "--schedule", str(SHIPPED_CSV), *flags, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{message}blockade and detuning0 of" in err and "leave the float range" in err
+    assert not out.exists()
+
+
+def test_validate_full_zero_steps_per_cycle_names_no_factor(capsys):
+    code = main(["validate-full", "--schedule", str(SHIPPED_CSV), "--steps-per-cycle", "0"])
+    assert code == 2
+    assert "error: steps_per_cycle must be at least 1\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, shown", [("-5", "-5.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])

@@ -319,14 +319,14 @@ def test_reduction_at_moderate_factor():
     }
 
 
-# 6,351 steps: one chunk, then chunks of 1000 and of 999, each leaving an
-# odd remainder
+# 6,351 steps: one package chunk, then chunks of 1000 and of 999, each
+# leaving an odd remainder; the oracle batches them its own way
 @pytest.mark.parametrize("chunk", [32768, 1000, 999])
 def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
     params = params_for_factor(row1_schedule(), 3.0)
     psi, steps, dt = _integrate_full(params)
-    ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params, chunk)
+    ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params)
     assert 5000 < steps < 7000
     assert (steps, dt) == (ref_steps, ref_dt)
     assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
