@@ -121,6 +121,8 @@ class FullModelParams:
             raise ValueError("stark_amp must be non-negative and finite")
         if self.steps_per_cycle < 1:
             raise ValueError("steps_per_cycle must be at least 1")
+        if not all(map(math.isfinite, self.detunings)):
+            raise ValueError(f"the Stark shifts of stark_amp {self.stark_amp!r} leave the float range")
 
     @property
     def detunings(self) -> tuple[float, float, float]:
@@ -204,10 +206,13 @@ def params_for_factor(
     large = 2.0 * factor * factor * peak
     if not 0 < large < math.inf:
         raise ValueError(f"factor {factor:g}: blockade and detuning0 of {large!r} leave the float range")
+    stark = factor * peak
+    if not all(map(math.isfinite, derived_detunings(stark, large, large))):
+        raise ValueError(f"factor {factor:g}: the Stark shifts of stark_amp {stark!r} leave the float range")
     return FullModelParams(
         blockade=large,
         detuning0=large,
-        stark_amp=factor * peak,
+        stark_amp=stark,
         schedule=schedule,
         steps_per_cycle=steps_per_cycle,
     )
@@ -318,26 +323,18 @@ def _step_fit(lo: float, hi: float, dt: float, blockade: float):
     return r0, h, maps.view(float).reshape(4, 2 * k, 16)
 
 
-def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
-    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+def _step_leaves(drive: np.ndarray, fit, leaves: np.ndarray) -> complex:
+    """Write the block steps exp(-i H_k dt) into leaves in real 8x8 form.
 
     With c_k = r_k u_k (u_k = 1 where c_k = 0) and D_k = diag(u_k^j), a
     step is D_k E_k D_k* (module docstring), E_k = sum_j T_j(x_k) C_j by
     the fit, which must span every r_k.  The gauges telescope: the
-    product is D_n X_n ... X_1, X_k = E_k diag(v_k^j), v_k = conj(u_k)
-    u_(k-1), u_0 = 1.  One GEMM per column builds every X_k in real
-    form, entry a + ib as the block [[a, -b], [b, a]], transposed: rows
-    2l, 2l + 1 are column l of X_k and of i X_k.  Pairs are multiplied
-    in log depth, level by level in batched products (the up-sweep of
-    Blelloch, Prefix Sums and Their Applications, 1990), an odd last
-    step copied up.  All of it runs in stack, (m, 8, 8) with m at least
-    n + ceil(n / 16), n = len(drive): the steps fill its last n rows.  A
-    level read from rows past the front is written over the front in
-    pieces [lo, hi), hi at most a + 2 lo with a its first row, so that
-    no piece overwrites a pair still to be read: level 0 takes 4 pieces
-    at n = 2048 and m = 2176, each later level one.  A level read from
-    the front is written on the rows after it.  Returns D_n times the
-    product, a copy.
+    product of the steps, later on the left, is D_n X_n ... X_1,
+    X_k = E_k diag(v_k^j), v_k = conj(u_k) u_(k-1), u_0 = 1.  One GEMM
+    per column builds every X_k in real form, entry a + ib as the block
+    [[a, -b], [b, a]], transposed: rows 2l, 2l + 1 are column l of X_k
+    and of i X_k.  leaves is (n, 8, 8), n = len(drive), and row k - 1
+    takes X_k.  Returns u_n.
     """
     n = len(drive)
     r0, h, maps = fit
@@ -356,7 +353,7 @@ def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
         table[1] /= h
     for j in range(2, k):
         table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-    steps = stack[-n:].reshape(n, 4, 16)
+    steps = leaves.reshape(n, 4, 16)
     np.matmul(table.T, maps[0, :k], out=steps[:, 0])
     planes = np.empty((2 * k, n))
     power = v
@@ -366,7 +363,25 @@ def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
         np.multiply(table, power.real, out=planes[:k])
         np.multiply(table, power.imag, out=planes[k:])
         np.matmul(planes.T, maps[col], out=steps[:, col])
+    return u[-1]
 
+
+def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
+    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+
+    _step_leaves writes the steps X_k into the last n rows of stack,
+    (m, 8, 8) with m at least n + ceil(n / 16), n = len(drive).  Pairs
+    are multiplied in log depth, level by level in batched products (the
+    up-sweep of Blelloch, Prefix Sums and Their Applications, 1990), an
+    odd last step copied up.  A level read from rows past the front is
+    written over the front in pieces [lo, hi), hi at most a + 2 lo with
+    a its first row, so that no piece overwrites a pair still to be
+    read: level 0 takes 4 pieces at n = 2048 and m = 2176, each later
+    level one.  A level read from the front is written on the rows after
+    it.  Returns D_n = diag(u_n^j) times the product, a copy.
+    """
+    n = len(drive)
+    last = _step_leaves(drive, fit, stack[-n:])
     at = len(stack) - n
     while n > 1:
         half, to, lo = n // 2, 0 if at else n, 0
@@ -378,7 +393,7 @@ def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
         if n % 2:
             stack[to + half] = stack[at + n - 1]
         n, at = half + n % 2, to
-    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * stack[at, ::2].view(complex).T
+    return np.cumprod([1.0, last, last, last])[:, None] * stack[at, ::2].view(complex).T
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
@@ -411,31 +426,24 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
 
 
 def validate_reduction(
-    params: FullModelParams,
-    required_factor: float = DEFAULT_FACTOR,
-    *,
-    _effective: np.ndarray | None = None,
+    params: FullModelParams, effective: np.ndarray, required_factor: float = DEFAULT_FACTOR
 ) -> ReductionReport:
     """Integrate the full model and score it against the effective one.
 
-    The effective prediction is the four-level propagation of the same
-    schedule, lifted into the full space with the accumulated
-    frame-alignment phases of the four levels.  It refuses nothing for
-    the hierarchy, which compare_factors admits: hierarchy_ok reports
-    whether both scale ratios reach required_factor.  compare_factors
-    passes the effective final state it shares between factors as
-    _effective; when it is None the schedule is propagated here.
+    effective is the four-level final state of the same schedule, as
+    propagate gives it; the prediction lifts it into the full space with
+    the accumulated frame-alignment phases of the four levels.  It
+    refuses nothing for the hierarchy, which compare_factors admits:
+    hierarchy_ok reports whether both scale ratios reach required_factor.
     """
     upper, lower = hierarchy_ratios(params)
     psi_block, steps, dt = _integrate_full(params)
 
-    if _effective is None:
-        _effective = propagate(params.schedule, target="ghz").states[-1]
     d1, d2, d3 = params.detunings
     v = params.blockade
     duration = params.schedule.duration
     frame = np.array([0.0, d1, d1 + d2 + v, d1 + d2 + d3 + 3.0 * v])
-    predicted = np.exp(-1j * frame * duration) * _effective
+    predicted = np.exp(-1j * frame * duration) * effective
     infidelity = 1.0 - float(abs(np.vdot(predicted, psi_block)) ** 2)
 
     return ReductionReport(
@@ -468,14 +476,14 @@ def compare_factors(
 
     Every factor is admitted before any is integrated, each refusal
     starting "factor F: ": params_for_factor's ValueError when its scales
-    leave the float range, TooManySteps when it needs more steps than the
-    cap and, unless force is set, HierarchyViolation when a scale ratio
-    falls below min_factor, which must be positive and finite.  The
-    effective model is then propagated once and scores every factor,
-    hierarchy_ok against min_factor.  Returns the per-factor reports plus
-    the trend flag "infidelity_decreased", comparing the last run against
-    the first: the perturbative prediction is that a wider hierarchy
-    tracks the effective model more closely.
+    or Stark shifts leave the float range, TooManySteps when it needs
+    more steps than the cap and, unless force is set, HierarchyViolation
+    when a scale ratio falls below min_factor, which must be positive and
+    finite.  The effective model is then propagated once and scores every
+    factor, hierarchy_ok against min_factor.  Returns the per-factor
+    reports plus the trend flag "infidelity_decreased", comparing the last
+    run against the first: the perturbative prediction is that a wider
+    hierarchy tracks the effective model more closely.
     """
     if not 0 < min_factor < math.inf:
         raise ValueError(
@@ -493,7 +501,7 @@ def compare_factors(
         except (TooManySteps, HierarchyViolation) as exc:
             raise type(exc)(f"factor {f:g}: {exc}") from None
     effective = propagate(schedule, target="ghz").states[-1]
-    reports = [validate_reduction(params, min_factor, _effective=effective) for _, params in runs]
+    reports = [validate_reduction(params, effective, min_factor) for _, params in runs]
     trend = {
         "infidelity_decreased": reports[-1].effective_vs_full_infidelity
         < reports[0].effective_vs_full_infidelity,

@@ -395,6 +395,16 @@ def test_validate_full_step_cap(capsys):
         assert "factor 100000: the full model needs" in err and "4194304" in err
 
 
+def _refuse_integration(monkeypatch, *names):
+    from ghzforge import fullmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before every factor was admitted")
+
+    for name in names:
+        monkeypatch.setattr(fullmodel, name, refuse)
+
+
 @pytest.mark.parametrize(
     "compare, message",
     [("3", "factor 3: scale ratios (6.00, 5.20) below the minimum factor 10"),
@@ -406,16 +416,10 @@ def test_validate_full_refuses_every_factor_before_integrating_any(
 ):
     # --factor 10 passes admission; the refusal of the comparison factor
     # must come before factor 10 is integrated or the schedule propagated
-    from ghzforge import fullmodel
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrated before every factor was admitted")
-
     schedule, out = tmp_path / "s.csv", tmp_path / "r.json"
     assert main(["synthesize", "--duration", "1", "--out", str(schedule)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(fullmodel, "_integrate_full", refuse)
-    monkeypatch.setattr(fullmodel, "propagate", refuse)
+    _refuse_integration(monkeypatch, "_integrate_full", "propagate")
     argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", compare]
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -460,14 +464,37 @@ def test_validate_full_bad_factor_is_usage_error(flags, message, capsys):
         (("--compare-factor", "1e200"), "factor 1e+200: "),
     ],
 )
-def test_validate_full_factor_scales_out_of_range_is_usage_error(flags, message, tmp_path, capsys):
+def test_validate_full_factor_scales_out_of_range_is_usage_error(
+    flags, message, tmp_path, monkeypatch, capsys
+):
     out = tmp_path / "f.json"
+    _refuse_integration(monkeypatch, "_integrate_full")
     start = time.perf_counter()
     code = main(["validate-full", "--schedule", str(SHIPPED_CSV), *flags, "--out", str(out)])
     assert time.perf_counter() - start < 1.0
     assert code == 2
     err = capsys.readouterr().err
     assert f"{message}blockade and detuning0 of" in err and "leave the float range" in err
+    assert not out.exists()
+
+
+# the Stark shifts grow as (factor peak)^2 and leave the float range before
+# the scales do: at --omega-ref 1e153 at factor 10, and at 7e151 only at
+# factor 30, which --force does not admit either
+@pytest.mark.parametrize(
+    "omega_ref, force, factor", [("1e153", False, 10), ("7e151", False, 30), ("7e151", True, 30)]
+)
+def test_validate_full_stark_shifts_out_of_range_is_usage_error(
+    omega_ref, force, factor, tmp_path, monkeypatch, capsys
+):
+    schedule, out = tmp_path / "s.csv", tmp_path / "f.json"
+    assert main(["synthesize", "--duration", "1", "--omega-ref", omega_ref, "--out", str(schedule)]) == 0
+    capsys.readouterr()
+    _refuse_integration(monkeypatch, "_integrate_full")
+    argv = ["validate-full", "--schedule", str(schedule), "--out", str(out)]
+    assert main(argv + ["--force"] * force) == 2
+    err = capsys.readouterr().err
+    assert f"factor {factor}: the Stark shifts of stark_amp" in err and "leave the float range" in err
     assert not out.exists()
 
 

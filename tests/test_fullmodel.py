@@ -33,6 +33,7 @@ from ghzforge.fullmodel import (
     validate_reduction,
 )
 from ghzforge.algebra import w_state, wprime_state
+from ghzforge.propagate import propagate
 from ghzforge.synthesis import (
     PulseSchedule,
     SphericalCurve,
@@ -222,6 +223,14 @@ def test_params_reject_non_finite_scales(scale, value):
         make_params(**{scale: value})
 
 
+@pytest.mark.parametrize("stark", [1e200, 1e154])
+def test_params_reject_stark_shifts_past_the_float_range(stark):
+    # 1e200 squares past the float range; 1e154 squares to 1e308, but six
+    # times its shift over detuning0 does not fit
+    with pytest.raises(ValueError, match="Stark shifts of stark_amp"):
+        FullModelParams(blockade=1.0, detuning0=1.0, stark_amp=stark, schedule=row1_schedule())
+
+
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -5.0, 0.0])
 def test_params_for_factor_rejects_bad_factor(factor):
     with pytest.raises(ValueError, match="positive and finite"):
@@ -258,7 +267,8 @@ def test_hierarchy_violation_and_force():
     schedule = row1_schedule()
     with pytest.raises(HierarchyViolation, match="factor 1: scale ratios"):
         compare_factors(schedule, (1.0,), min_factor=10.0)
-    report = validate_reduction(params_for_factor(schedule, 1.0), required_factor=10.0)
+    effective = propagate(schedule).states[-1]
+    report = validate_reduction(params_for_factor(schedule, 1.0), effective, required_factor=10.0)
     assert not report.hierarchy_ok
     assert report.hierarchy_factor < 10.0
     [forced], _ = compare_factors(schedule, (1.0,), min_factor=10.0, force=True)
@@ -267,7 +277,7 @@ def test_hierarchy_violation_and_force():
 
 def test_zero_drive_keeps_state_constant():
     params = make_params(stark=0.0, schedule=zero_schedule(duration=0.05))
-    report = validate_reduction(params, required_factor=0.0)
+    report = validate_reduction(params, propagate(params.schedule).states[-1], required_factor=0.0)
     assert report.leakage_max <= 1e-14
     assert report.effective_vs_full_infidelity <= 1e-10
 
@@ -289,10 +299,9 @@ def test_compare_factors_propagates_once(monkeypatch):
 
     # the shared effective run scores each factor as a run of its own does
     monkeypatch.setattr(fullmodel_module, "propagate", original)
+    effective = propagate(schedule).states[-1]
     single = [
-        dataclasses.asdict(
-            validate_reduction(params_for_factor(schedule, f, 2), required_factor=3.0)
-        )
+        dataclasses.asdict(validate_reduction(params_for_factor(schedule, f, 2), effective, 3.0))
         for f in (3.0, 4.0)
     ]
     assert [dataclasses.asdict(r) for r in reports] == single
@@ -301,7 +310,7 @@ def test_compare_factors_propagates_once(monkeypatch):
 def test_reduction_at_moderate_factor():
     schedule = row1_schedule()
     params = params_for_factor(schedule, 4.0)
-    report = validate_reduction(params, required_factor=4.0)
+    report = validate_reduction(params, propagate(schedule).states[-1], required_factor=4.0)
     assert report.hierarchy_ok
     assert report.leakage_max <= 1e-12
     assert 0.0 <= report.effective_vs_full_infidelity < 0.2
@@ -553,13 +562,14 @@ def test_step_cap_refuses_before_allocating():
     params = params_for_factor(row1_schedule(), 1e5)
     assert min(hierarchy_ratios(params)) >= 1e5
     assert issubclass(TooManySteps, ValueError)
+    effective = propagate(params.schedule).states[-1]
     start = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(TooManySteps, match="steps"):
-            validate_reduction(params, required_factor=1e5)
+            validate_reduction(params, effective, required_factor=1e5)
         with pytest.raises(TooManySteps, match="steps"):
-            validate_reduction(params)
+            validate_reduction(params, effective)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

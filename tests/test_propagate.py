@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _step_fit, _step_product
+from ghzforge.fullmodel import _CHUNK, _step_fit, _step_leaves, _step_product
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -380,35 +380,13 @@ def test_step_product_reuses_workspace_exactly(build):
 def _two_stack_product(drive, fit):
     """The product tree as two stacks: leaves of n steps and up of ceil(n / 2).
 
-    The steps are built as _step_product builds them; the levels then
-    alternate between leaves and up, an odd last step copied up.  The
-    one-stack kernel must take the same products in the same order.
+    _step_leaves builds the steps; the levels then alternate between
+    leaves and up, an odd last step copied up.  The one-stack kernel
+    must take the same products in the same order.
     """
     n = len(drive)
     leaves, up = np.empty((n, 8, 8)), np.empty(((n + 1) // 2, 8, 8))
-    r0, h, maps = fit
-    k = maps.shape[1] // 2
-    table = np.empty((k, n))
-    r = np.abs(drive, out=table[1])
-    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=r > 0.0)
-    v = np.conjugate(u)
-    v[1:] *= u[:-1]
-    table[0] = 1.0
-    table[1] -= r0
-    if h:
-        table[1] /= h
-    for j in range(2, k):
-        table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
-    steps = leaves.reshape(n, 4, 16)
-    np.matmul(table.T, maps[0, :k], out=steps[:, 0])
-    planes = np.empty((2 * k, n))
-    power = v
-    for col in (1, 2, 3):
-        if col > 1:
-            power = power * v
-        np.multiply(table, power.real, out=planes[:k])
-        np.multiply(table, power.imag, out=planes[k:])
-        np.matmul(planes.T, maps[col], out=steps[:, col])
+    last = _step_leaves(drive, fit, leaves)
     level = leaves
     while n > 1:
         half = n // 2
@@ -417,7 +395,7 @@ def _two_stack_product(drive, fit):
             up[half] = level[n - 1]
         n = half + n % 2
         level, up = up, level
-    return np.cumprod([1.0, u[-1], u[-1], u[-1]])[:, None] * level[0, ::2].view(complex).T
+    return np.cumprod([1.0, last, last, last])[:, None] * level[0, ::2].view(complex).T
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 31, 32, 33, 1023, 1025, _CHUNK - 1, _CHUNK])
