@@ -163,8 +163,9 @@ def _reprs(column: np.ndarray) -> np.ndarray:
     return strings[index]
 
 
-def _csv(header: str, *columns: np.ndarray) -> str:
-    rows = zip(*map(_reprs, columns))
+def _csv(header: str, times: np.ndarray, *columns: np.ndarray) -> str:
+    # times strictly increase, so the first column has no repeats to share
+    rows = zip(map(float.__repr__, times.tolist()), *map(_reprs, columns))
     return "\n".join([header, *map(",".join, rows), ""])
 
 

@@ -341,8 +341,8 @@ def _step_leaves(drive: np.ndarray, fit, leaves: np.ndarray) -> complex:
     k = maps.shape[1] // 2
     table = np.empty((k, n))  # row 1 holds r until x is taken
     r = np.abs(drive, out=table[1])
-    nonzero = r > 0.0
-    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=nonzero)
+    zeros = n - np.count_nonzero(r)  # only a drive with zeros needs the masked divide
+    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=r > 0.0) if zeros else drive / r
     v = np.conjugate(u)
     v[1:] *= u[:-1]
     # T_j((r - r0) / h) by the three-term recurrence; on a band of one
@@ -352,61 +352,75 @@ def _step_leaves(drive: np.ndarray, fit, leaves: np.ndarray) -> complex:
     if h:
         table[1] /= h
     for j in range(2, k):
-        table[j] = 2.0 * table[1] * table[j - 1] - table[j - 2]
+        np.multiply(table[1], 2.0, out=table[j])
+        table[j] *= table[j - 1]
+        table[j] -= table[j - 2]
     steps = leaves.reshape(n, 4, 16)
     np.matmul(table.T, maps[0, :k], out=steps[:, 0])
     planes = np.empty((2 * k, n))
-    power = v
+    re, im, power = planes[:k], planes[k:], v
     for col in (1, 2, 3):
         if col > 1:
             power = power * v
-        np.multiply(table, power.real, out=planes[:k])
-        np.multiply(table, power.imag, out=planes[k:])
+        np.multiply(table, power.real, out=re)
+        np.multiply(table, power.imag, out=im)
         np.matmul(planes.T, maps[col], out=steps[:, col])
     return u[-1]
 
 
-def _step_product(drive: np.ndarray, fit, stack: np.ndarray) -> np.ndarray:
-    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+def _tree_plan(stack: np.ndarray, n: int):
+    """Calls multiplying the last n rows of stack, (m, 8, 8), m >= n + ceil(n / 16).
 
-    _step_leaves writes the steps X_k into the last n rows of stack,
-    (m, 8, 8) with m at least n + ceil(n / 16), n = len(drive).  Pairs
-    are multiplied in log depth, level by level in batched products (the
-    up-sweep of Blelloch, Prefix Sums and Their Applications, 1990), an
-    odd last step copied up.  A level read from rows past the front is
-    written over the front in pieces [lo, hi), hi at most a + 2 lo with
-    a its first row, so that no piece overwrites a pair still to be
-    read: level 0 takes 4 pieces at n = 2048 and m = 2176, each later
-    level one.  A level read from the front is written on the rows after
-    it.  Returns D_n = diag(u_n^j) times the product, a copy.
+    Pairs are multiplied in log depth, level by level in batched products
+    (the up-sweep of Blelloch, Prefix Sums and Their Applications, 1990),
+    an odd last step copied up.  A level read from rows past the front is
+    written over the front in pieces [lo, hi), hi at most a + 2 lo with a
+    its first row, so that no piece overwrites a pair still to be read:
+    level 0 takes 4 pieces at n = 2048 and m = 2176, each later level
+    one.  A level read from the front is written on the rows after it.
+    Returns the calls (np.matmul, even, odd, out) and (np.copyto, out,
+    row) on views of stack, in order, and the product's complex 4x4 view.
     """
-    n = len(drive)
-    last = _step_leaves(drive, fit, stack[-n:])
+    pieces = []
     at = len(stack) - n
     while n > 1:
         half, to, lo = n // 2, 0 if at else n, 0
         while lo < half:
             hi = half if to else min(half, at + 2 * lo)
             pairs = stack[at + 2 * lo : at + 2 * hi]
-            np.matmul(pairs[0::2], pairs[1::2], out=stack[to + lo : to + hi])
+            pieces.append((np.matmul, pairs[0::2], pairs[1::2], stack[to + lo : to + hi]))
             lo = hi
         if n % 2:
-            stack[to + half] = stack[at + n - 1]
+            pieces.append((np.copyto, stack[to + half], stack[at + n - 1]))
         n, at = half + n % 2, to
-    return np.cumprod([1.0, last, last, last])[:, None] * stack[at, ::2].view(complex).T
+    return pieces, stack[at, ::2].view(complex).T
+
+
+def _step_product(drive: np.ndarray, fit, stack: np.ndarray, plan=None) -> np.ndarray:
+    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+
+    Runs the plan, by default _tree_plan(stack, n), on the n = len(drive)
+    steps _step_leaves writes; returns D_n = diag(u_n^j) times it, a copy.
+    """
+    n = len(drive)
+    pieces, top = _tree_plan(stack, n) if plan is None else plan
+    last = _step_leaves(drive, fit, stack[-n:])
+    for call, *views in pieces:
+        call(*views)
+    return np.multiply.accumulate(np.array([1.0, last, last, last]))[:, None] * top
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block: fits the steps over the _drive_band
-    and allocates the product tree's one stack once, _CHUNK + _CHUNK / 16
-    real 8x8 matrices at most; each chunk of _CHUNK steps then takes the
-    drive at its midpoints, with tone phases e^{-i w done dt} times one
-    table of e^{-i w (j + 1/2) dt}, as one _step_product and renormalizes
-    after it.  The chunk's tones are dropped once the drive is summed,
-    before the product runs.  Returns (final_state, steps, dt), the
-    state in the (ggg, W, W', rrr) basis.
+    Runs on the 4x4 symmetric block: fits the steps over the _drive_band,
+    allocates the tree's one stack, _CHUNK + _CHUNK / 16 real 8x8 matrices
+    at most, and its _tree_plan, built once more for a shorter last chunk;
+    each chunk of _CHUNK steps takes the drive at its midpoints, with tone
+    phases e^{-i w done dt} times one table of e^{-i w (j + 1/2) dt}, as
+    one _step_product and renormalizes after it.  The chunk's tones are
+    dropped once the drive is summed, before the product runs.  Returns
+    (final_state, steps, dt), the state in the (ggg, W, W', rrr) basis.
     """
     n, dt = _step_grid(params)
     size = min(_CHUNK, n)
@@ -416,11 +430,12 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     centres = np.arange(size) + 0.5
     table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
     psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    plan = _tree_plan(stack, size)
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
         shift = np.exp(-1j * (done * dt) * freqs)[:, None]
         drive = _drive((centres[:count] + done) * dt, params, table[:, :count] * shift)
-        psi = _step_product(drive, fit, stack) @ psi
+        psi = _step_product(drive, fit, stack, plan if count == size else None) @ psi
         psi /= math.sqrt(np.vdot(psi, psi).real)
     return psi, n, dt
 

@@ -383,9 +383,10 @@ class PulseSchedule:
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Piecewise-linear amplitudes at arbitrary times, shape (..., 3)."""
         ts = np.asarray(ts, dtype=float)
-        cols = [np.interp(ts, self.times, self.values[:, k]) for k in range(3)]
-        # stacked first, so that a 1-d result transposed is C-contiguous
-        return np.moveaxis(np.stack(cols), 0, -1)
+        block = np.array([np.interp(ts, self.times, self.values[:, k]) for k in range(3)])
+        # stacked first, so that a 1-d result transposed is C-contiguous;
+        # the same view as np.moveaxis(block, 0, -1), without its checks
+        return block.transpose((*range(1, block.ndim), 0))
 
 
 def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:

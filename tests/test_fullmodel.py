@@ -23,6 +23,7 @@ from ghzforge.fullmodel import (
     _step_fit,
     _step_grid,
     _step_product,
+    _tree_plan,
     HierarchyViolation,
     TooManySteps,
     derived_detunings,
@@ -340,6 +341,21 @@ def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     assert (steps, dt) == (ref_steps, ref_dt)
     assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
     assert ref_leak <= 1e-14
+
+
+def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
+    # one plan for every full chunk and one for the shorter last chunk,
+    # where planning inside each chunk would build one per chunk
+    sizes = []
+
+    def counting(stack, n):
+        sizes.append(n)
+        return _tree_plan(stack, n)
+
+    monkeypatch.setattr("ghzforge.fullmodel._tree_plan", counting)
+    _, steps, _ = _integrate_full(params_for_factor(row1_schedule(), 3.0))
+    assert steps > 2 * _CHUNK and steps % _CHUNK
+    assert sizes == [_CHUNK, steps % _CHUNK]
 
 
 @given(st.lists(st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6), min_size=1, max_size=8))

@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _step_fit, _step_leaves, _step_product
+from ghzforge.fullmodel import _CHUNK, _step_fit, _step_leaves, _step_product, _tree_plan
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -367,14 +367,17 @@ def test_midpoint_states_match_per_step_reference(steps, build):
 )
 def test_step_product_reuses_workspace_exactly(build):
     # a full chunk, an odd remainder, then a full chunk again of one run,
-    # through one step fit and one stack: a stale slice or a level read
-    # from the wrong rows would leave a trace of the earlier chunk in the
-    # later product
+    # through one step fit and one stack, the full chunks replaying one
+    # plan as _integrate_full does: a stale slice or a level read from the
+    # wrong rows would leave a trace of the earlier chunk in the later
+    # product
     drive, blockade, dt = build(np.random.default_rng(29), 2 * _CHUNK + 999)
     fit, stack = _fit(drive, dt, blockade), _stack(_CHUNK)
+    plan = _tree_plan(stack, _CHUNK)
     for chunk in np.split(drive, [_CHUNK, _CHUNK + 999]):
         fresh = _step_product(chunk, fit, _stack(len(chunk)))
-        assert np.array_equal(_step_product(chunk, fit, stack), fresh)
+        replayed = _step_product(chunk, fit, stack, plan if len(chunk) == _CHUNK else None)
+        assert np.array_equal(replayed, fresh)
 
 
 def _two_stack_product(drive, fit):
@@ -406,12 +409,16 @@ def test_one_stack_matches_two_stack_tree_bit_for_bit(steps, build):
     # through a stack sized for a full chunk, as the last chunk of a run
     # takes it: below _CHUNK steps the spare rows exceed ceil(steps / 16),
     # and level 0 runs in fewer pieces.  The stack starts as NaN, so a
-    # row read before it is written shows in the product
+    # row read before it is written shows in the product.  A plan built
+    # before the first product and replayed for a second must match too;
+    # _mixed_drive has exact zeros between nonzero steps from 17 steps on
     drive, blockade, dt = build(np.random.default_rng(steps), steps)
     fit = _fit(drive, dt, blockade)
     stack = np.full_like(_stack(_CHUNK), np.nan)
-    prod = _step_product(drive, fit, stack)
-    assert np.array_equal(prod, _two_stack_product(drive, fit))
+    plan = _tree_plan(stack, steps)
+    expected = _two_stack_product(drive, fit)
+    assert np.array_equal(_step_product(drive, fit, stack), expected)
+    assert np.array_equal(_step_product(drive, fit, stack, plan), expected)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK])

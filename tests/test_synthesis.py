@@ -360,6 +360,9 @@ def test_schedule_interpolation_transposes_to_c_order():
     amps = schedule.values_at(np.linspace(0.0, 1.0, 100))
     assert amps.shape == (100, 3)
     assert amps.T.flags.c_contiguous
+    # any shape of times moves the column axis last
+    grid = np.linspace(0.0, 1.0, 10).reshape(2, 5)
+    assert np.array_equal(schedule.values_at(grid), np.stack([schedule.values_at(row) for row in grid]))
 
 
 @given(st.integers(2, 40), st.floats(0.1, 8.0, allow_nan=False))
