@@ -68,7 +68,7 @@ def digests(work: Path) -> list[tuple[str, str]]:
             if pole == "1":
                 run(f"validate-{profile}",
                     ["validate-full", "--schedule", csv, *VALIDATE_FLAGS, "--out", "@.json"])
-    # a forced sub-unit factor, where the drive band, not the stiff phase, sets the step grid
+    # a forced sub-unit factor, where the peak amplitude, not stark_amp, sets the step rate
     run("validate-forced", ["validate-full", "--schedule", str(work / "synthesize-constant-pole1.csv"),
                             "--factor", "0.5", "--compare-factor", "0", "--steps-per-cycle", "1",
                             "--force", "--out", "@.json"])

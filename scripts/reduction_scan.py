@@ -72,7 +72,8 @@ def main(argv=None):
         "--steps-per-cycle",
         type=int,
         default=DEFAULT_STEPS_PER_CYCLE,
-        help="integration steps per period of the fastest scale (default: %(default)s)",
+        help="full-model accuracy: at least the midpoint rule's at this many steps per unit"
+        " phase of the stiff scale (default: %(default)s)",
     )
     parser.add_argument(
         "--out",

@@ -447,7 +447,7 @@ def _check_exp_map(gens) -> tuple[bool, str]:
     pairs = np.random.default_rng(20260814).uniform(-8, 8, (100, 2, 3))
     closed = unitary._unitaries(pairs.transpose(1, 0, 2))
     # the families commute, so exp(-i(v.L + w.R)) is the product of the two rotations
-    worst = float(np.max(np.abs(closed - fullmodel._series_exp(np.tensordot(pairs, gens, 2)))))
+    worst = float(np.max(np.abs(closed - fullmodel._series_exp(-1j * np.tensordot(pairs, gens, 2)))))
     return worst <= 1e-10, f"max deviation {worst:.2e} over {len(pairs)} random pairs"
 
 

@@ -15,18 +15,17 @@ itself exactly.  The integration therefore runs on the 4x4 block of the
 Hamiltonian on that manifold, and only that block is built here: on it
 the summed raising operator is the ladder R below and the pair counts
 are P.  The state cannot leave the manifold, so the report's
-leakage_max is exactly zero; each chunk of midpoint steps reaches the
-state as one 4x4 product.  The eight-level model lives in the tests, as
-the oracle this block is checked against.
+leakage_max is exactly zero.  The eight-level model lives in the tests,
+as the oracle this block is checked against.
 
 On the block the drive enters as H = c R + c* R^T + V P, with R the
-spin-3/2 ladder (sqrt 3, 2, sqrt 3) and P = diag(0, 0, 1, 3).  The drive
-phase is generated by the excitation number N = diag(0, 1, 2, 3): with
-c = r e^{i phi}, H = e^{i phi N} S(r) e^{-i phi N}, where
-S(r) = r (R + R^T) + V P is real, symmetric and tridiagonal.  r = |c|
-stays in a narrow band about stark_amp, over which a run fits the real
-exp(-i S(r) dt) once as a Chebyshev polynomial in r; each chunk of steps
-is built from it and multiplied in real 8x8 form (see _step_product).
+spin-3/2 ladder (sqrt 3, 2, sqrt 3), P = diag(0, 0, 1, 3) and c the sum
+of the four tones.  In the strong tone's frame the rest of H is a
+constant block K plus the scheduled tones, of amplitude O(peak) against
+a stiff scale O(factor^2 peak); steps in K's interaction picture, the
+fast phases integrated exactly (first-order Magnus, Filon-type
+quadrature; Iserles & Norsett, Proc. R. Soc. A 461, 1383 (2005)), grow
+in number with the factor, not its square (see _integrate_full).
 
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
@@ -68,20 +67,28 @@ DEFAULT_FACTOR = 10.0
 DEFAULT_COMPARE_FACTOR = 30.0
 
 # Steps reduced to one product at a time; sizes the product tree's one stack.
-_CHUNK = 2048
+_CHUNK = 512
+
+# Steps per unit of stark_amp time at one step per cycle: a K-frame step
+# errs by about (stark_amp ell)^2 and the midpoint rule by 0.026 / spc^2,
+# so at this rate they err no more than midpoint steps at the same spc.
+_STEP_RATE = 6.5
 
 
 class HierarchyViolation(ValueError):
     """Parameters do not satisfy the requested scale hierarchy."""
 
 
-# The block Hamiltonian at drive modulus r, in the gauge that removes the
-# drive phase, is r _LADDER4 + V _PAIRS4; every entry is non-negative.
 # Summed over the atoms, raising takes ggg, W and W' to sqrt 3, 2 and
-# sqrt 3 times the next level; W' holds one excited pair, rrr three.
+# sqrt 3 times the next level: R is the lower triangle of _LADDER4 =
+# R + R^T.  W' holds one excited pair, rrr three, and N counts excitations.
 _RUNGS = [math.sqrt(3.0), 2.0, math.sqrt(3.0)]
 _LADDER4 = np.diag(_RUNGS, 1) + np.diag(_RUNGS, -1)
 _PAIRS4 = np.diag([0.0, 0.0, 1.0, 3.0])
+_LEVELS = np.arange(4.0)
+
+# Taylor coefficients of _phase_integrals: 1 / (n + 1)! and (n + 1) / (n + 2)!
+_SERIES = np.array([[1.0 / math.factorial(n + 1), (n + 1) / math.factorial(n + 2)] for n in range(15)]).T
 
 
 def derived_detunings(stark_amp: float, detuning0: float, blockade: float) -> tuple[float, float, float]:
@@ -139,37 +146,6 @@ def tone_frequencies(params: FullModelParams) -> np.ndarray:
     d1, d2, d3 = params.detunings
     v = params.blockade
     return np.array([-params.detuning0, d1, d2 + v, d3 + 2.0 * v])
-
-
-def _drive(times: np.ndarray, params: FullModelParams, phases: np.ndarray) -> np.ndarray:
-    """Complex drive c(t) that multiplies the raising operator, shape (len(times),).
-
-    Sums amplitude times e^{-i w t} over the four tones, pairwise as
-    np.sum adds four terms, at times in [0, duration].  The amplitudes
-    are the schedule's values_at; phases holds e^{-i w t}, a row per
-    tone of tone_frequencies, and becomes the tones.
-    """
-    amp = params.schedule.values_at(times).T
-    amp *= TONE_WEIGHTS[:, None]
-    phases[0] *= params.stark_amp
-    phases.real[1:] *= amp
-    phases.imag[1:] *= amp
-    out = np.add(phases[0], phases[1])
-    np.add(phases[2], phases[3], out=phases[2])
-    out += phases[2]
-    return out
-
-
-def _drive_band(params: FullModelParams) -> tuple[float, float]:
-    """Interval [lo, hi] that holds every |c(t)|, rounding included.
-
-    |c| is within T = sum_k TONE_WEIGHTS[k] max |column k| of stark_amp,
-    as interpolation stays within the samples; 16 ulps widen the band.
-    """
-    stark = params.stark_amp
-    spread = float(TONE_WEIGHTS @ np.max(np.abs(params.schedule.values), axis=0))
-    pad = 16.0 * np.finfo(float).eps * (stark + spread)
-    return max(0.0, stark - spread - pad), stark + spread + pad
 
 
 def hierarchy_ratios(params: FullModelParams) -> tuple[float, float]:
@@ -237,135 +213,161 @@ class ReductionReport:
     detunings: tuple[float, float, float]
 
 
-def _step_grid(params: FullModelParams) -> tuple[int, float]:
-    """Step count and step size of the full-model integration.
+def _step_grid(params: FullModelParams) -> np.ndarray:
+    """Steps in each knot segment of the full-model integration, so none straddles a knot.
 
-    The stiff scale is the fastest interaction-picture phase, so the
-    step size resolves detuning0 + 2 blockade with steps_per_cycle
-    points per unit phase.  It also takes at least 3 h duration steps,
-    h the half-width of the _drive_band, so that a = 3 h dt <= 1 and
-    _step_fit spans the band.  Raises TooManySteps, before anything is
-    allocated, when that needs more than the integrator's step cap.
+    Segment j takes ceil(length_j rate) equal steps, at least one, rate =
+    _STEP_RATE steps_per_cycle max(stark_amp, largest scheduled amplitude).
+    Raises TooManySteps, before anything is allocated, past the step cap.
     """
-    duration = params.schedule.duration
-    stiff = params.detuning0 + 2.0 * params.blockade
-    lo, hi = _drive_band(params)
-    h = 0.5 * (hi - lo)
-    cycles = max(duration * stiff * params.steps_per_cycle, 3.0 * h * duration)
-    if not cycles <= _MAX_STEPS:
-        raise TooManySteps(
-            f"the full model needs {cycles:.4g} steps, more than the cap of {_MAX_STEPS}"
-        )
-    n = max(1, math.ceil(cycles))
-    # rounding can leave a one ulp above 1, which one more step undoes
-    if 3.0 * h * (duration / n) > 1.0:
-        n += 1
-    return n, duration / n
+    schedule = params.schedule
+    peak = float(np.max(np.abs(schedule.values)))
+    rate = _STEP_RATE * params.steps_per_cycle * max(params.stark_amp, peak)
+    counts = np.maximum(np.ceil(np.diff(schedule.times) * rate), 1.0)
+    total = float(np.sum(counts))
+    if not total <= _MAX_STEPS:
+        raise TooManySteps(f"the full model needs {total:.4g} steps, more than the cap of {_MAX_STEPS}")
+    return counts.astype(np.int64)
 
 
-def _series_exp(x: np.ndarray) -> np.ndarray:
-    """exp(-iX) for a stack of Hermitian 4x4 X, shape (..., 4, 4).
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and orthonormal eigenvectors q of a real symmetric a = q diag(w) q^T.
 
-    A Taylor series summed by Horner steps; when theta, the largest
-    absolute row sum over the stack, passes 1, X is halved
-    s = ceil(log2 theta) times and the result squared s times (Moler &
-    Van Loan, SIAM Rev. 45, 3 (2003)).  The degree m is the least whose
-    first dropped term, theta^(m+1)/(m+1)!, is at most 2^-53.
+    Cyclic Jacobi (Golub & Van Loan, Matrix Computations, 4th ed., 8.5) on
+    plain floats, sweeping until no pair exceeds 2^-54 of its diagonal
+    entries (about 14 rotations for K).  Columns ascend in w, each signed
+    so that its diagonal entry is not negative.
     """
-    theta = float(np.max(np.sum(np.abs(x), axis=-1)))
+    a = np.array(a, dtype=float).tolist()
+    q = np.eye(len(a)).tolist()
+    pairs = [(p, r) for p in range(len(a)) for r in range(p + 1, len(a))]
+    for _ in range(64):  # convergence is quadratic; a 4x4 takes a few sweeps
+        rotated = False
+        for p, r in pairs:
+            if abs(a[p][r]) <= 2.0**-54 * math.hypot(a[p][p], a[r][r]):
+                continue
+            rotated = True
+            tau = (a[r][r] - a[p][p]) / (2.0 * a[p][r])
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            # columns p and r of a and q, then rows p and r of a
+            for row in a + q:
+                row[p], row[r] = c * row[p] - s * row[r], s * row[p] + c * row[r]
+            a[p], a[r] = [c * x - s * y for x, y in zip(a[p], a[r])], [s * x + c * y for x, y in zip(a[p], a[r])]
+            a[p][r] = a[r][p] = 0.0
+        if not rotated:
+            break
+    order = np.argsort(np.diag(a))
+    q = np.array(q)[:, order]
+    return np.diag(a)[order], q * np.where(np.diag(q) < 0.0, -1.0, 1.0)
+
+
+def _dressed_block(params: FullModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues eps and eigenvectors Q of K = stark_amp (R + R^T) + V P + detuning0 N.
+
+    K is the constant block of H in the frame psi = e^{i detuning0 N t} phi;
+    where the hierarchy holds, column j of Q dresses bare level j.
+    """
+    k = params.stark_amp * _LADDER4 + params.blockade * _PAIRS4 + params.detuning0 * np.diag(_LEVELS)
+    return _jacobi(k)
+
+
+def _series_exp(y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """exp(y) for a stack of square matrices y, shape (..., d, d), written over y.
+
+    check passes -iX for Hermitian X, the full model its step exponents in
+    real form.  A Taylor series of the least degree m whose first dropped
+    term theta^(m+1)/(m+1)! is at most 2^-53, theta the largest Frobenius
+    norm; past theta = 1, y is halved s = ceil(log2 theta) times and the
+    result squared s times (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    Horner's rule in y^2 over the pairs c_2j + c_2j+1 y (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 60 (1973)) takes ceil((m + 1) / 2)
+    products.  work, shape (3, *y.shape), holds y^2 and two sums if given.
+    """
+    v = y.view(float)
+    theta = math.sqrt(float(np.max(np.einsum("...ij,...ij->...", v, v))))
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     theta *= 0.5**s
     m = 1
     while theta ** (m + 1) / math.factorial(m + 1) > 2.0**-53:
         m += 1
-    y = np.multiply(x, -1j * 0.5**s, order="C")
-    # numpy divides complex z by k as z's float view times 1 / k; the view is faster
-    step = np.eye(4) + (y.view(float) * (1.0 / m)).view(complex)
-    for k in range(m - 1, 0, -1):
-        step = np.eye(4) + ((y @ step).view(float) * (1.0 / k)).view(complex)
+    if s:
+        y *= 0.5**s
+    square, acc, tmp = np.empty((3, *y.shape), y.dtype) if work is None else work
+    coef = [1.0 / math.factorial(k) for k in range(m + 1)] + [0.0]
+    top = m - m % 2
+    if top:
+        np.matmul(y, y, out=square)
+        on_acc = np.einsum("...ii->...i", acc)
+    for lo in range(top, -1, -2):
+        if lo < top:
+            np.matmul(acc, square, out=tmp)
+        # the pair is summed into y last, once no product reads y
+        out = acc if lo else y
+        np.multiply(y, coef[lo + 1], out=out)
+        if lo < top:
+            out += tmp
+        diagonal = on_acc if lo else np.einsum("...ii->...i", y)
+        diagonal += coef[lo]
     for _ in range(s):
-        step = step @ step
-    return step
+        np.matmul(y, y, out=tmp)
+        y[...] = tmp
+    return y
 
 
-def _real_steps(r: np.ndarray, dt: float, blockade: float) -> np.ndarray:  # exp(-i S(r) dt) for each r
-    return _series_exp(np.multiply.outer(r * dt, _LADDER4) + (blockade * dt) * _PAIRS4)
+def _real_form(z: np.ndarray) -> np.ndarray:
+    """Complex matrices z, shape (..., 4, 4), as the product tree's real (..., 8, 8).
 
-
-def _step_fit(lo: float, hi: float, dt: float, blockade: float):
-    """Chebyshev interpolant (r0, h, maps) of _real_steps over r in [lo, hi].
-
-    The steps at r0 + h x are sum_j C_j T_j(x), j < K.  Their K-th
-    r-derivative is at most (3 dt)^K, as ||R + R^T||_2 = 3, so K nodes
-    err by at most 2 (a/2)^K / K!, a = 3 h dt; K >= 2 is the least
-    making this 2^-53, and K <= 15 as _step_grid keeps a <= 1.  A band
-    of one point (h = 0) is fitted too.  maps holds the C_j as the GEMMs
-    of _step_product take them.  Raises ValueError when a > 1.
+    Entry a + ib is the block [[a, -b], [b, a]], transposed: rows 2l and
+    2l + 1 hold column l of z and of i z, so products come reversed.
     """
-    r0, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    a = 3.0 * h * dt
-    if not a <= 1.0:
-        raise ValueError(f"the step fit needs a = 3 h dt at most 1, not {a!r}")
-    k = 2
-    while 2.0 * (0.5 * a) ** k / math.factorial(k) > 2.0**-53:
-        k += 1
-    # cheb[j, l] = T_j(x_l) = cos(m pi / 2K), m = j (2l + 1) folded into [0, K]
-    # so that the rounded angle stays accurate; row 1 holds the nodes x_l
-    m = np.outer(np.arange(k), 2 * np.arange(k) + 1) % (4 * k)
-    m = np.minimum(m, 4 * k - m)
-    cheb = np.where(m > k, -1.0, 1.0) * np.cos(np.minimum(m, 2 * k - m) * (0.5 * math.pi / k))
-    steps = _real_steps(r0 + h * cheb[1], dt, blockade)
-    coef = (2.0 / k) * cheb @ steps.view(float).reshape(k, 32)
-    coef[0] *= 0.5
-    # row s K + j of maps[l] is column l of i^s C_j, then of i^(s+1) C_j, as reals
-    cols = coef.view(complex).reshape(k, 4, 4).transpose(2, 0, 1)[:, None, :, None]
-    maps = np.multiply(np.array([[1, 1j], [1j, -1]])[:, None, :, None], cols, order="C")
-    return r0, h, maps.view(float).reshape(4, 2 * k, 16)
+    zt = np.swapaxes(z, -1, -2)
+    return np.ascontiguousarray(np.stack([zt, 1j * zt], axis=-2)).view(float).reshape(*z.shape[:-2], 8, 8)
 
 
-def _step_leaves(drive: np.ndarray, fit, leaves: np.ndarray) -> complex:
-    """Write the block steps exp(-i H_k dt) into leaves in real 8x8 form.
+def _phase_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 e^{-ixs} ds and int_0^1 s e^{-ixs} ds for real x, elementwise.
 
-    With c_k = r_k u_k (u_k = 1 where c_k = 0) and D_k = diag(u_k^j), a
-    step is D_k E_k D_k* (module docstring), E_k = sum_j T_j(x_k) C_j by
-    the fit, which must span every r_k.  The gauges telescope: the
-    product of the steps, later on the left, is D_n X_n ... X_1,
-    X_k = E_k diag(v_k^j), v_k = conj(u_k) u_(k-1), u_0 = 1.  One GEMM
-    per column builds every X_k in real form, entry a + ib as the block
-    [[a, -b], [b, a]], transposed: rows 2l, 2l + 1 are column l of X_k
-    and of i X_k.  leaves is (n, 8, 8), n = len(drive), and row k - 1
-    takes X_k.  Returns u_n.
+    Closed forms where |x| >= 1/2; below, where they cancel, the Taylor
+    series in z = -ix, whose 15 terms reach 2^-53.
     """
-    n = len(drive)
-    r0, h, maps = fit
-    k = maps.shape[1] // 2
-    table = np.empty((k, n))  # row 1 holds r until x is taken
-    r = np.abs(drive, out=table[1])
-    zeros = n - np.count_nonzero(r)  # only a drive with zeros needs the masked divide
-    u = np.divide(drive, r, out=np.ones(n, dtype=complex), where=r > 0.0) if zeros else drive / r
-    v = np.conjugate(u)
-    v[1:] *= u[:-1]
-    # T_j((r - r0) / h) by the three-term recurrence; on a band of one
-    # point every r is r0
-    table[0] = 1.0
-    table[1] -= r0
-    if h:
-        table[1] /= h
-    for j in range(2, k):
-        np.multiply(table[1], 2.0, out=table[j])
-        table[j] *= table[j - 1]
-        table[j] -= table[j - 2]
-    steps = leaves.reshape(n, 4, 16)
-    np.matmul(table.T, maps[0, :k], out=steps[:, 0])
-    planes = np.empty((2 * k, n))
-    re, im, power = planes[:k], planes[k:], v
-    for col in (1, 2, 3):
-        if col > 1:
-            power = power * v
-        np.multiply(table, power.real, out=re)
-        np.multiply(table, power.imag, out=im)
-        np.matmul(planes.T, maps[col], out=steps[:, col])
-    return u[-1]
+    small = np.abs(x) < 0.5
+    z = -1j * x[small]
+    x = np.where(small, 1.0, x)
+    e = np.exp(-1j * x)
+    f0 = (1.0 - e) / (1j * x)
+    f1 = (e * (1.0 + 1j * x) - 1.0) / (x * x)
+    powers = np.vander(z, 15, increasing=True)
+    f0[small] = powers @ _SERIES[0]
+    f1[small] = powers @ _SERIES[1]
+    return f0, f1
+
+
+def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """Step exponents per unit coefficient for steps of lengths ell, shape (*ell.shape, 12, 64).
+
+    A step from t with amplitudes alpha_k + beta_k tau has the exponent
+    -i(M + M^H), M = sum_k coupling_k e^{-i Omega_k t} (alpha_k J0_k +
+    beta_k J1_k), J_jk = int_0^ell tau^j e^{-i nu_k tau} dtau exactly, entry
+    by entry.  Row (j, k, c), in _real_form, is its part per unit of
+    (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t.
+    """
+    ell = np.asarray(ell)[..., None, None, None]
+    f0, f1 = _phase_integrals(nu * ell)
+    m = np.stack([ell * f0, ell * ell * f1], axis=-4) * coupling
+    m = m[..., None, :, :] * np.array([1.0, -1j])[:, None, None]
+    return _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(*ell.shape[:-3], 12, 64)
+
+
+def _step_leaves(leaves: np.ndarray, phases: np.ndarray, work: np.ndarray | None = None) -> None:
+    """Replace each step exponent Y_s in leaves, (n, 8, 8) in real form, by G_s exp(Y_s).
+
+    G_s = diag(phases[s]) scales each row of the real form as complex
+    numbers; work is _series_exp's.
+    """
+    _series_exp(leaves, work)
+    leaves.view(complex)[...] *= phases[:, None, :]
 
 
 def _tree_plan(stack: np.ndarray, n: int):
@@ -396,48 +398,86 @@ def _tree_plan(stack: np.ndarray, n: int):
     return pieces, stack[at, ::2].view(complex).T
 
 
-def _step_product(drive: np.ndarray, fit, stack: np.ndarray, plan=None) -> np.ndarray:
-    """Product of the block steps exp(-i H_k dt) over k, later steps on the left.
+def _step_product(stack: np.ndarray, n: int, phases: np.ndarray, plan=None) -> np.ndarray:
+    """Product of n steps G_s exp(Y_s), later steps on the left, as a complex 4x4 copy.
 
-    Runs the plan, by default _tree_plan(stack, n), on the n = len(drive)
-    steps _step_leaves writes; returns D_n = diag(u_n^j) times it, a copy.
+    stack holds at least 4 n + ceil(n / 16) real 8x8 matrices, the
+    exponents in its last n rows; _step_leaves takes its first 3 n as
+    work, and the plan, by default _tree_plan(stack, n), multiplies.
     """
-    n = len(drive)
     pieces, top = _tree_plan(stack, n) if plan is None else plan
-    last = _step_leaves(drive, fit, stack[-n:])
+    _step_leaves(stack[-n:], phases, stack[: 3 * n].reshape(3, n, 8, 8))
     for call, *views in pieces:
         call(*views)
-    return np.multiply.accumulate(np.array([1.0, last, last, last]))[:, None] * top
+    return top.copy()
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     """Integrate the full model from the single-excitation state.
 
-    Runs on the 4x4 symmetric block: fits the steps over the _drive_band,
-    allocates the tree's one stack, _CHUNK + _CHUNK / 16 real 8x8 matrices
-    at most, and its _tree_plan, built once more for a shorter last chunk;
-    each chunk of _CHUNK steps takes the drive at its midpoints, with tone
-    phases e^{-i w done dt} times one table of e^{-i w (j + 1/2) dt}, as
-    one _step_product and renormalizes after it.  The chunk's tones are
-    dropped once the drive is summed, before the product runs.  Returns
-    (final_state, steps, dt), the state in the (ggg, W, W', rrr) basis.
+    Runs on the 4x4 block in the frame psi = e^{i detuning0 N t} phi, where
+    i phi' = (K + W(t)) phi, K = Q diag(eps) Q^T (_dressed_block) and
+    W(t) = sum_k w_k a_k(t) (e^{-i Omega_k t} R + h.c.), Omega_k the tone's
+    frequency plus detuning0.  Each step of _step_grid, where a_k is
+    linear, takes the exact integral of W in K's interaction picture
+    (_basis); the dressed phases telescope into G = diag(e^{-i eps ell}):
+
+        psi(T) = e^{i detuning0 N T} Q G_{n-1} E_{n-1} ... G_0 E_0 Q^T W,
+
+    E_s = exp(-i(M_s + M_s^H)).  A chunk of up to _CHUNK steps writes its
+    exponents into the one stack by a GEMM of 12 coefficients per step
+    (alpha and beta times cos and sin of Omega_k t) against the basis of
+    its step length, lengths within the knots' rounding sharing one, and
+    reduces them by one _step_product; the state is renormalized after
+    it.  Returns (final_state, steps, dt), dt the longest step, the state
+    in the (ggg, W, W', rrr) basis.
     """
-    n, dt = _step_grid(params)
+    counts = _step_grid(params)
+    times, values = params.schedule.times, params.schedule.values
+    n = int(np.sum(counts))
+    ell = np.diff(times) / counts
+    first = np.cumsum(counts) - counts
+    # per segment: its first knot, step length, amplitudes there and slopes
+    segments = np.vstack([times[:-1], ell, values[:-1].T, (np.diff(values, axis=0).T / np.diff(times))])
+    eps, q = _dressed_block(params)
+    omega = tone_frequencies(params)[1:] + params.detuning0
+    nu = omega[:, None, None] - eps[:, None] + eps
+    coupling = TONE_WEIGHTS[:, None, None] * (q.T @ np.tril(_LADDER4) @ q)
+    uniq, which = np.unique(ell, return_inverse=True)
+    rounding = 4.0 * np.finfo(float).eps * times[-1] / np.max(counts)
+    cluster = np.cumsum(np.diff(uniq, prepend=-math.inf) > rounding) - 1
+    gates = np.exp(np.multiply.outer(uniq, -1j * eps))
     size = min(_CHUNK, n)
-    fit = _step_fit(*_drive_band(params), dt, params.blockade)
-    stack = np.empty((size + -(-size // 16), 8, 8))
-    freqs = tone_frequencies(params)
-    centres = np.arange(size) + 0.5
-    table = np.exp(np.multiply.outer(-1j * freqs, centres * dt))
-    psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    stack = np.empty((4 * size + -(-size // 16), 8, 8))
     plan = _tree_plan(stack, size)
+    chi = q[1].astype(complex)
+    built = np.array([-1])
     for done in range(0, n, _CHUNK):
         count = min(_CHUNK, n - done)
-        shift = np.exp(-1j * (done * dt) * freqs)[:, None]
-        drive = _drive((centres[:count] + done) * dt, params, table[:, :count] * shift)
-        psi = _step_product(drive, fit, stack, plan if count == size else None) @ psi
-        psi /= math.sqrt(np.vdot(psi, psi).real)
-    return psi, n, dt
+        step = np.arange(done, done + count)
+        seg = np.searchsorted(first, step, side="right") - 1
+        at = segments.take(seg, axis=1)
+        tau = (step - first[seg]) * at[1]
+        phase = np.multiply.outer(omega, at[0] + tau)
+        tones = np.stack([np.cos(phase), np.sin(phase)], axis=1)
+        # row (j, k, c) is (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t
+        coef = np.stack([(at[2:5] + at[5:] * tau)[:, None] * tones, at[5:, None] * tones]).reshape(12, count)
+        kind = which[seg]
+        exponents = stack[-count:].reshape(count, 64)
+        # runs of steps that share a basis, whose bases are built 32 at a time
+        cuts = [0, *(np.flatnonzero(np.diff(cluster[kind])) + 1), count]
+        for first_run in range(0, len(cuts) - 1, 32):
+            ends = cuts[first_run : first_run + 33]
+            ids = cluster[kind[ends[:-1]]]
+            if not np.array_equal(ids, built):
+                built, bases = ids, _basis(uniq[np.searchsorted(cluster, ids)], nu, coupling)
+            for lo, hi, basis in zip(ends, ends[1:], bases):
+                np.matmul(coef[:, lo:hi].T, basis, out=exponents[lo:hi])
+        product = _step_product(stack, count, gates[kind], plan if count == size else None)
+        chi = product @ chi
+        chi /= math.sqrt(np.vdot(chi, chi).real)
+    psi = np.exp(1j * params.detuning0 * times[-1] * _LEVELS) * (q @ chi)
+    return psi, n, float(np.max(ell))
 
 
 def validate_reduction(

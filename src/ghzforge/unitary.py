@@ -10,7 +10,7 @@ elementwise on arrays of rotation vectors, so the same code serves
 single rotations and the per-step factors of the ladder integrator in
 ``propagate``, which also takes its products and its readout from
 here.  Outside these closed forms the package sums one matrix
-exponential, fullmodel's power series, for the full model's fit and
+exponential, fullmodel's power series, for the full model's steps and
 ``ghz-forge check``; eigendecompositions run only in the test oracles.
 """
 

@@ -229,6 +229,42 @@ def full_model_reference(params, steps: int | None = None):
     return psi, leak_max, n, dt
 
 
+def kframe_reference(params, counts, nodes: int = 10) -> np.ndarray:
+    """First-order Magnus steps in the interaction picture of K, one eigh exponential each.
+
+    In the frame psi = e^{i detuning0 N t} phi the block Hamiltonian is
+    K + W(t): K = stark_amp (R + R^T) + V P + detuning0 N is constant and
+    W(t) = c(t) R + h.c. holds the scheduled tones, c(t) = sum_k w_k a_k(t)
+    e^{-i Omega_k t}, Omega_k the tone's frequency plus detuning0.  Segment
+    j of the schedule takes counts[j] equal steps; each step applies
+    exp(-i int e^{iKt} W(t) e^{-iKt} dt), the integral by Gauss-Legendre
+    quadrature with `nodes` points of W at those times, in K's eigenbasis
+    from np.linalg.eigh.  Returns the final state in (ggg, W, W', rrr).
+    """
+    schedule, v, d0 = params.schedule, params.blockade, params.detuning0
+    levels = np.arange(4.0)
+    evals, evecs = np.linalg.eigh(params.stark_amp * (RAISING4 + RAISING4.T) + v * PAIRS4 + d0 * np.diag(levels))
+    raising = evecs.T @ RAISING4 @ evecs
+    freqs = tone_frequencies_reference(params)[1:] + d0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lengths = np.repeat(np.diff(schedule.times) / counts, counts)
+    starts = np.concatenate(
+        [t + np.arange(c) * (length / c) for t, length, c in zip(schedule.times, np.diff(schedule.times), counts)]
+    )
+    chi = evecs.T @ np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    for done in range(0, len(starts), _CHUNK // 16):
+        part = slice(done, done + _CHUNK // 16)
+        times = starts[part, None] + lengths[part, None] * (0.5 * (x + 1.0))
+        drive = np.sum(schedule.values_at(times) * TONE_WEIGHTS * np.exp(-1j * freqs * times[..., None]), axis=-1)
+        turned = raising * np.exp(1j * np.subtract.outer(evals, evals) * times[..., None, None])
+        terms = drive[..., None, None] * turned
+        terms = terms + np.swapaxes(terms.conj(), -1, -2)
+        exponents = np.einsum("sn,snab->sab", 0.5 * lengths[part, None] * w, terms)
+        chi = midpoint_states_reference(exponents, 1.0, chi)[-1]
+    duration = schedule.duration
+    return np.exp(1j * d0 * duration * levels) * (evecs @ (np.exp(-1j * evals * duration) * chi))
+
+
 PERMUTATIONS_3 = (
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
 )

@@ -382,7 +382,7 @@ def test_validate_full_force_weak_factor(tmp_path):
 
 
 def test_validate_full_step_cap(capsys):
-    # factor 1e5 passes the hierarchy check but needs about 7e12 steps
+    # factor 1e5 passes the hierarchy check but needs about 7.6e7 steps
     for extra in ((), ("--force",)):
         start = time.perf_counter()
         code = main([
@@ -408,7 +408,7 @@ def _refuse_integration(monkeypatch, *names):
 @pytest.mark.parametrize(
     "compare, message",
     [("3", "factor 3: scale ratios (6.00, 5.20) below the minimum factor 10"),
-     ("1000", "factor 1000: the full model needs")],
+     ("10000", "factor 10000: the full model needs")],
     ids=["hierarchy", "step-cap"],
 )
 def test_validate_full_refuses_every_factor_before_integrating_any(
@@ -424,6 +424,18 @@ def test_validate_full_refuses_every_factor_before_integrating_any(
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_full_runs_a_factor_past_the_midpoint_cap(tmp_path, capsys):
+    # midpoint steps grew as the factor squared and refused factor 100
+    # (7.06e6 steps); K-frame steps grow as the factor, 76,923 here
+    schedule, out = tmp_path / "s.csv", tmp_path / "v.json"
+    assert main(["synthesize", "--duration", "1", "--out", str(schedule)]) == 0
+    argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", "100", "--out", str(out)]
+    assert main(argv) == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert comparison["steps"] == 76923 and comparison["hierarchy_ok"] is True
+    assert 0.0 < comparison["effective_vs_full_infidelity"] < 1e-3
 
 
 def test_validate_full_all_zero_schedule_is_usage_error(tmp_path, capsys):

@@ -15,14 +15,12 @@ from ghzforge.fullmodel import (
     _LADDER4,
     _CHUNK,
     _PAIRS4,
-    _drive,
-    _drive_band,
+    _basis,
+    _dressed_block,
     _integrate_full,
-    _real_steps,
+    _jacobi,
     _series_exp,
-    _step_fit,
     _step_grid,
-    _step_product,
     _tree_plan,
     HierarchyViolation,
     TooManySteps,
@@ -164,11 +162,6 @@ def _max_rel(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
 
-def _tone_drive(times, params):
-    """_drive at times, with the tone phases e^{-i w t} built here."""
-    return _drive(times, params, np.exp(np.multiply.outer(-1j * tone_frequencies(params), times)))
-
-
 def test_symmetric_block_reduction_identities():
     # the package's block literals against the oracle's eight-level
     # operators: each maps the manifold onto itself as the literal says
@@ -182,7 +175,7 @@ def test_symmetric_block_reduction_identities():
         assert _max_rel(op8 @ manifold, manifold @ op4) <= 1e-14
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
         for t in (0.0, 0.21, 0.5, 0.77, 1.0):
-            drive = _tone_drive(np.array([t]), params)[0]
+            drive = oracles._drive_reference(t, params)
             block = drive * raising4 + drive.conjugate() * raising4.T + params.blockade * _PAIRS4
             ham = oracles.full_hamiltonian(t, params)
             assert _max_rel(ham @ manifold, manifold @ block) <= 1e-14
@@ -239,17 +232,22 @@ def test_params_for_factor_rejects_bad_factor(factor):
 
 
 def test_gauge_identity_of_block_hamiltonian():
-    # H = c R + c* R^T + V P equals e^{i phi N} S(|c|) e^{-i phi N} with
-    # the real S(r) = r (R + R^T) + V P and N the excitation number
+    # in the frame psi = e^{i detuning0 N t} phi the block Hamiltonian
+    # H = c R + c* R^T + V P becomes K + W(t): K = Q diag(eps) Q^T
+    # constant, and W(t) = sum_k w_k a_k (e^{-i Omega_k t} R + h.c.) with
+    # Omega_k the scheduled tone's frequency plus detuning0
     rng = np.random.default_rng(11)
+    raising = np.tril(_LADDER4)
     for params in (make_params(), params_for_factor(row1_schedule(), 10.0)):
-        times = rng.uniform(0.0, params.schedule.duration, 50)
-        drive = _tone_drive(times, params)
-        hams = oracles.block_hamiltonian(drive, params.blockade)
-        real = np.abs(drive)[:, None, None] * _LADDER4 + params.blockade * _PAIRS4
-        twist = np.exp(1j * np.angle(drive)[:, None] * np.arange(4))
-        rebuilt = twist[:, :, None] * real * twist.conj()[:, None, :]
-        assert _max_rel(hams, rebuilt) <= 1e-14
+        eps, q = _dressed_block(params)
+        omega = tone_frequencies(params)[1:] + params.detuning0
+        frame = params.detuning0 * np.arange(4.0)
+        for t in rng.uniform(0.0, params.schedule.duration, 20):
+            ham = oracles.block_hamiltonian(oracles._drive_reference(t, params), params.blockade)
+            turned = np.exp(-1j * frame * t)[:, None] * ham * np.exp(1j * frame * t) + np.diag(frame)
+            drive = np.sum(oracles.TONE_WEIGHTS * params.schedule.values_at(t) * np.exp(-1j * omega * t))
+            rebuilt = (q * eps) @ q.T + drive * raising + np.conj(drive) * raising.T
+            assert _max_rel(turned, rebuilt) <= 1e-14
 
 
 def test_params_for_factor_scaling():
@@ -329,18 +327,30 @@ def test_reduction_at_moderate_factor():
     }
 
 
-# 6,351 steps: one package chunk, then chunks of 1000 and of 999, each
-# leaving an odd remainder; the oracle batches them its own way
+def _uneven_schedule():
+    # knots of uneven spacing, with an all-zero stretch between rows 20 and 34
+    rng = np.random.default_rng(5)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.005, 0.03, 60))])
+    values = rng.uniform(-3.0, 3.0, (61, 3))
+    values[20:35] = 0.0
+    return PulseSchedule(times=knots, values=values)
+
+
+# a package chunk as large as the run, then chunks of 1000 and of 999,
+# which divide none of the step counts; the oracle batches its own way
 @pytest.mark.parametrize("chunk", [32768, 1000, 999])
 def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
     monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
-    params = params_for_factor(row1_schedule(), 3.0)
-    psi, steps, dt = _integrate_full(params)
-    ref_psi, ref_leak, ref_steps, ref_dt = oracles.full_model_reference(params)
-    assert 5000 < steps < 7000
-    assert (steps, dt) == (ref_steps, ref_dt)
-    assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
-    assert ref_leak <= 1e-14
+    schedules = [row1_schedule(), rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 200), _uneven_schedule()]
+    for schedule in schedules:
+        for factor in (0.3, 3.0, 10.0):
+            params = params_for_factor(schedule, factor)
+            psi, steps, dt = _integrate_full(params)
+            counts = _step_grid(params)
+            assert steps == np.sum(counts) and steps % chunk
+            assert dt == np.max(np.diff(schedule.times) / counts)
+            ref_psi = oracles.kframe_reference(params, counts)
+            assert np.max(np.abs(psi - ref_psi)) <= 1e-12
 
 
 def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
@@ -362,87 +372,13 @@ def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
 def test_series_exp_matches_eigendecomposition_on_the_generators(pairs):
     # complex Hermitian v.L + w.R, the input of check's closed-form comparison
     hams = oracles.generator_form(np.reshape(pairs, (-1, 2, 3)).transpose(1, 0, 2))
-    for step, ham in zip(_series_exp(hams), hams):
+    for step, ham in zip(_series_exp(-1j * hams), hams):
         assert np.max(np.abs(step - oracles.expm_eig(ham))) <= 1e-12
-
-
-def test_series_exp_takes_numpys_complex_division_bit_for_bit():
-    # the Horner steps multiply float views by 1 / k; written with complex
-    # division by k, the series gives the same bits on both kinds of input
-    def divided(x):
-        theta = float(np.max(np.sum(np.abs(x), axis=-1)))
-        s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
-        m = 1
-        while (theta * 0.5**s) ** (m + 1) / math.factorial(m + 1) > 2.0**-53:
-            m += 1
-        y = x * (-1j * 0.5**s)
-        step = np.eye(4) + y / m
-        for k in range(m - 1, 0, -1):
-            step = np.eye(4) + (y @ step) / k
-        for _ in range(s):
-            step = step @ step
-        return step
-
-    rng = np.random.default_rng(37)
-    hams = [oracles.generator_form(rng.uniform(-8.0, 8.0, (2, 50, 3)))]
-    hams += [oracles.block_hamiltonian(rng.uniform(0.0, 5.0, 50), v).real * dt
-             for v, dt in ((0.5, 0.01), (3.0, 2.0))]
-    for x in hams:
-        assert np.array_equal(_series_exp(x).view(np.uint64), divided(x).view(np.uint64))
-
-
-@given(
-    st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
-    st.data(),
-    st.floats(0.0, 100.0),
-)
-def test_drive_stays_in_its_band(gaps, data, stark):
-    # any schedule, negative and all-zero columns included: every |c| lies
-    # in the a-priori band that the step fit spans
-    knots = np.concatenate([[0.0], np.cumsum(gaps)])
-    cols = [
-        data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(knots), max_size=len(knots)))
-        if data.draw(st.booleans()) else [0.0] * len(knots)
-        for _ in range(3)
-    ]
-    schedule = PulseSchedule(times=knots, values=np.array(cols).T)
-    params = make_params(stark=stark, schedule=schedule)
-    times = np.concatenate([knots, np.random.default_rng(len(knots)).uniform(0.0, knots[-1], 200)])
-    lo, hi = _drive_band(params)
-    modulus = np.abs(_tone_drive(times, params))
-    assert np.all(lo <= modulus) and np.all(modulus <= hi)
-
-
-def _nodes(fit):
-    # maps holds two rows per node
-    return fit[2].shape[1] // 2
-
-
-def _one_step(r, fit):
-    # a single real drive needs no twist, so the product is the step itself
-    return _step_product(np.array([r + 0j]), fit, np.empty((2, 8, 8)))
-
-
-@pytest.mark.parametrize("a", [1e-12, 4e-4, 0.05, 0.5, 1.0])
-def test_step_fit_matches_real_steps(a):
-    dt, blockade = 0.01, 30.0
-    h = a / (3.0 * dt)
-    lo, hi = 5.0, 5.0 + 2.0 * h
-    fit = _step_fit(lo, hi, dt, blockade)
-    assert _nodes(fit) <= 15
-    rs = np.concatenate([[lo, hi], np.random.default_rng(7).uniform(lo, hi, 200)])
-    direct = _real_steps(rs, dt, blockade)
-    for r, step in zip(rs, direct):
-        assert np.max(np.abs(_one_step(r, fit) - step)) <= 2e-15
-    # past a = 1 the fit is refused; a band of one point is fitted
-    with pytest.raises(ValueError, match="at most 1"):
-        _step_fit(lo, lo + 2.0 * (1.0 + 1e-12) / (3.0 * dt), dt, blockade)
-    point = _step_fit(lo, lo, dt, blockade)
-    assert np.max(np.abs(_one_step(lo, point) - direct[0])) <= 2e-15
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3, 2.0, 10.0])
 def test_real_steps_match_eigendecomposition(dt):
+    # block steps exp(-i S(r) dt) of the real S(r) = r (R + R^T) + V P,
     # step norms theta from 0.015 to 217, so the series runs with and
     # without halving and squaring
     rs = np.array([0.0, 0.4, 1.7, 5.0])
@@ -450,12 +386,36 @@ def test_real_steps_match_eigendecomposition(dt):
     for blockade in (0.5, 3.0):
         hams = oracles.block_hamiltonian(rs + 0j, blockade) * dt
         norms.extend(np.max(np.sum(np.abs(hams), axis=-1), axis=-1))
-        steps = _real_steps(rs, dt, blockade)
+        steps = _series_exp(np.multiply.outer(-1j * rs * dt, _LADDER4) - 1j * blockade * dt * _PAIRS4)
         for step, ham, norm in zip(steps, hams, norms[-len(rs):]):
             bound = 16.0 * np.finfo(float).eps * max(1.0, norm)
             assert np.max(np.abs(step - oracles.expm_eig(ham))) <= bound
     # every norm is below 1 at the smallest dt and above 1 at the largest two
     assert (max(norms) <= 1.0) == (dt == 0.01) and (min(norms) > 1.0) == (dt >= 2.0)
+
+
+@given(st.floats(0.3, 1e3), st.floats(0.5, 2.0))
+def test_jacobi_matches_eigendecomposition(factor, ratio):
+    # K at hierarchy factors 0.3 to 1e3, with blockade over detuning0 from
+    # 0.5 to 2: the eigenvalues to rounding of the norm of K, and each
+    # eigenvector, signed as _jacobi signs it, to rounding over its gap
+    params = dataclasses.replace(params_for_factor(row1_schedule(), factor), blockade=ratio * 2.0 * factor**2)
+    eps, q = _dressed_block(params)
+    k = params.stark_amp * _LADDER4 + params.blockade * _PAIRS4 + params.detuning0 * np.diag(np.arange(4.0))
+    evals, evecs = np.linalg.eigh(k)
+    evecs *= np.where(np.diag(evecs) < 0.0, -1.0, 1.0)
+    scale = np.max(np.abs(evals))
+    gaps = np.min(np.abs(np.subtract.outer(evals, evals)) + scale * np.eye(4), axis=1)
+    assert np.max(np.abs(eps - evals)) <= 8.0 * np.finfo(float).eps * scale
+    assert np.all(np.max(np.abs(q - evecs), axis=0) <= 64.0 * np.finfo(float).eps * scale / gaps)
+    assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-14
+
+
+def test_jacobi_leaves_a_diagonal_matrix_as_it_is():
+    # no drive: K is diagonal, and no rotation runs
+    eps, q = _jacobi(np.diag([3.0, -1.0, 2.0, 0.0]))
+    assert eps.tolist() == [-1.0, 0.0, 2.0, 3.0]
+    assert np.array_equal(q, np.eye(4)[:, [1, 3, 2, 0]])
 
 
 @given(
@@ -464,9 +424,10 @@ def test_real_steps_match_eigendecomposition(dt):
     st.floats(0.05, 3.0),
     st.integers(1, 4),
 )
-def test_step_grid_admits_the_step_fit(gaps, data, factor, spc):
-    # any schedule at any factor: _step_grid's dt keeps a = 3 h dt <= 1 over
-    # the drive band, so the run's fit is taken with at most 15 nodes
+def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, factor, spc):
+    # any schedule at any factor: each segment takes equal steps, at least
+    # one, of at most 1 / (6.5 spc max(stark_amp, peak)), and not one more
+    # than that needs
     knots = np.concatenate([[0.0], np.cumsum(gaps)])
     values = np.array(
         data.draw(st.lists(
@@ -476,74 +437,151 @@ def test_step_grid_admits_the_step_fit(gaps, data, factor, spc):
     )
     assume(np.max(np.abs(values)) > 0.0)
     params = params_for_factor(PulseSchedule(times=knots, values=values), factor, spc)
-    n, dt = _step_grid(params)
-    lo, hi = _drive_band(params)
-    assert n >= 1.5 * (hi - lo) * params.schedule.duration
-    assert _nodes(_step_fit(lo, hi, dt, params.blockade)) <= 15
-
-
-def test_step_grid_takes_a_step_more_where_a_rounds_above_one(monkeypatch):
-    # h = 7/3 over 9/7 time units asks for 9 steps, at which 3 h dt rounds
-    # to 1 + 2^-52; the grid takes a tenth so that the fit is admitted
-    monkeypatch.setattr("ghzforge.fullmodel._drive_band", lambda params: (0.0, 14.0 / 3.0))
-    duration = 9.0 / 7.0
-    assert math.ceil(7.0 * duration) == 9 and 7.0 * (duration / 9) > 1.0
-    params = make_params(blockade=1.0, detuning0=1.0, schedule=zero_schedule(duration), spc=1)
-    n, dt = _step_grid(params)
-    assert n == 10
-    assert _nodes(_step_fit(0.0, 14.0 / 3.0, dt, params.blockade)) <= 15
+    counts = _step_grid(params)
+    rate = 6.5 * spc * max(params.stark_amp, np.max(np.abs(values)))
+    assert counts.dtype == np.int64 and len(counts) == len(gaps) and np.all(counts >= 1)
+    steps = np.diff(knots) / counts
+    assert np.all(steps * rate <= 1.0 + 1e-12)
+    assert np.all((counts == 1) | (np.diff(knots) / (counts - 1) * rate > 1.0 - 1e-12))
 
 
 def test_refined_steps_match_reference():
-    # factor 0.3 at one step per cycle: the drive band, not the stiff
-    # phase, sets the grid, which then still admits the step fit
-    params = params_for_factor(row1_schedule(), 0.3, 1)
-    n, dt = _step_grid(params)
-    lo, hi = _drive_band(params)
-    duration = params.schedule.duration
-    stiff = params.detuning0 + 2.0 * params.blockade
-    assert n == math.ceil(1.5 * (hi - lo) * duration) > math.ceil(stiff * duration)
-    assert _nodes(_step_fit(lo, hi, dt, params.blockade)) <= 15
+    # factor 0.3 at one step per cycle, on 4 segments: the peak
+    # amplitude, not the smaller stark_amp, sets the rate, and the steps
+    # still match the per-step reference
+    schedule = row1_schedule(samples=5)
+    params = params_for_factor(schedule, 0.3, 1)
+    peak = np.max(np.abs(schedule.values))
+    assert params.stark_amp < peak
+    counts = _step_grid(params)
+    assert np.array_equal(counts, np.ceil(np.diff(schedule.times) * 6.5 * peak))
     psi, steps, _ = _integrate_full(params)
-    ref_psi, _, ref_steps, _ = oracles.full_model_reference(params, steps=n)
-    assert steps == ref_steps == n
-    assert np.max(np.abs(oracles.MANIFOLD @ psi - ref_psi)) <= 1e-11
+    assert steps == np.sum(counts) > len(counts)
+    assert np.max(np.abs(psi - oracles.kframe_reference(params, counts))) <= 1e-12
+
+
+def test_step_count_grows_as_the_factor():
+    # the stiff scale grows as the factor squared, the steps as the factor
+    schedule = row1_schedule()
+    at10, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))) for f in (10.0, 100.0))
+    assert 9.0 * at10 <= at100 <= 11.0 * at10
 
 
 def test_chunk_drives_match_direct_tone_sum(monkeypatch):
-    # about 1M steps: the first, a middle and the last chunk's drive, from
-    # the run's phase table, against the direct sum of amplitude times
-    # e^{-i w t}
-    params = params_for_factor(row1_schedule(), 30.0, 80)
-    n, dt = _step_grid(params)
-    assert 900_000 < n < 1_200_000
+    # about 120,000 steps: the exponents of the first, a middle and the
+    # last chunk against the ones built here from the direct amplitudes
+    # and tone phases e^{-i Omega_k t} at each step's start, within the
+    # rounding of the phase; the same for the phases G of the steps
+    params = params_for_factor(row1_schedule(), 100.0, 80)
+    counts = _step_grid(params)
+    n = int(np.sum(counts))
+    assert 100_000 < n < 150_000
     chunks = -(-n // _CHUNK)
     picked = (0, chunks // 2, chunks - 1)
-    drives = []
+    seen = []
+    import ghzforge.fullmodel as fullmodel_module
 
-    def record(drive, *_):
-        drives.append(drive.copy() if len(drives) in picked else None)
-        return np.eye(4)
+    original = fullmodel_module._step_product
+
+    def record(stack, count, phases, plan=None):
+        if len(seen) in picked:
+            seen.append((stack[-count:].copy(), phases.copy()))
+        else:
+            seen.append(None)
+        return original(stack, count, phases, plan)
 
     monkeypatch.setattr("ghzforge.fullmodel._step_product", record)
     _integrate_full(params)
-    assert len(drives) == chunks
-    freqs = tone_frequencies(params)
+    assert len(seen) == chunks
+    times, values = params.schedule.times, params.schedule.values
+    eps, q = _dressed_block(params)
+    omega = tone_frequencies(params)[1:] + params.detuning0
+    coupling = oracles.TONE_WEIGHTS[:, None, None] * (q.T @ np.tril(_LADDER4) @ q)
+    nu = omega[:, None, None] - eps[:, None] + eps
+    length = np.diff(times)[0] / counts[0]
+    assert np.all(np.abs(np.diff(times) / counts - length) <= 1e-15)
+    basis = _basis(length, nu, coupling)
+    segment = np.repeat(np.arange(len(counts)), counts)
+    start = np.concatenate([np.arange(c) * (np.diff(times)[j] / c) for j, c in enumerate(counts)])
     for index in picked:
-        t = (_CHUNK * index + np.arange(len(drives[index])) + 0.5) * dt
-        amps = np.column_stack(
-            [np.full(len(t), params.stark_amp), oracles.TONE_WEIGHTS * params.schedule.values_at(t)]
-        )
-        phase = np.multiply.outer(t, freqs)
-        direct = np.sum(amps * np.exp(-1j * phase), axis=1)
-        bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(phase))) * np.sum(np.abs(amps), axis=1)
-        assert np.all(np.abs(drives[index] - direct) <= bound)
+        exponents, phases = seen[index]
+        s = np.arange(index * _CHUNK, index * _CHUNK + len(exponents))
+        t = times[segment[s]] + start[s]
+        slope = (values[segment[s] + 1] - values[segment[s]]) / np.diff(times)[segment[s], None]
+        amps = np.stack([params.schedule.values_at(t), slope], axis=1)
+        phase = np.multiply.outer(t, omega)
+        tones = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+        coef = (amps[..., None] * tones[:, None]).reshape(len(s), 12)
+        direct = coef @ basis
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(phase))) * (np.abs(coef) @ np.abs(basis))
+        assert np.all(np.abs(exponents.reshape(len(s), 64) - direct) <= bound)
+        gate = np.exp(-1j * np.multiply.outer((np.diff(times) / counts)[segment[s]], eps))
+        assert np.max(np.abs(phases - gate)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(eps * length))
+
+
+def _block_midpoint(params, steps):
+    """The midpoint rule on the 4x4 block at steps equal steps, one eigh exponential each.
+
+    The steps of each batch are multiplied pairwise, later on the left,
+    in complex form.
+    """
+    dt = params.schedule.duration / steps
+    psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    for done in range(0, steps, 32768):
+        t = (done + np.arange(min(32768, steps - done)) + 0.5) * dt
+        evals, evecs = np.linalg.eigh(oracles.block_hamiltonian(oracles._drive_reference(t, params), params.blockade))
+        level = (evecs * np.exp(-1j * evals * dt)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+        while len(level) > 1:
+            odd = level[2 * (len(level) // 2) :]
+            level = np.concatenate([level[1::2] @ level[0:-1:2], odd])
+        psi = level[0] @ psi
+    return psi
+
+
+@pytest.fixture(scope="module")
+def midpoint_runs():
+    """Midpoint states at factor 10, per profile, at 14, 25 and 50 steps per unit of the stiff phase."""
+    runs = {}
+    for profile in ("constant", "trapezoid"):
+        params = params_for_factor(rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 200), 10.0)
+        stiff = (params.detuning0 + 2.0 * params.blockade) * params.schedule.duration
+        runs[profile] = {spc: _block_midpoint(params, math.ceil(stiff * spc)) for spc in (14, 25, 50)}
+    return runs
+
+
+@pytest.mark.parametrize("profile", ["constant", "trapezoid"])
+def test_richardson_of_kframe_steps_matches_the_midpoint_richardson(profile, midpoint_runs, monkeypatch):
+    # both rules are second order and symmetric, so (4 psi_2n - psi_n) / 3
+    # is fourth order: K-frame steps at 40 and 80 per segment against the
+    # midpoint rule at 25 and 50 steps per unit of the stiff phase, which
+    # agree to 1.3e-9 (constant) and 6.0e-9 (trapezoid)
+    schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 200)
+    params = params_for_factor(schedule, 10.0)
+    runs = []
+    for per in (40, 80):
+        monkeypatch.setattr("ghzforge.fullmodel._step_grid", lambda params, per=per: np.full(199, per))
+        runs.append(_integrate_full(params)[0])
+    kframe = (4.0 * runs[1] - runs[0]) / 3.0
+    midpoint = (4.0 * midpoint_runs[profile][50] - midpoint_runs[profile][25]) / 3.0
+    assert np.linalg.norm(kframe - midpoint) <= 1e-8
+
+
+@pytest.mark.parametrize("spc", [14, 50])
+@pytest.mark.parametrize("profile", ["constant", "trapezoid"])
+def test_kframe_steps_err_no_more_than_midpoint_steps(profile, spc, midpoint_runs):
+    # at the same --steps-per-cycle, against the midpoint Richardson
+    # reference: the K-frame error is 0.62-0.83 of the midpoint rule's
+    reference = (4.0 * midpoint_runs[profile][50] - midpoint_runs[profile][25]) / 3.0
+    params = params_for_factor(rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 200), 10.0, spc)
+    kframe = np.linalg.norm(_integrate_full(params)[0] - reference)
+    assert kframe <= np.linalg.norm(midpoint_runs[profile][spc] - reference)
 
 
 def test_integrate_full_memory_stays_bounded():
     # a kernel that keeps the state after every step of a 32768-step
-    # chunk peaks at 27.9 MiB here
-    params = params_for_factor(row1_schedule(), 20.0)
+    # chunk peaks at 27.9 MiB here; the steps grow as the factor, so
+    # factor 400 takes the run past 250,000 of them
+    params = params_for_factor(row1_schedule(), 400.0)
     tracemalloc.start()
     try:
         _, steps, _ = _integrate_full(params)
@@ -574,7 +612,7 @@ def test_workspace_buffers_stay_small():
 
 
 def test_step_cap_refuses_before_allocating():
-    # factor 1e5 passes the hierarchy check but needs about 7e12 steps
+    # factor 1e5 passes the hierarchy check but needs about 8e7 steps
     params = params_for_factor(row1_schedule(), 1e5)
     assert min(hierarchy_ratios(params)) >= 1e5
     assert issubclass(TooManySteps, ValueError)

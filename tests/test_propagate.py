@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _step_fit, _step_leaves, _step_product, _tree_plan
+from ghzforge.fullmodel import _CHUNK, _real_form, _step_leaves, _step_product, _tree_plan
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -318,35 +318,45 @@ def _mixed_drive(rng, n):
 
 
 def _long_steps(rng, n):
-    # steps of norm well above 1, so the exponential at the fit's nodes
-    # halves and squares; moduli in [1.5, 2.5] keep a = 3 h dt <= 1
+    # steps of norm well above 1, so the series exponential halves and
+    # squares
     modulus = rng.uniform(1.5, 2.5, n)
     return modulus * np.exp(1j * rng.uniform(-math.pi, math.pi, n)), rng.uniform(0.5, 2.0), 0.6
 
 
-def _fit(drive, dt, blockade):
-    """The step fit over the moduli of drive."""
-    r = np.abs(drive)
-    return _step_fit(np.min(r), np.max(r), dt, blockade)
+def _exponents(drive, dt, blockade):
+    """The steps' exponents -i H_k dt in the real form the product tree takes."""
+    return _real_form(-1j * dt * oracles.block_hamiltonian(drive, blockade))
+
+
+def _phases(rng, n):
+    """Unit phases of the diagonal G_k that each step takes on its left."""
+    return np.exp(1j * rng.uniform(-math.pi, math.pi, (n, 4)))
 
 
 def _stack(size):
     """The product tree's stack for chunks of up to size steps, at its least size."""
-    return np.empty((size + -(-size // 16), 8, 8))
+    return np.empty((4 * size + -(-size // 16), 8, 8))
+
+
+def _product(exponents, phases, stack, plan=None):
+    """_step_product of steps G_k exp(Y_k), their exponents written into stack first."""
+    stack[-len(exponents):] = exponents
+    return _step_product(stack, len(exponents), phases, plan)
 
 
 @pytest.mark.parametrize(
     "steps",
-    # 4095 to 4097 sit around the chunk size of an earlier kernel and
-    # remain as deeper trees with odd remainders
+    # 2047 to 2049 and 4095 to 4097 sit around the chunk sizes of earlier
+    # kernels and remain as deeper trees with odd remainders
     [1, 2, 3, 5, 31, 32, 33, 1023, 1024, 1025, 3079]
-    + [_CHUNK - 1, _CHUNK, _CHUNK + 1, 4095, 4096, 4097],
+    + [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2047, 2048, 2049, 4095, 4096, 4097],
 )
 @pytest.mark.parametrize(
     "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
 )
 def test_midpoint_states_match_per_step_reference(steps, build):
-    # the full model's product of midpoint steps, applied once, against
+    # the full model's product of step exponentials, applied once, against
     # the last state of the per-step loop
     rng = np.random.default_rng(steps)
     drive, blockade, dt = build(rng, steps)
@@ -355,7 +365,7 @@ def test_midpoint_states_match_per_step_reference(steps, build):
     assert (theta > 1.0) == (build is _long_steps)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    prod = _step_product(drive, _fit(drive, dt, blockade), _stack(len(drive)))
+    prod = _product(_exponents(drive, dt, blockade), np.ones((steps, 4)), _stack(steps))
     ref = oracles.midpoint_states_reference(hams, dt, psi0)[-1]
     assert prod.shape == (4, 4)
     assert np.max(np.abs(prod @ psi0 - ref)) <= 1e-12
@@ -367,29 +377,30 @@ def test_midpoint_states_match_per_step_reference(steps, build):
 )
 def test_step_product_reuses_workspace_exactly(build):
     # a full chunk, an odd remainder, then a full chunk again of one run,
-    # through one step fit and one stack, the full chunks replaying one
-    # plan as _integrate_full does: a stale slice or a level read from the
-    # wrong rows would leave a trace of the earlier chunk in the later
-    # product
-    drive, blockade, dt = build(np.random.default_rng(29), 2 * _CHUNK + 999)
-    fit, stack = _fit(drive, dt, blockade), _stack(_CHUNK)
+    # through one stack, the full chunks replaying one plan as
+    # _integrate_full does: a stale slice or a level read from the wrong
+    # rows would leave a trace of the earlier chunk in the later product
+    rng = np.random.default_rng(29)
+    drive, blockade, dt = build(rng, 2 * _CHUNK + 999)
+    exponents, phases = _exponents(drive, dt, blockade), _phases(rng, len(drive))
+    stack = _stack(max(_CHUNK, 999))
     plan = _tree_plan(stack, _CHUNK)
-    for chunk in np.split(drive, [_CHUNK, _CHUNK + 999]):
-        fresh = _step_product(chunk, fit, _stack(len(chunk)))
-        replayed = _step_product(chunk, fit, stack, plan if len(chunk) == _CHUNK else None)
+    for part in np.split(np.arange(len(drive)), [_CHUNK, _CHUNK + 999]):
+        fresh = _product(exponents[part], phases[part], _stack(len(part)))
+        replayed = _product(exponents[part], phases[part], stack, plan if len(part) == _CHUNK else None)
         assert np.array_equal(replayed, fresh)
 
 
-def _two_stack_product(drive, fit):
+def _two_stack_product(exponents, phases):
     """The product tree as two stacks: leaves of n steps and up of ceil(n / 2).
 
     _step_leaves builds the steps; the levels then alternate between
     leaves and up, an odd last step copied up.  The one-stack kernel
     must take the same products in the same order.
     """
-    n = len(drive)
-    leaves, up = np.empty((n, 8, 8)), np.empty(((n + 1) // 2, 8, 8))
-    last = _step_leaves(drive, fit, leaves)
+    n = len(exponents)
+    leaves, up = exponents.copy(), np.empty(((n + 1) // 2, 8, 8))
+    _step_leaves(leaves, phases)
     level = leaves
     while n > 1:
         half = n // 2
@@ -398,10 +409,10 @@ def _two_stack_product(drive, fit):
             up[half] = level[n - 1]
         n = half + n % 2
         level, up = up, level
-    return np.cumprod([1.0, last, last, last])[:, None] * level[0, ::2].view(complex).T
+    return level[0, ::2].view(complex).T.copy()
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 31, 32, 33, 1023, 1025, _CHUNK - 1, _CHUNK])
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17, 31, 32, 33, 1023, 1025, _CHUNK - 1, _CHUNK, 2047, 2048])
 @pytest.mark.parametrize(
     "build", [_random_ladder, _random_hermitian, _zero_drive, _mixed_drive, _long_steps]
 )
@@ -412,27 +423,30 @@ def test_one_stack_matches_two_stack_tree_bit_for_bit(steps, build):
     # row read before it is written shows in the product.  A plan built
     # before the first product and replayed for a second must match too;
     # _mixed_drive has exact zeros between nonzero steps from 17 steps on
-    drive, blockade, dt = build(np.random.default_rng(steps), steps)
-    fit = _fit(drive, dt, blockade)
-    stack = np.full_like(_stack(_CHUNK), np.nan)
+    rng = np.random.default_rng(steps)
+    drive, blockade, dt = build(rng, steps)
+    exponents, phases = _exponents(drive, dt, blockade), _phases(rng, steps)
+    stack = np.full_like(_stack(max(steps, _CHUNK)), np.nan)
     plan = _tree_plan(stack, steps)
-    expected = _two_stack_product(drive, fit)
-    assert np.array_equal(_step_product(drive, fit, stack), expected)
-    assert np.array_equal(_step_product(drive, fit, stack, plan), expected)
+    expected = _two_stack_product(exponents, phases)
+    assert np.array_equal(_product(exponents, phases, stack), expected)
+    assert np.array_equal(_product(exponents, phases, stack, plan), expected)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK])
+@pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK, 2048])
 @pytest.mark.parametrize("build", [_random_ladder, _random_hermitian, _long_steps])
 def test_step_product_outlives_the_next_chunk(steps, build):
     # the tree ends in a row of its stack, so a product returned as a
     # view into it would change under the next chunk through the same
     # stack; these builders never repeat a chunk, as a zero or half-zero
     # drive of a step or three can
-    drive, blockade, dt = build(np.random.default_rng(31), 2 * steps)
-    fit, stack = _fit(drive, dt, blockade), _stack(steps)
-    first = _step_product(drive[:steps], fit, stack)
+    rng = np.random.default_rng(31)
+    drive, blockade, dt = build(rng, 2 * steps)
+    exponents, phases = _exponents(drive, dt, blockade), np.ones((2 * steps, 4))
+    stack = _stack(steps)
+    first = _product(exponents[:steps], phases[:steps], stack)
     kept = first.copy()
-    second = _step_product(drive[steps:], fit, stack)
+    second = _product(exponents[steps:], phases[steps:], stack)
     assert not np.array_equal(second, kept)
     assert np.array_equal(first, kept)
 

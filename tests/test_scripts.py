@@ -65,12 +65,21 @@ def test_script_refuses_bad_input_as_usage_error(script, args, message):
 
 
 def test_reduction_scan_refuses_an_oversized_factor_before_integrating_any():
-    # factor 1000 needs about 7e8 steps, over the cap; factor 2 comes first
-    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "2", "1000")
+    # factor 10000 needs about 7.6e6 steps, over the cap; factor 2 comes first
+    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "2", "10000")
     assert proc.returncode == 2
-    assert "factor 1000: the full model needs" in proc.stderr
+    assert "factor 10000: the full model needs" in proc.stderr
     assert "infidelity" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_reduction_scan_runs_a_factor_past_the_midpoint_cap():
+    # factor 100 needed 7.06e6 midpoint steps, past the cap of 4,194,304
+    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "10", "100")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert [row[0] for row in rows[1:]] == ["10.0", "100.0"]
+    assert int(rows[2][5]) < 100_000
 
 
 def test_payload_digest_prints_one_named_sha256_per_payload():
