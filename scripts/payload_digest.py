@@ -68,7 +68,8 @@ def digests(work: Path) -> list[tuple[str, str]]:
             if pole == "1":
                 run(f"validate-{profile}",
                     ["validate-full", "--schedule", csv, *VALIDATE_FLAGS, "--out", "@.json"])
-    # a forced sub-unit factor, where the peak amplitude, not stark_amp, sets the step rate
+    # a forced sub-unit factor, where the peak amplitude, not stark_amp, sets the step rate;
+    # at one step per cycle the knots set the count, one step per segment
     run("validate-forced", ["validate-full", "--schedule", str(work / "synthesize-constant-pole1.csv"),
                             "--factor", "0.5", "--compare-factor", "0", "--steps-per-cycle", "1",
                             "--force", "--out", "@.json"])

@@ -72,8 +72,8 @@ def main(argv=None):
         "--steps-per-cycle",
         type=int,
         default=DEFAULT_STEPS_PER_CYCLE,
-        help="full-model accuracy: at least the midpoint rule's at this many steps per unit"
-        " phase of the stiff scale (default: %(default)s)",
+        help="full-model accuracy S: each knot segment takes ceil(length S^(2/3) max(stark, peak))"
+        " steps, and the state errs by at most the midpoint rule's 0.026/S^2 (default: %(default)s)",
     )
     parser.add_argument(
         "--out",

@@ -69,10 +69,11 @@ DEFAULT_COMPARE_FACTOR = 30.0
 # Steps reduced to one product at a time; sizes the product tree's one stack.
 _CHUNK = 512
 
-# Steps per unit of stark_amp time at one step per cycle: a K-frame step
-# errs by about (stark_amp ell)^2 and the midpoint rule by 0.026 / spc^2,
-# so at this rate they err no more than midpoint steps at the same spc.
-_STEP_RATE = 6.5
+# Steps per unit of stark_amp time at steps_per_cycle^(2/3): the state
+# error of second-order K-frame steps grows as (stark_amp ell)^3, that of
+# the midpoint rule as 0.026 / spc^2, so at this rate they err no more
+# than midpoint steps at the same spc.
+_STEP_RATE = 1.0
 
 
 class HierarchyViolation(ValueError):
@@ -87,8 +88,21 @@ _LADDER4 = np.diag(_RUNGS, 1) + np.diag(_RUNGS, -1)
 _PAIRS4 = np.diag([0.0, 0.0, 1.0, 3.0])
 _LEVELS = np.arange(4.0)
 
-# Taylor coefficients of _phase_integrals: 1 / (n + 1)! and (n + 1) / (n + 2)!
-_SERIES = np.array([[1.0 / math.factorial(n + 1), (n + 1) / math.factorial(n + 2)] for n in range(15)]).T
+# Taylor coefficients 1 / (n! (n + r + 1)) of int_0^1 s^r e^{-ixs} ds, row n, column r
+_SERIES = np.array([[1.0 / (math.factorial(n) * (n + r + 1)) for r in range(3)] for n in range(15)])
+
+# Below this |nu ell| the nested integrals' closed forms, which divide by
+# the frequency twice, give way to its series (_second_order)
+_SPLIT = 0.25
+# Coefficients 1 / (k! n! (n + q + 1) (n + k + p + q + 2)) of the double
+# series of the nested integral I_pq, row (p, q), then k, n
+_DOUBLE = np.array([
+    [[1.0 / (math.factorial(k) * math.factorial(n) * (n + q + 1) * (n + k + p + q + 2)) for n in range(16)]
+     for k in range(16)]
+    for p in (0, 1) for q in (0, 1)
+])
+# The 78 monomials coef_c coef_d, c <= d, in the order of the basis rows
+_PAIRS = np.triu_indices(12)
 
 
 def derived_detunings(stark_amp: float, detuning0: float, blockade: float) -> tuple[float, float, float]:
@@ -217,12 +231,13 @@ def _step_grid(params: FullModelParams) -> np.ndarray:
     """Steps in each knot segment of the full-model integration, so none straddles a knot.
 
     Segment j takes ceil(length_j rate) equal steps, at least one, rate =
-    _STEP_RATE steps_per_cycle max(stark_amp, largest scheduled amplitude).
+    _STEP_RATE steps_per_cycle^(2/3) max(stark_amp, largest scheduled
+    amplitude).
     Raises TooManySteps, before anything is allocated, past the step cap.
     """
     schedule = params.schedule
     peak = float(np.max(np.abs(schedule.values)))
-    rate = _STEP_RATE * params.steps_per_cycle * max(params.stark_amp, peak)
+    rate = _STEP_RATE * params.steps_per_cycle ** (2.0 / 3.0) * max(params.stark_amp, peak)
     counts = np.maximum(np.ceil(np.diff(schedule.times) * rate), 1.0)
     total = float(np.sum(counts))
     if not total <= _MAX_STEPS:
@@ -326,38 +341,124 @@ def _real_form(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.stack([zt, 1j * zt], axis=-2)).view(float).reshape(*z.shape[:-2], 8, 8)
 
 
-def _phase_integrals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^1 e^{-ixs} ds and int_0^1 s e^{-ixs} ds for real x, elementwise.
+def _phase_integrals(x: np.ndarray) -> np.ndarray:
+    """int_0^1 s^p e^{-ixs} ds for p = 0, 1, 2 and real x, elementwise, stacked on a new first axis.
 
-    Closed forms where |x| >= 1/2; below, where they cancel, the Taylor
-    series in z = -ix, whose 15 terms reach 2^-53.
+    Closed forms where |x| >= 1/2, p = 2 by parts from p = 1; below, where
+    they cancel, the Taylor series in z = -ix, whose 15 terms reach 2^-53.
     """
     small = np.abs(x) < 0.5
     z = -1j * x[small]
     x = np.where(small, 1.0, x)
     e = np.exp(-1j * x)
-    f0 = (1.0 - e) / (1j * x)
-    f1 = (e * (1.0 + 1j * x) - 1.0) / (x * x)
-    powers = np.vander(z, 15, increasing=True)
-    f0[small] = powers @ _SERIES[0]
-    f1[small] = powers @ _SERIES[1]
-    return f0, f1
+    over = 1j / x
+    f1 = (e * (1.0 + 1j * x) - 1.0) * (over * over.conj())
+    out = np.stack([(e - 1.0) * over, f1, (e - 2.0 * f1) * over])
+    out[:, small] = (np.vander(z, 15, increasing=True) @ _SERIES).T
+    return out
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left_g @ right_h for stacks (L, G, 4, 4) and (L, H, 4, 4), shape (L, G, H, 4, 4), by one GEMM per L."""
+    n, g, h = len(left), left.shape[1], right.shape[1]
+    out = left.reshape(n, 4 * g, 4) @ np.swapaxes(right, 1, 2).reshape(n, 4, 4 * h)
+    return np.swapaxes(out.reshape(n, g, 4, h, 4), 2, 3)
+
+
+def _second_order(x: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Second Magnus term per unit monomial coef_c coef_d, c <= d, per step length, shape (L, 78, 4, 4).
+
+    With h(tau) = sum_x zeta_x tau^p (B_g o e^{-i w_g tau}) the step's
+    Hamiltonian in K's interaction picture, its six halves g = (k, s)
+    coupling_k at w = nu_k and the adjoint's coupling_k^T at -nu_k^T, b,
+    and zeta their amplitudes z_pk = alpha_k (cos - i sin) of Omega_k t
+    (beta_k for p = 1) and conj(z_pk), the term is
+    -1/2 (P - P^H), P = sum zeta_x zeta_y T_xy, T_xy = int int_{tau_2 <
+    tau_1} of the product.  Entry [a, b] of T_xy is sum_m B_g[a, m] B_h[m,
+    b] I_pq(mu_am, lambda_mb), I_pq = int_0^ell tau_1^p e^{-i mu tau_1}
+    int_0^tau_1 tau_2^q e^{-i lambda tau_2}, where mu + lambda = sigma_ab for
+    every m.  In units of ell, x holds w_g ell, shape (L, 6, 4, 4), and j
+    the integrals j_p (_phase_integrals) of sigma, shape (3, L, 7, 6, 4,
+    4), the first of the 7 shifts 0 (j_p of x).  The inner integral in
+    closed form where |lambda ell| >= _SPLIT puts I in j_p(mu), j_p(sigma)
+    and j_p+1(sigma); elsewhere, where |mu ell| >= _SPLIT, I_pq(mu, lambda)
+    = j_p(mu) j_q(lambda) - I_qp(lambda, mu) and the closed form of the
+    latter; where neither, the double series in mu and lambda (_DOUBLE).
+    So each m-sum is a product of 4x4 matrices.
+    """
+    count = len(x)
+    jx, js = j[:, :, 0], np.moveaxis(j[:, :, 1:], 0, 1)
+    big = np.abs(x) >= _SPLIT
+    inv = big / np.where(big, x, 1.0)
+    bb, bs = b * big, b * ~big
+    # b / (i w) and b / w^2 where |w ell| is large, else 0
+    over, square = -1j * b * inv, b * inv * inv
+    # t[l, p, g, q, h]: I_pq of halves g and h; |lambda ell| large first,
+    # I_p0 = (j_p(mu) - j_p(sigma)) / (i lambda) and I_p1 = (j_p(sigma) + i
+    # lambda j_p+1(sigma) - j_p(mu)) / lambda^2
+    u = _products(np.concatenate([b * jx[0], b * jx[1], b], axis=1), np.concatenate([over, square], axis=1))
+    u = u.reshape(count, 3, 6, 2, 6, 4, 4)
+    t = np.empty((count, 2, 6, 2, 6, 4, 4), complex)
+    t[:, :, :, 0] = u[:, :2, :, 0] - js[:, :2] * u[:, 2:, :, 0]
+    t[:, :, :, 1] = js[:, :2] * u[:, 2:, :, 1] - u[:, :2, :, 1] - js[:, 1:] * u[:, 2:, :, 0]
+    # |lambda ell| small, |mu ell| large: j_p(mu) j_q(lambda) - I_qp(lambda, mu)
+    left = [bb * jx[0] - over, bb * jx[1] + square, over, square]
+    u = _products(np.concatenate(left, axis=1), np.concatenate([bs * jx[0], bs * jx[1], bs], axis=1))
+    u = u.reshape(count, 4, 6, 3, 6, 4, 4)
+    jq = np.swapaxes(js, 1, 2)
+    t[:, 0] += u[:, 0, :, :2] + jq[:, :, :2] * u[:, 2, :, 2:]
+    t[:, 1] += u[:, 1, :, :2] - jq[:, :, :2] * u[:, 3, :, 2:] + jq[:, :, 1:] * u[:, 2, :, 2:]
+    # both small: the double series sum_kn (-i mu)^k (-i lambda)^n c_kn, n
+    # terms in each to 2^-53 of the largest |w ell| below _SPLIT
+    small = np.where(big, 0.0, x)
+    top, n = float(np.max(np.abs(small))), 1
+    while top**n / math.factorial(n) > 2.0**-53:
+        n += 1
+    powers = bs[..., None] * np.vander(-1j * small.ravel(), n + 1, increasing=True).reshape(*x.shape, n + 1)
+    # rows (g, a), columns (m, k); then rows (m, k), columns (h, b) per (p, q)
+    rhs = powers.reshape(-1, n + 1) @ _DOUBLE[:, : n + 1, : n + 1].reshape(-1, n + 1).T
+    rhs = np.transpose(rhs.reshape(count, 6, 4, 4, 4, n + 1), (0, 4, 2, 5, 1, 3)).reshape(count, 4, 4 * n + 4, 24)
+    series = powers.reshape(count, 1, 24, 4 * n + 4) @ rhs
+    t += np.transpose(series.reshape(count, 2, 2, 6, 4, 6, 4), (0, 1, 3, 2, 5, 4, 6))
+    # from the halves to the coefficients' cos and sin, one axis at a
+    # time, then the anti-Hermitian part, folded onto c <= d
+    t = t.reshape(count, 6, 2, 12, 4, 4)
+    t = np.stack([t[:, :, 0] + t[:, :, 1], -1j * (t[:, :, 0] - t[:, :, 1])], axis=2).reshape(count, 12, 6, 2, 4, 4)
+    pairs = np.stack([t[:, :, :, 0] + t[:, :, :, 1], -1j * (t[:, :, :, 0] - t[:, :, :, 1])], axis=3)
+    pairs = pairs.reshape(count, 12, 12, 4, 4)
+    pairs -= np.conj(np.swapaxes(pairs, -1, -2))
+    fold = (pairs + np.swapaxes(pairs, 1, 2))[:, _PAIRS[0], _PAIRS[1]]
+    return fold * np.where(_PAIRS[0] == _PAIRS[1], -0.25, -0.5)[:, None, None]
 
 
 def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """Step exponents per unit coefficient for steps of lengths ell, shape (*ell.shape, 12, 64).
+    """Step exponents per unit coefficient and monomial for steps of lengths ell, shape (*ell.shape, 90, 64).
 
     A step from t with amplitudes alpha_k + beta_k tau has the exponent
-    -i(M + M^H), M = sum_k coupling_k e^{-i Omega_k t} (alpha_k J0_k +
-    beta_k J1_k), J_jk = int_0^ell tau^j e^{-i nu_k tau} dtau exactly, entry
-    by entry.  Row (j, k, c), in _real_form, is its part per unit of
-    (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t.
+    Omega_1 + Omega_2.  Omega_1 = -i(M + M^H), M = sum_k coupling_k e^{-i
+    Omega_k t} (alpha_k J0_k + beta_k J1_k), J_jk = int_0^ell tau^j e^{-i
+    nu_k tau} dtau exactly, entry by entry; row (j, k, c), in _real_form,
+    is its part per unit of (alpha_k, beta_k)[j] times (cos, sin)[c] of
+    Omega_k t.  Rows 12 on hold Omega_2 per unit of the 78 monomials of
+    those 12 coefficients (_second_order), in the order of _PAIRS, its
+    integrals of order p + q scaled by ell^(p + q + 2).
     """
-    ell = np.asarray(ell)[..., None, None, None]
-    f0, f1 = _phase_integrals(nu * ell)
-    m = np.stack([ell * f0, ell * ell * f1], axis=-4) * coupling
-    m = m[..., None, :, :] * np.array([1.0, -1j])[:, None, None]
-    return _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(*ell.shape[:-3], 12, 64)
+    shape = np.shape(ell)
+    ell = np.reshape(ell, (-1, 1, 1, 1))
+    count = len(ell)
+    # the halves (k, +) and (k, -) of each tone, in units of ell, and the
+    # sums sigma of two, the first shifted by 0
+    x = np.stack([nu, -np.swapaxes(nu, 1, 2)], axis=1).reshape(6, 4, 4) * ell
+    shifts = np.concatenate([np.zeros((count, 1, 4)), np.diagonal(x, axis1=2, axis2=3)], axis=1)
+    j = _phase_integrals(shifts[:, :, None, :, None] + x[:, None])
+    m = np.stack([ell * j[0, :, 0, 0::2], ell * ell * j[1, :, 0, 0::2]], axis=1) * coupling
+    m = m[:, :, :, None] * np.array([1.0, -1j])[:, None, None]
+    first = _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(count, 12, 64)
+    b = np.broadcast_to(np.stack([coupling, np.swapaxes(coupling, 1, 2)], axis=1).reshape(6, 4, 4), x.shape)
+    # I_pq scales as ell^(p + q + 2), p and q the powers of tau of the pair
+    powers = 2.0 + (_PAIRS[0] >= 6) + (_PAIRS[1] >= 6)
+    second = _second_order(x, j, b) * (ell.reshape(count, 1) ** powers)[..., None, None]
+    return np.concatenate([first, _real_form(second).reshape(count, 78, 64)], axis=1).reshape(*shape, 90, 64)
 
 
 def _step_leaves(leaves: np.ndarray, phases: np.ndarray, work: np.ndarray | None = None) -> None:
@@ -419,17 +520,19 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     i phi' = (K + W(t)) phi, K = Q diag(eps) Q^T (_dressed_block) and
     W(t) = sum_k w_k a_k(t) (e^{-i Omega_k t} R + h.c.), Omega_k the tone's
     frequency plus detuning0.  Each step of _step_grid, where a_k is
-    linear, takes the exact integral of W in K's interaction picture
-    (_basis); the dressed phases telescope into G = diag(e^{-i eps ell}):
+    linear, takes the first two Magnus terms of W in K's interaction
+    picture, integrated exactly (_basis); the dressed phases telescope into
+    G = diag(e^{-i eps ell}):
 
         psi(T) = e^{i detuning0 N T} Q G_{n-1} E_{n-1} ... G_0 E_0 Q^T W,
 
-    E_s = exp(-i(M_s + M_s^H)).  A chunk of up to _CHUNK steps writes its
-    exponents into the one stack by a GEMM of 12 coefficients per step
-    (alpha and beta times cos and sin of Omega_k t) against the basis of
-    its step length, lengths within the knots' rounding sharing one, and
-    reduces them by one _step_product; the state is renormalized after
-    it.  Returns (final_state, steps, dt), dt the longest step, the state
+    E_s = exp(Omega_1 + Omega_2).  A chunk of up to _CHUNK steps writes
+    its 12 coefficients per step (alpha and beta times cos and sin of
+    Omega_k t) and their 78 monomials into the stack's front rows, which
+    _step_leaves takes as work only later, and its exponents into the
+    tail by a GEMM of those 90 against the basis of its step length,
+    lengths within the knots' rounding sharing one, and reduces them by
+    one _step_product; the state is renormalized after it.  Returns (final_state, steps, dt), dt the longest step, the state
     in the (ggg, W, W', rrr) basis.
     """
     counts = _step_grid(params)
@@ -460,8 +563,13 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
         tau = (step - first[seg]) * at[1]
         phase = np.multiply.outer(omega, at[0] + tau)
         tones = np.stack([np.cos(phase), np.sin(phase)], axis=1)
-        # row (j, k, c) is (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t
-        coef = np.stack([(at[2:5] + at[5:] * tau)[:, None] * tones, at[5:, None] * tones]).reshape(12, count)
+        # row (j, k, c) is (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t,
+        # then the monomials of rows c <= d
+        coef = stack[: 3 * count].reshape(-1)[: 90 * count].reshape(90, count)
+        np.stack([(at[2:5] + at[5:] * tau)[:, None] * tones, at[5:, None] * tones], out=coef[:12].reshape(2, 3, 2, count))
+        for c in range(12):
+            row = 12 + c * (25 - c) // 2
+            np.multiply(coef[c], coef[c:12], out=coef[row : row + 12 - c])
         kind = which[seg]
         exponents = stack[-count:].reshape(count, 64)
         # runs of steps that share a basis, whose bases are built 32 at a time

@@ -229,38 +229,65 @@ def full_model_reference(params, steps: int | None = None):
     return psi, leak_max, n, dt
 
 
-def kframe_reference(params, counts, nodes: int = 10) -> np.ndarray:
-    """First-order Magnus steps in the interaction picture of K, one eigh exponential each.
+def magnus_terms(integrand, starts, lengths, panels: int, nodes: int = 12):
+    """The first two Magnus terms of each step, O1 = int a and O2 = 1/2 int int_{t2 < t1} [a(t1), a(t2)].
+
+    integrand(times) gives the 4x4 matrices a at times of any shape.  Each
+    step [start, start + length) is cut into `panels` equal panels with
+    `nodes` Gauss-Legendre points each; the inner integral up to an outer
+    node adds the whole panels before it and `nodes` points on the rest of
+    its panel.  Returns O1 and O2, shape (len(starts), 4, 4).
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    frac, w = 0.5 * (x + 1.0), 0.5 * w
+    h = np.asarray(lengths, dtype=float)[:, None] / panels
+    edges = np.asarray(starts, dtype=float)[:, None] + h * np.arange(panels)
+    outer = integrand(edges[..., None] + h[..., None] * frac)
+    inner = integrand(edges[..., None, None] + (h[..., None] * frac)[..., None] * frac)
+    partial = np.einsum("sp,ij,spijab->spiab", h, frac[:, None] * w, inner)
+    whole = np.einsum("sp,i,spiab->spab", h, w, outer)
+    inside = (np.cumsum(whole, axis=1) - whole)[:, :, None] + partial
+    bracket = outer @ inside - inside @ outer
+    return np.sum(whole, axis=1), 0.5 * np.einsum("sp,i,spiab->sab", h, w, bracket)
+
+
+def kframe_reference(params, counts, nodes: int = 12) -> np.ndarray:
+    """Second-order Magnus steps in the interaction picture of K, one eigh exponential each.
 
     In the frame psi = e^{i detuning0 N t} phi the block Hamiltonian is
     K + W(t): K = stark_amp (R + R^T) + V P + detuning0 N is constant and
     W(t) = c(t) R + h.c. holds the scheduled tones, c(t) = sum_k w_k a_k(t)
     e^{-i Omega_k t}, Omega_k the tone's frequency plus detuning0.  Segment
     j of the schedule takes counts[j] equal steps; each step applies
-    exp(-i int e^{iKt} W(t) e^{-iKt} dt), the integral by Gauss-Legendre
-    quadrature with `nodes` points of W at those times, in K's eigenbasis
-    from np.linalg.eigh.  Returns the final state in (ggg, W, W', rrr).
+    exp(O1 + O2) of a(t) = -i e^{iKt} W(t) e^{-iKt}, in K's eigenbasis from
+    np.linalg.eigh, by magnus_terms on panels that each span at most 4 rad
+    of the commutator's fastest phase.  Returns the final state in (ggg,
+    W, W', rrr).
     """
     schedule, v, d0 = params.schedule, params.blockade, params.detuning0
     levels = np.arange(4.0)
     evals, evecs = np.linalg.eigh(params.stark_amp * (RAISING4 + RAISING4.T) + v * PAIRS4 + d0 * np.diag(levels))
     raising = evecs.T @ RAISING4 @ evecs
     freqs = tone_frequencies_reference(params)[1:] + d0
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    gaps = np.subtract.outer(evals, evals)
+
+    def integrand(times):
+        drive = np.sum(schedule.values_at(times) * TONE_WEIGHTS * np.exp(-1j * freqs * times[..., None]), axis=-1)
+        terms = drive[..., None, None] * raising * np.exp(1j * gaps * times[..., None, None])
+        return -1j * (terms + np.swapaxes(terms.conj(), -1, -2))
+
     lengths = np.repeat(np.diff(schedule.times) / counts, counts)
     starts = np.concatenate(
         [t + np.arange(c) * (length / c) for t, length, c in zip(schedule.times, np.diff(schedule.times), counts)]
     )
+    fastest = 2.0 * (np.max(np.abs(freqs)) + np.max(np.abs(gaps)))
+    panels = max(1, math.ceil(fastest * np.max(lengths) / 4.0))
     chi = evecs.T @ np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    for done in range(0, len(starts), _CHUNK // 16):
-        part = slice(done, done + _CHUNK // 16)
-        times = starts[part, None] + lengths[part, None] * (0.5 * (x + 1.0))
-        drive = np.sum(schedule.values_at(times) * TONE_WEIGHTS * np.exp(-1j * freqs * times[..., None]), axis=-1)
-        turned = raising * np.exp(1j * np.subtract.outer(evals, evals) * times[..., None, None])
-        terms = drive[..., None, None] * turned
-        terms = terms + np.swapaxes(terms.conj(), -1, -2)
-        exponents = np.einsum("sn,snab->sab", 0.5 * lengths[part, None] * w, terms)
-        chi = midpoint_states_reference(exponents, 1.0, chi)[-1]
+    batch = max(1, _CHUNK // (panels * nodes * nodes))
+    for done in range(0, len(starts), batch):
+        part = slice(done, done + batch)
+        first, second = magnus_terms(integrand, starts[part], lengths[part], panels, nodes)
+        chi = midpoint_states_reference(1j * (first + second), 1.0, chi)[-1]
     duration = schedule.duration
     return np.exp(1j * d0 * duration * levels) * (evecs @ (np.exp(-1j * evals * duration) * chi))
 

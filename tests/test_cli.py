@@ -382,17 +382,17 @@ def test_validate_full_force_weak_factor(tmp_path):
 
 
 def test_validate_full_step_cap(capsys):
-    # factor 1e5 passes the hierarchy check but needs about 7.6e7 steps
+    # factor 3e5 passes the hierarchy check but needs about 9.6e6 steps
     for extra in ((), ("--force",)):
         start = time.perf_counter()
         code = main([
             "validate-full", "--schedule", str(SHIPPED_CSV),
-            "--factor", "100000", "--compare-factor", "0", *extra,
+            "--factor", "300000", "--compare-factor", "0", *extra,
         ])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         err = capsys.readouterr().err
-        assert "factor 100000: the full model needs" in err and "4194304" in err
+        assert "factor 300000: the full model needs" in err and "4194304" in err
 
 
 def _refuse_integration(monkeypatch, *names):
@@ -408,7 +408,7 @@ def _refuse_integration(monkeypatch, *names):
 @pytest.mark.parametrize(
     "compare, message",
     [("3", "factor 3: scale ratios (6.00, 5.20) below the minimum factor 10"),
-     ("10000", "factor 10000: the full model needs")],
+     ("300000", "factor 300000: the full model needs")],
     ids=["hierarchy", "step-cap"],
 )
 def test_validate_full_refuses_every_factor_before_integrating_any(
@@ -428,13 +428,13 @@ def test_validate_full_refuses_every_factor_before_integrating_any(
 
 def test_validate_full_runs_a_factor_past_the_midpoint_cap(tmp_path, capsys):
     # midpoint steps grew as the factor squared and refused factor 100
-    # (7.06e6 steps); K-frame steps grow as the factor, 76,923 here
+    # (7.06e6 steps); K-frame steps grow as the factor, 3,996 here
     schedule, out = tmp_path / "s.csv", tmp_path / "v.json"
     assert main(["synthesize", "--duration", "1", "--out", str(schedule)]) == 0
     argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", "100", "--out", str(out)]
     assert main(argv) == 0
     comparison = json.loads(out.read_text())["comparison"]
-    assert comparison["steps"] == 76923 and comparison["hierarchy_ok"] is True
+    assert comparison["steps"] == 3996 and comparison["hierarchy_ok"] is True
     assert 0.0 < comparison["effective_vs_full_infidelity"] < 1e-3
 
 

@@ -14,11 +14,13 @@ from ghzforge.fullmodel import (
     FullModelParams,
     _LADDER4,
     _CHUNK,
+    _PAIRS,
     _PAIRS4,
     _basis,
     _dressed_block,
     _integrate_full,
     _jacobi,
+    _real_form,
     _series_exp,
     _step_grid,
     _tree_plan,
@@ -336,21 +338,30 @@ def _uneven_schedule():
     return PulseSchedule(times=knots, values=values)
 
 
-# a package chunk as large as the run, then chunks of 1000 and of 999,
-# which divide none of the step counts; the oracle batches its own way
-@pytest.mark.parametrize("chunk", [32768, 1000, 999])
-def test_integrate_full_matches_per_step_reference(chunk, monkeypatch):
-    monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
+@pytest.fixture(scope="module")
+def kframe_references():
+    """The oracle's state per schedule and factor, with its params and step counts."""
     schedules = [row1_schedule(), rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 200), _uneven_schedule()]
+    references = []
     for schedule in schedules:
         for factor in (0.3, 3.0, 10.0):
             params = params_for_factor(schedule, factor)
-            psi, steps, dt = _integrate_full(params)
             counts = _step_grid(params)
-            assert steps == np.sum(counts) and steps % chunk
-            assert dt == np.max(np.diff(schedule.times) / counts)
-            ref_psi = oracles.kframe_reference(params, counts)
-            assert np.max(np.abs(psi - ref_psi)) <= 1e-12
+            references.append((params, counts, oracles.kframe_reference(params, counts)))
+    return references
+
+
+# a package chunk as large as the run, then chunks of 100 and of 99,
+# which divide none of the step counts (77 to 597); the oracle batches its
+# own way
+@pytest.mark.parametrize("chunk", [32768, 100, 99])
+def test_integrate_full_matches_per_step_reference(chunk, kframe_references, monkeypatch):
+    monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
+    for params, counts, ref_psi in kframe_references:
+        psi, steps, dt = _integrate_full(params)
+        assert steps == np.sum(counts) and steps % chunk
+        assert dt == np.max(np.diff(params.schedule.times) / counts)
+        assert np.max(np.abs(psi - ref_psi)) <= 1e-12
 
 
 def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
@@ -363,7 +374,7 @@ def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
         return _tree_plan(stack, n)
 
     monkeypatch.setattr("ghzforge.fullmodel._tree_plan", counting)
-    _, steps, _ = _integrate_full(params_for_factor(row1_schedule(), 3.0))
+    _, steps, _ = _integrate_full(params_for_factor(row1_schedule(), 50.0))
     assert steps > 2 * _CHUNK and steps % _CHUNK
     assert sizes == [_CHUNK, steps % _CHUNK]
 
@@ -426,7 +437,7 @@ def test_jacobi_leaves_a_diagonal_matrix_as_it_is():
 )
 def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, factor, spc):
     # any schedule at any factor: each segment takes equal steps, at least
-    # one, of at most 1 / (6.5 spc max(stark_amp, peak)), and not one more
+    # one, of at most 1 / (spc^(2/3) max(stark_amp, peak)), and not one more
     # than that needs
     knots = np.concatenate([[0.0], np.cumsum(gaps)])
     values = np.array(
@@ -438,41 +449,113 @@ def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, fac
     assume(np.max(np.abs(values)) > 0.0)
     params = params_for_factor(PulseSchedule(times=knots, values=values), factor, spc)
     counts = _step_grid(params)
-    rate = 6.5 * spc * max(params.stark_amp, np.max(np.abs(values)))
+    rate = spc ** (2.0 / 3.0) * max(params.stark_amp, np.max(np.abs(values)))
     assert counts.dtype == np.int64 and len(counts) == len(gaps) and np.all(counts >= 1)
     steps = np.diff(knots) / counts
     assert np.all(steps * rate <= 1.0 + 1e-12)
-    assert np.all((counts == 1) | (np.diff(knots) / (counts - 1) * rate > 1.0 - 1e-12))
+    assert np.all((counts == 1) | (np.diff(knots) / np.maximum(counts - 1, 1) * rate > 1.0 - 1e-12))
 
 
 def test_refined_steps_match_reference():
-    # factor 0.3 at one step per cycle, on 4 segments: the peak
-    # amplitude, not the smaller stark_amp, sets the rate, and the steps
-    # still match the per-step reference
+    # factor 0.3 at 8 steps per cycle, on 4 segments: the peak amplitude,
+    # not the smaller stark_amp, sets the rate, and the steps still match
+    # the per-step reference
     schedule = row1_schedule(samples=5)
-    params = params_for_factor(schedule, 0.3, 1)
+    params = params_for_factor(schedule, 0.3, 8)
     peak = np.max(np.abs(schedule.values))
     assert params.stark_amp < peak
     counts = _step_grid(params)
-    assert np.array_equal(counts, np.ceil(np.diff(schedule.times) * 6.5 * peak))
+    assert np.array_equal(counts, np.ceil(np.diff(schedule.times) * 4.0 * peak))
     psi, steps, _ = _integrate_full(params)
     assert steps == np.sum(counts) > len(counts)
     assert np.max(np.abs(psi - oracles.kframe_reference(params, counts))) <= 1e-12
 
 
+@pytest.mark.parametrize("fastest", [1e-4, 1e-2, 0.3, 3.0, 30.0, 300.0])
+def test_second_order_basis_matches_nested_quadrature(fastest):
+    # one step of length 1 with frequencies nu_k[a, b] = Omega_k - eps_a +
+    # eps_b, the largest |nu| set to `fastest`, one near resonance 1e-4 of
+    # it: the exponent of 12 random coefficients and their monomials
+    # against the oracle's first two Magnus terms of the integrand they
+    # stand for, so |nu ell| runs from about 1e-8 to 300
+    rng = np.random.default_rng(45)
+    eps, omega = rng.normal(0.0, 1.0, 4), rng.normal(0.0, 1.0, 3)
+    omega[0] = eps[1] - eps[0] + 1e-4
+    nu = omega[:, None, None] - eps[:, None] + eps
+    scale = fastest / np.max(np.abs(nu))
+    nu *= scale
+    coupling = rng.normal(0.0, 1.0, (3, 4, 4))
+    coef = rng.normal(0.0, 1.0, 12)
+    z = coef.reshape(2, 3, 2) @ np.array([1.0, -1j])
+
+    def integrand(times):
+        amps = z[0] + z[1] * times[..., None]
+        terms = np.einsum("...k,kab,...kab->...ab", amps, coupling, np.exp(-1j * nu * times[..., None, None, None]))
+        return -1j * (terms + np.swapaxes(terms.conj(), -1, -2))
+
+    panels = max(1, math.ceil(4.0 * fastest / 4.0))
+    first, second = (term[0] for term in oracles.magnus_terms(integrand, [0.0], [1.0], panels))
+    basis = _basis(1.0, nu, coupling)
+    monomials = coef[_PAIRS[0]] * coef[_PAIRS[1]]
+    real = [_real_form(term).ravel() for term in (first, second)]
+    assert np.max(np.abs(coef @ basis[:12] - real[0])) <= 1e-13 * np.max(np.abs(real[0]))
+    assert np.max(np.abs(monomials @ basis[12:] - real[1])) <= 1e-12 * np.max(np.abs(real[1]))
+
+
+@pytest.mark.parametrize("profile", ["constant", "trapezoid"])
+def test_state_error_stays_within_the_midpoint_rule(profile, monkeypatch):
+    # at 4, 14 and 50 steps per cycle, factors 3, 10 and 30, on 50 and
+    # 200 rows: the state errs by at most the midpoint rule's 0.026 / S^2
+    # (0.72 of it at worst, 50 rows, factor 3 and S 14) against the
+    # Richardson combination (16 psi_2n - psi_n) / 15 of 4 and 8 times the
+    # steps of S 200
+    import ghzforge.fullmodel as fullmodel_module
+
+    for rows in (50, 200):
+        schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), rows)
+        for factor in (3.0, 10.0, 30.0):
+            base = _step_grid(params_for_factor(schedule, factor, 200))
+            refined = []
+            for times in (4, 8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(fullmodel_module, "_step_grid", lambda params, times=times: times * base)
+                    refined.append(_integrate_full(params_for_factor(schedule, factor))[0])
+            reference = (16.0 * refined[1] - refined[0]) / 15.0
+            for spc in (4, 14, 50):
+                psi = _integrate_full(params_for_factor(schedule, factor, spc))[0]
+                assert np.linalg.norm(psi - reference) <= 0.026 / spc**2
+
+
+@pytest.mark.parametrize("profile", ["constant", "trapezoid"])
+def test_reported_infidelity_at_the_validate_settings_is_converged(profile):
+    # the validate workload's job: factors 10 and 20 at 14 steps per cycle
+    # on 1,000 rows, against a run at 800; it erred by -7.6e-6 and -8.2e-6
+    # (constant) with first-order steps, and by 6e-9 to 5e-8 here
+    schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 1000)
+    effective = propagate(schedule, target="ghz").states[-1]
+    for factor in (10.0, 20.0):
+        reports = [
+            validate_reduction(params_for_factor(schedule, factor, spc), effective) for spc in (14, 800)
+        ]
+        assert reports[0].steps == 999
+        assert abs(reports[0].effective_vs_full_infidelity - reports[1].effective_vs_full_infidelity) <= 1e-6
+
+
 def test_step_count_grows_as_the_factor():
-    # the stiff scale grows as the factor squared, the steps as the factor
-    schedule = row1_schedule()
+    # the stiff scale grows as the factor squared, the steps as the factor,
+    # on 4 segments, so that the knots set the count at neither factor
+    schedule = row1_schedule(samples=5)
     at10, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))) for f in (10.0, 100.0))
     assert 9.0 * at10 <= at100 <= 11.0 * at10
 
 
 def test_chunk_drives_match_direct_tone_sum(monkeypatch):
-    # about 120,000 steps: the exponents of the first, a middle and the
+    # about 128,000 steps: the exponents of the first, a middle and the
     # last chunk against the ones built here from the direct amplitudes
-    # and tone phases e^{-i Omega_k t} at each step's start, within the
-    # rounding of the phase; the same for the phases G of the steps
-    params = params_for_factor(row1_schedule(), 100.0, 80)
+    # and tone phases e^{-i Omega_k t} at each step's start and their
+    # monomials, within the rounding of the phase; the same for the
+    # phases G of the steps
+    params = params_for_factor(row1_schedule(), 1000.0, 400)
     counts = _step_grid(params)
     n = int(np.sum(counts))
     assert 100_000 < n < 150_000
@@ -512,6 +595,7 @@ def test_chunk_drives_match_direct_tone_sum(monkeypatch):
         phase = np.multiply.outer(t, omega)
         tones = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
         coef = (amps[..., None] * tones[:, None]).reshape(len(s), 12)
+        coef = np.hstack([coef, coef[:, _PAIRS[0]] * coef[:, _PAIRS[1]]])
         direct = coef @ basis
         bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(phase))) * (np.abs(coef) @ np.abs(basis))
         assert np.all(np.abs(exponents.reshape(len(s), 64) - direct) <= bound)
@@ -551,17 +635,17 @@ def midpoint_runs():
 
 @pytest.mark.parametrize("profile", ["constant", "trapezoid"])
 def test_richardson_of_kframe_steps_matches_the_midpoint_richardson(profile, midpoint_runs, monkeypatch):
-    # both rules are second order and symmetric, so (4 psi_2n - psi_n) / 3
-    # is fourth order: K-frame steps at 40 and 80 per segment against the
-    # midpoint rule at 25 and 50 steps per unit of the stiff phase, which
-    # agree to 1.3e-9 (constant) and 6.0e-9 (trapezoid)
+    # K-frame steps are fourth order, so (16 psi_2n - psi_n) / 15 is of
+    # higher order: at 40 and 80 steps per segment against the midpoint
+    # rule's fourth-order (4 psi_2n - psi_n) / 3 at 25 and 50 steps per
+    # unit of the stiff phase
     schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 200)
     params = params_for_factor(schedule, 10.0)
     runs = []
     for per in (40, 80):
         monkeypatch.setattr("ghzforge.fullmodel._step_grid", lambda params, per=per: np.full(199, per))
         runs.append(_integrate_full(params)[0])
-    kframe = (4.0 * runs[1] - runs[0]) / 3.0
+    kframe = (16.0 * runs[1] - runs[0]) / 15.0
     midpoint = (4.0 * midpoint_runs[profile][50] - midpoint_runs[profile][25]) / 3.0
     assert np.linalg.norm(kframe - midpoint) <= 1e-8
 
@@ -570,7 +654,7 @@ def test_richardson_of_kframe_steps_matches_the_midpoint_richardson(profile, mid
 @pytest.mark.parametrize("profile", ["constant", "trapezoid"])
 def test_kframe_steps_err_no_more_than_midpoint_steps(profile, spc, midpoint_runs):
     # at the same --steps-per-cycle, against the midpoint Richardson
-    # reference: the K-frame error is 0.62-0.83 of the midpoint rule's
+    # reference: the K-frame error is 0.05-0.23 of the midpoint rule's
     reference = (4.0 * midpoint_runs[profile][50] - midpoint_runs[profile][25]) / 3.0
     params = params_for_factor(rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 200), 10.0, spc)
     kframe = np.linalg.norm(_integrate_full(params)[0] - reference)
@@ -580,8 +664,8 @@ def test_kframe_steps_err_no_more_than_midpoint_steps(profile, spc, midpoint_run
 def test_integrate_full_memory_stays_bounded():
     # a kernel that keeps the state after every step of a 32768-step
     # chunk peaks at 27.9 MiB here; the steps grow as the factor, so
-    # factor 400 takes the run past 250,000 of them
-    params = params_for_factor(row1_schedule(), 400.0)
+    # factor 10,000 takes the run past 250,000 of them
+    params = params_for_factor(row1_schedule(), 10000.0)
     tracemalloc.start()
     try:
         _, steps, _ = _integrate_full(params)
@@ -599,7 +683,7 @@ def test_workspace_buffers_stay_small():
     # (2.17 MiB), or a chunk of 4,096 steps (3.11 MiB), breaks the bound,
     # while one more buffer of 128 KiB held across chunks (1.72 MiB)
     # stays within it
-    params = params_for_factor(row1_schedule(), 10.0)
+    params = params_for_factor(row1_schedule(), 100.0)
     _integrate_full(params)
     tracemalloc.start()
     try:
@@ -612,16 +696,16 @@ def test_workspace_buffers_stay_small():
 
 
 def test_step_cap_refuses_before_allocating():
-    # factor 1e5 passes the hierarchy check but needs about 8e7 steps
-    params = params_for_factor(row1_schedule(), 1e5)
-    assert min(hierarchy_ratios(params)) >= 1e5
+    # factor 1e6 passes the hierarchy check but needs about 3.2e7 steps
+    params = params_for_factor(row1_schedule(), 1e6)
+    assert min(hierarchy_ratios(params)) >= 1e6
     assert issubclass(TooManySteps, ValueError)
     effective = propagate(params.schedule).states[-1]
     start = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(TooManySteps, match="steps"):
-            validate_reduction(params, effective, required_factor=1e5)
+            validate_reduction(params, effective, required_factor=1e6)
         with pytest.raises(TooManySteps, match="steps"):
             validate_reduction(params, effective)
         peak = tracemalloc.get_traced_memory()[1]

@@ -65,10 +65,10 @@ def test_script_refuses_bad_input_as_usage_error(script, args, message):
 
 
 def test_reduction_scan_refuses_an_oversized_factor_before_integrating_any():
-    # factor 10000 needs about 7.6e6 steps, over the cap; factor 2 comes first
-    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "2", "10000")
+    # factor 3e5 needs about 9.6e6 steps, over the cap; factor 2 comes first
+    proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--factors", "2", "300000")
     assert proc.returncode == 2
-    assert "factor 10000: the full model needs" in proc.stderr
+    assert "factor 300000: the full model needs" in proc.stderr
     assert "infidelity" not in proc.stderr
     assert proc.stdout == ""
 
