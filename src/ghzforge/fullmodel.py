@@ -69,11 +69,17 @@ DEFAULT_COMPARE_FACTOR = 30.0
 # Steps reduced to one product at a time; sizes the product tree's one stack.
 _CHUNK = 512
 
-# Steps per unit of stark_amp time at steps_per_cycle^(2/3): the state
-# error of second-order K-frame steps grows as (stark_amp ell)^3, that of
-# the midpoint rule as 0.026 / spc^2, so at this rate they err no more
-# than midpoint steps at the same spc.
-_STEP_RATE = 1.0
+# Steps per unit of max(stark_amp, peak) time.  The state error of
+# second-order K-frame steps grows as (stark_amp ell)^3, of first-order
+# ones as (stark_amp ell)^2 and of the midpoint rule as 0.026 / spc^2: at
+# spc^(2/3) second-order steps, or this times spc first-order ones, they
+# err no more than midpoint steps at the same spc.
+_FIRST_ORDER_RATE = 6.5
+# A step length that fewer steps share takes first-order steps: its
+# second-order rows take about 0.4 ms to build, what about 32
+# second-order steps save against the 15 to 24 times as many first-order
+# steps they replace at spc 14 to 50.
+_SHARED = 32
 
 
 class HierarchyViolation(ValueError):
@@ -227,22 +233,43 @@ class ReductionReport:
     detunings: tuple[float, float, float]
 
 
-def _step_grid(params: FullModelParams) -> np.ndarray:
-    """Steps in each knot segment of the full-model integration, so none straddles a knot.
+def _step_grid(params: FullModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Steps in each knot segment of the full-model integration, so none straddles a knot, and their order.
 
-    Segment j takes ceil(length_j rate) equal steps, at least one, rate =
-    _STEP_RATE steps_per_cycle^(2/3) max(stark_amp, largest scheduled
-    amplitude).
+    Segment j takes ceil(length_j spc^(2/3) x) equal second-order steps,
+    at least one, x = max(stark_amp, largest scheduled amplitude), where
+    at least _SHARED steps share their length (_groups); elsewhere
+    ceil(length_j _FIRST_ORDER_RATE spc x) first-order ones.  Returns the
+    counts and whether each segment's steps are second order.
     Raises TooManySteps, before anything is allocated, past the step cap.
     """
     schedule = params.schedule
-    peak = float(np.max(np.abs(schedule.values)))
-    rate = _STEP_RATE * params.steps_per_cycle ** (2.0 / 3.0) * max(params.stark_amp, peak)
-    counts = np.maximum(np.ceil(np.diff(schedule.times) * rate), 1.0)
+    lengths = np.diff(schedule.times)
+    scale = max(params.stark_amp, float(np.max(np.abs(schedule.values))))
+    counts = np.maximum(np.ceil(lengths * params.steps_per_cycle ** (2.0 / 3.0) * scale), 1.0)
+    group, _ = _groups(lengths / counts, schedule.times[-1] / np.max(counts))
+    second = np.bincount(group, weights=counts)[group] >= _SHARED
+    if not np.all(second):
+        first = np.maximum(np.ceil(lengths * _FIRST_ORDER_RATE * params.steps_per_cycle * scale), 1.0)
+        counts = np.where(second, counts, first)
     total = float(np.sum(counts))
     if not total <= _MAX_STEPS:
         raise TooManySteps(f"the full model needs {total:.4g} steps, more than the cap of {_MAX_STEPS}")
-    return counts.astype(np.int64)
+    return counts.astype(np.int64), second
+
+
+def _groups(ell: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each of ell, and the least value of each group, ascending.
+
+    A value within 4 ulps of scale of the next smaller one shares its
+    group: step lengths that the knots' rounding alone tells apart.
+    """
+    ordered = np.sort(ell)
+    gap = 4.0 * np.finfo(float).eps * scale
+    if ordered[-1] - ordered[0] <= gap:  # one group, as on most schedules
+        return np.zeros(len(ell), np.intp), ordered[:1]
+    least = ordered[np.diff(ordered, prepend=-math.inf) > gap]
+    return np.searchsorted(least, ell, side="right") - 1, least
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +368,8 @@ def _real_form(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.stack([zt, 1j * zt], axis=-2)).view(float).reshape(*z.shape[:-2], 8, 8)
 
 
-def _phase_integrals(x: np.ndarray) -> np.ndarray:
-    """int_0^1 s^p e^{-ixs} ds for p = 0, 1, 2 and real x, elementwise, stacked on a new first axis.
+def _phase_integrals(x: np.ndarray, powers: int = 3) -> np.ndarray:
+    """int_0^1 s^p e^{-ixs} ds for p below powers, at most 3, and real x, elementwise, stacked on a new first axis.
 
     Closed forms where |x| >= 1/2, p = 2 by parts from p = 1; below, where
     they cancel, the Taylor series in z = -ix, whose 15 terms reach 2^-53.
@@ -351,10 +378,12 @@ def _phase_integrals(x: np.ndarray) -> np.ndarray:
     z = -1j * x[small]
     x = np.where(small, 1.0, x)
     e = np.exp(-1j * x)
-    over = 1j / x
-    f1 = (e * (1.0 + 1j * x) - 1.0) * (over * over.conj())
-    out = np.stack([(e - 1.0) * over, f1, (e - 2.0 * f1) * over])
-    out[:, small] = (np.vander(z, 15, increasing=True) @ _SERIES).T
+    out = np.empty((powers, *x.shape), complex)
+    np.divide(1.0 - e, 1j * x, out=out[0])
+    np.divide(e * (1.0 + 1j * x) - 1.0, x * x, out=out[1])
+    if powers > 2:
+        np.multiply(e - 2.0 * out[1], 1j / x, out=out[2])
+    out[:, small] = (np.vander(z, 15, increasing=True) @ _SERIES[:, :powers]).T
     return out
 
 
@@ -431,7 +460,7 @@ def _second_order(x: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold * np.where(_PAIRS[0] == _PAIRS[1], -0.25, -0.5)[:, None, None]
 
 
-def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray, second=True) -> np.ndarray:
     """Step exponents per unit coefficient and monomial for steps of lengths ell, shape (*ell.shape, 90, 64).
 
     A step from t with amplitudes alpha_k + beta_k tau has the exponent
@@ -441,24 +470,34 @@ def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     is its part per unit of (alpha_k, beta_k)[j] times (cos, sin)[c] of
     Omega_k t.  Rows 12 on hold Omega_2 per unit of the 78 monomials of
     those 12 coefficients (_second_order), in the order of _PAIRS, its
-    integrals of order p + q scaled by ell^(p + q + 2).
+    integrals of order p + q scaled by ell^(p + q + 2), where second,
+    broadcast to ell, is set; elsewhere zero, and where it is set nowhere
+    the 12 rows are all (shape (*ell.shape, 12, 64)).
     """
     shape = np.shape(ell)
     ell = np.reshape(ell, (-1, 1, 1, 1))
-    count = len(ell)
-    # the halves (k, +) and (k, -) of each tone, in units of ell, and the
-    # sums sigma of two, the first shifted by 0
-    x = np.stack([nu, -np.swapaxes(nu, 1, 2)], axis=1).reshape(6, 4, 4) * ell
-    shifts = np.concatenate([np.zeros((count, 1, 4)), np.diagonal(x, axis1=2, axis2=3)], axis=1)
-    j = _phase_integrals(shifts[:, :, None, :, None] + x[:, None])
-    m = np.stack([ell * j[0, :, 0, 0::2], ell * ell * j[1, :, 0, 0::2]], axis=1) * coupling
+    up = np.full(shape, second, bool).ravel()
+    some = np.any(up)
+    if some:
+        # the halves (k, +) and (k, -) of each tone, in units of ell, and the
+        # integrals of the sums sigma of two, the first shifted by 0
+        xs = np.stack([nu, -np.swapaxes(nu, 1, 2)], axis=1).reshape(6, 4, 4) * ell[up]
+        shifts = np.concatenate([np.zeros((len(xs), 1, 4)), np.diagonal(xs, axis1=2, axis2=3)], axis=1)
+        j = _phase_integrals(shifts[:, :, None, :, None] + xs[:, None])
+    # j_0 and j_1 of the (k, +) halves: j's first shift where every length has j
+    halves = j[:2, :, 0, 0::2] if np.all(up) else _phase_integrals(nu * ell, 2)
+    m = np.stack([ell * halves[0], ell * ell * halves[1]], axis=1) * coupling
     m = m[:, :, :, None] * np.array([1.0, -1j])[:, None, None]
-    first = _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(count, 12, 64)
-    b = np.broadcast_to(np.stack([coupling, np.swapaxes(coupling, 1, 2)], axis=1).reshape(6, 4, 4), x.shape)
+    first = _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(-1, 12, 64)
+    if not some:
+        return first.reshape(*shape, 12, 64)
+    b = np.broadcast_to(np.stack([coupling, np.swapaxes(coupling, 1, 2)], axis=1).reshape(6, 4, 4), xs.shape)
     # I_pq scales as ell^(p + q + 2), p and q the powers of tau of the pair
     powers = 2.0 + (_PAIRS[0] >= 6) + (_PAIRS[1] >= 6)
-    second = _second_order(x, j, b) * (ell.reshape(count, 1) ** powers)[..., None, None]
-    return np.concatenate([first, _real_form(second).reshape(count, 78, 64)], axis=1).reshape(*shape, 90, 64)
+    terms = _second_order(xs, j, b) * (ell[up].reshape(-1, 1) ** powers)[..., None, None]
+    rows = np.zeros((len(ell), 78, 64))
+    rows[up] = _real_form(terms).reshape(-1, 78, 64)
+    return np.concatenate([first, rows], axis=1).reshape(*shape, 90, 64)
 
 
 def _step_leaves(leaves: np.ndarray, phases: np.ndarray, work: np.ndarray | None = None) -> None:
@@ -521,8 +560,9 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     W(t) = sum_k w_k a_k(t) (e^{-i Omega_k t} R + h.c.), Omega_k the tone's
     frequency plus detuning0.  Each step of _step_grid, where a_k is
     linear, takes the first two Magnus terms of W in K's interaction
-    picture, integrated exactly (_basis); the dressed phases telescope into
-    G = diag(e^{-i eps ell}):
+    picture, or the first where _step_grid says first order, integrated
+    exactly (_basis); the dressed phases telescope into G = diag(e^{-i eps
+    ell}):
 
         psi(T) = e^{i detuning0 N T} Q G_{n-1} E_{n-1} ... G_0 E_0 Q^T W,
 
@@ -530,12 +570,13 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     its 12 coefficients per step (alpha and beta times cos and sin of
     Omega_k t) and their 78 monomials into the stack's front rows, which
     _step_leaves takes as work only later, and its exponents into the
-    tail by a GEMM of those 90 against the basis of its step length,
-    lengths within the knots' rounding sharing one, and reduces them by
-    one _step_product; the state is renormalized after it.  Returns (final_state, steps, dt), dt the longest step, the state
-    in the (ggg, W, W', rrr) basis.
+    tail by a GEMM of those 90, or the 12 of a first-order step, against
+    the basis of its step length and order, lengths within the knots'
+    rounding sharing one, and reduces them by one _step_product; the
+    state is renormalized after it.  Returns (final_state, steps, dt), dt
+    the longest step, the state in the (ggg, W, W', rrr) basis.
     """
-    counts = _step_grid(params)
+    counts, second = _step_grid(params)
     times, values = params.schedule.times, params.schedule.values
     n = int(np.sum(counts))
     ell = np.diff(times) / counts
@@ -546,10 +587,9 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     omega = tone_frequencies(params)[1:] + params.detuning0
     nu = omega[:, None, None] - eps[:, None] + eps
     coupling = TONE_WEIGHTS[:, None, None] * (q.T @ np.tril(_LADDER4) @ q)
-    uniq, which = np.unique(ell, return_inverse=True)
-    rounding = 4.0 * np.finfo(float).eps * times[-1] / np.max(counts)
-    cluster = np.cumsum(np.diff(uniq, prepend=-math.inf) > rounding) - 1
-    gates = np.exp(np.multiply.outer(uniq, -1j * eps))
+    # first-order lengths keyed negative, so that they group apart
+    group, keys = _groups(np.where(second, ell, -ell), times[-1] / np.max(counts))
+    gates = np.exp(np.multiply.outer(ell, -1j * eps))
     size = min(_CHUNK, n)
     stack = np.empty((4 * size + -(-size // 16), 8, 8))
     plan = _tree_plan(stack, size)
@@ -564,24 +604,27 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
         phase = np.multiply.outer(omega, at[0] + tau)
         tones = np.stack([np.cos(phase), np.sin(phase)], axis=1)
         # row (j, k, c) is (alpha_k, beta_k)[j] times (cos, sin)[c] of Omega_k t,
-        # then the monomials of rows c <= d
+        # then, if a step is second order, the monomials of rows c <= d
         coef = stack[: 3 * count].reshape(-1)[: 90 * count].reshape(90, count)
         np.stack([(at[2:5] + at[5:] * tau)[:, None] * tones, at[5:, None] * tones], out=coef[:12].reshape(2, 3, 2, count))
-        for c in range(12):
-            row = 12 + c * (25 - c) // 2
-            np.multiply(coef[c], coef[c:12], out=coef[row : row + 12 - c])
-        kind = which[seg]
+        if np.any(second[seg]):
+            for c in range(12):
+                row = 12 + c * (25 - c) // 2
+                np.multiply(coef[c], coef[c:12], out=coef[row : row + 12 - c])
+        kind = group[seg]
         exponents = stack[-count:].reshape(count, 64)
         # runs of steps that share a basis, whose bases are built 32 at a time
-        cuts = [0, *(np.flatnonzero(np.diff(cluster[kind])) + 1), count]
+        cuts = [0, *(np.flatnonzero(np.diff(kind)) + 1), count]
         for first_run in range(0, len(cuts) - 1, 32):
             ends = cuts[first_run : first_run + 33]
-            ids = cluster[kind[ends[:-1]]]
+            ids = kind[ends[:-1]]
             if not np.array_equal(ids, built):
-                built, bases = ids, _basis(uniq[np.searchsorted(cluster, ids)], nu, coupling)
-            for lo, hi, basis in zip(ends, ends[1:], bases):
-                np.matmul(coef[:, lo:hi].T, basis, out=exponents[lo:hi])
-        product = _step_product(stack, count, gates[kind], plan if count == size else None)
+                key = keys[ids]
+                built, bases, widths = ids, _basis(np.abs(key), nu, coupling, key > 0), (12 + 78 * (key > 0)).tolist()
+            # first-order steps read the first 12 rows only
+            for lo, hi, basis, rows in zip(ends, ends[1:], bases, widths):
+                np.matmul(coef[:rows, lo:hi].T, basis[:rows], out=exponents[lo:hi])
+        product = _step_product(stack, count, gates[seg], plan if count == size else None)
         chi = product @ chi
         chi /= math.sqrt(np.vdot(chi, chi).real)
     psi = np.exp(1j * params.detuning0 * times[-1] * _LEVELS) * (q @ chi)

@@ -251,7 +251,7 @@ def magnus_terms(integrand, starts, lengths, panels: int, nodes: int = 12):
     return np.sum(whole, axis=1), 0.5 * np.einsum("sp,i,spiab->sab", h, w, bracket)
 
 
-def kframe_reference(params, counts, nodes: int = 12) -> np.ndarray:
+def kframe_reference(params, counts, second=True, nodes: int = 12) -> np.ndarray:
     """Second-order Magnus steps in the interaction picture of K, one eigh exponential each.
 
     In the frame psi = e^{i detuning0 N t} phi the block Hamiltonian is
@@ -261,8 +261,9 @@ def kframe_reference(params, counts, nodes: int = 12) -> np.ndarray:
     j of the schedule takes counts[j] equal steps; each step applies
     exp(O1 + O2) of a(t) = -i e^{iKt} W(t) e^{-iKt}, in K's eigenbasis from
     np.linalg.eigh, by magnus_terms on panels that each span at most 4 rad
-    of the commutator's fastest phase.  Returns the final state in (ggg,
-    W, W', rrr).
+    of the commutator's fastest phase; exp(O1) where second, per segment
+    or one for all, is not set.  Returns the final state in (ggg, W, W',
+    rrr).
     """
     schedule, v, d0 = params.schedule, params.blockade, params.detuning0
     levels = np.arange(4.0)
@@ -277,6 +278,7 @@ def kframe_reference(params, counts, nodes: int = 12) -> np.ndarray:
         return -1j * (terms + np.swapaxes(terms.conj(), -1, -2))
 
     lengths = np.repeat(np.diff(schedule.times) / counts, counts)
+    keep = np.repeat(np.broadcast_to(second, counts.shape), counts)
     starts = np.concatenate(
         [t + np.arange(c) * (length / c) for t, length, c in zip(schedule.times, np.diff(schedule.times), counts)]
     )
@@ -286,8 +288,8 @@ def kframe_reference(params, counts, nodes: int = 12) -> np.ndarray:
     batch = max(1, _CHUNK // (panels * nodes * nodes))
     for done in range(0, len(starts), batch):
         part = slice(done, done + batch)
-        first, second = magnus_terms(integrand, starts[part], lengths[part], panels, nodes)
-        chi = midpoint_states_reference(1j * (first + second), 1.0, chi)[-1]
+        o1, o2 = magnus_terms(integrand, starts[part], lengths[part], panels, nodes)
+        chi = midpoint_states_reference(1j * (o1 + keep[part, None, None] * o2), 1.0, chi)[-1]
     duration = schedule.duration
     return np.exp(1j * d0 * duration * levels) * (evecs @ (np.exp(-1j * evals * duration) * chi))
 

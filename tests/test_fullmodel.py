@@ -16,6 +16,7 @@ from ghzforge.fullmodel import (
     _CHUNK,
     _PAIRS,
     _PAIRS4,
+    _SHARED,
     _basis,
     _dressed_block,
     _integrate_full,
@@ -330,30 +331,37 @@ def test_reduction_at_moderate_factor():
 
 
 def _uneven_schedule():
-    # knots of uneven spacing, with an all-zero stretch between rows 20 and 34
+    # 40 equal segments, whose steps share their length, then 60 of uneven
+    # spacing, with an all-zero stretch between rows 60 and 74
     rng = np.random.default_rng(5)
-    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.005, 0.03, 60))])
-    values = rng.uniform(-3.0, 3.0, (61, 3))
-    values[20:35] = 0.0
+    knots = np.concatenate([np.linspace(0.0, 0.4, 41), 0.4 + np.cumsum(rng.uniform(0.005, 0.03, 60))])
+    values = rng.uniform(-3.0, 3.0, (101, 3))
+    values[60:75] = 0.0
     return PulseSchedule(times=knots, values=values)
 
 
 @pytest.fixture(scope="module")
 def kframe_references():
     """The oracle's state per schedule and factor, with its params and step counts."""
-    schedules = [row1_schedule(), rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 200), _uneven_schedule()]
+    runs = [
+        (schedule, factor)
+        for schedule in (row1_schedule(), rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 200))
+        for factor in (0.3, 3.0, 10.0)
+    ]
+    # both orders in one run: second-order steps on the equal segments,
+    # first-order ones on the rest
+    runs += [(_uneven_schedule(), factor) for factor in (0.3, 3.0)]
     references = []
-    for schedule in schedules:
-        for factor in (0.3, 3.0, 10.0):
-            params = params_for_factor(schedule, factor)
-            counts = _step_grid(params)
-            references.append((params, counts, oracles.kframe_reference(params, counts)))
+    for schedule, factor in runs:
+        params = params_for_factor(schedule, factor)
+        counts, second = _step_grid(params)
+        references.append((params, counts, oracles.kframe_reference(params, counts, second)))
     return references
 
 
 # a package chunk as large as the run, then chunks of 100 and of 99,
-# which divide none of the step counts (77 to 597); the oracle batches its
-# own way
+# which divide none of the step counts (199 to 3,188); the oracle batches
+# its own way
 @pytest.mark.parametrize("chunk", [32768, 100, 99])
 def test_integrate_full_matches_per_step_reference(chunk, kframe_references, monkeypatch):
     monkeypatch.setattr("ghzforge.fullmodel._CHUNK", chunk)
@@ -437,8 +445,9 @@ def test_jacobi_leaves_a_diagonal_matrix_as_it_is():
 )
 def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, factor, spc):
     # any schedule at any factor: each segment takes equal steps, at least
-    # one, of at most 1 / (spc^(2/3) max(stark_amp, peak)), and not one more
-    # than that needs
+    # one, of at most 1 / (spc^(2/3) max(stark_amp, peak)) where they are
+    # second order and 1 / (6.5 spc max(stark_amp, peak)) where first, and
+    # not one more than that needs
     knots = np.concatenate([[0.0], np.cumsum(gaps)])
     values = np.array(
         data.draw(st.lists(
@@ -448,24 +457,64 @@ def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, fac
     )
     assume(np.max(np.abs(values)) > 0.0)
     params = params_for_factor(PulseSchedule(times=knots, values=values), factor, spc)
-    counts = _step_grid(params)
-    rate = spc ** (2.0 / 3.0) * max(params.stark_amp, np.max(np.abs(values)))
+    counts, second = _step_grid(params)
+    rate = np.where(second, spc ** (2.0 / 3.0), 6.5 * spc) * max(params.stark_amp, np.max(np.abs(values)))
     assert counts.dtype == np.int64 and len(counts) == len(gaps) and np.all(counts >= 1)
+    assert second.dtype == bool and len(second) == len(gaps)
     steps = np.diff(knots) / counts
     assert np.all(steps * rate <= 1.0 + 1e-12)
     assert np.all((counts == 1) | (np.diff(knots) / np.maximum(counts - 1, 1) * rate > 1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("factor", [0.3, 10.0])
+def test_step_grid_takes_second_order_steps_where_enough_share_a_length(factor):
+    # the equal segments of _uneven_schedule share their step length, the
+    # uneven ones do not; on equal segments of one second-order step each
+    # (factor 0.3 at 4 steps per cycle), _SHARED segments are enough and
+    # one fewer is not
+    schedule = _uneven_schedule()
+    params = params_for_factor(schedule, factor)
+    scale = max(params.stark_amp, np.max(np.abs(schedule.values)))
+    counts, second = _step_grid(params)
+    lengths = np.diff(schedule.times)
+    assert np.array_equal(second, np.arange(100) < 40)
+    assert np.array_equal(counts[:40], np.ceil(lengths[:40] * 50 ** (2.0 / 3.0) * scale))
+    assert np.array_equal(counts[40:], np.ceil(lengths[40:] * 6.5 * 50 * scale))
+    for rows in (_SHARED + 1, _SHARED):
+        counts, second = _step_grid(params_for_factor(row1_schedule(samples=rows), 0.3, 4))
+        assert np.all(second == (rows > _SHARED)) and np.all((counts == 1) == second)
+
+
+def test_uneven_knots_take_first_order_steps_without_second_order_rows(monkeypatch):
+    # 1,000 rows of uneven knots at the validate workload's settings: no
+    # step length is shared, so no second-order row is built (each costs
+    # about 0.4 ms a length) and the steps follow the first-order rule
+    gaps = np.random.default_rng(45).uniform(0.5, 1.5, 999)
+    knots = np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
+    schedule = row1_schedule(samples=1000)
+    schedule = PulseSchedule(times=knots, values=schedule.values_at(knots))
+    params = params_for_factor(schedule, 10.0, 14)
+    counts, second = _step_grid(params)
+    assert not np.any(second)
+
+    def refuse(*args):
+        raise AssertionError("second-order rows built")
+
+    monkeypatch.setattr("ghzforge.fullmodel._second_order", refuse)
+    _, steps, _ = _integrate_full(params)
+    assert steps == np.sum(counts) == np.sum(np.ceil(np.diff(knots) * 6.5 * 14 * params.stark_amp))
+
+
 def test_refined_steps_match_reference():
-    # factor 0.3 at 8 steps per cycle, on 4 segments: the peak amplitude,
-    # not the smaller stark_amp, sets the rate, and the steps still match
-    # the per-step reference
+    # factor 0.3 at 50 steps per cycle, on 4 segments of 8 second-order
+    # steps: the peak amplitude, not the smaller stark_amp, sets the rate,
+    # and the steps still match the per-step reference
     schedule = row1_schedule(samples=5)
-    params = params_for_factor(schedule, 0.3, 8)
+    params = params_for_factor(schedule, 0.3, 50)
     peak = np.max(np.abs(schedule.values))
     assert params.stark_amp < peak
-    counts = _step_grid(params)
-    assert np.array_equal(counts, np.ceil(np.diff(schedule.times) * 4.0 * peak))
+    counts, second = _step_grid(params)
+    assert np.all(second) and np.array_equal(counts, np.ceil(np.diff(schedule.times) * 50 ** (2.0 / 3.0) * peak))
     psi, steps, _ = _integrate_full(params)
     assert steps == np.sum(counts) > len(counts)
     assert np.max(np.abs(psi - oracles.kframe_reference(params, counts))) <= 1e-12
@@ -514,11 +563,11 @@ def test_state_error_stays_within_the_midpoint_rule(profile, monkeypatch):
     for rows in (50, 200):
         schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), rows)
         for factor in (3.0, 10.0, 30.0):
-            base = _step_grid(params_for_factor(schedule, factor, 200))
+            base, second = _step_grid(params_for_factor(schedule, factor, 200))
             refined = []
             for times in (4, 8):
                 with monkeypatch.context() as patch:
-                    patch.setattr(fullmodel_module, "_step_grid", lambda params, times=times: times * base)
+                    patch.setattr(fullmodel_module, "_step_grid", lambda params, times=times: (times * base, second))
                     refined.append(_integrate_full(params_for_factor(schedule, factor))[0])
             reference = (16.0 * refined[1] - refined[0]) / 15.0
             for spc in (4, 14, 50):
@@ -545,7 +594,7 @@ def test_step_count_grows_as_the_factor():
     # the stiff scale grows as the factor squared, the steps as the factor,
     # on 4 segments, so that the knots set the count at neither factor
     schedule = row1_schedule(samples=5)
-    at10, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))) for f in (10.0, 100.0))
+    at10, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))[0]) for f in (10.0, 100.0))
     assert 9.0 * at10 <= at100 <= 11.0 * at10
 
 
@@ -556,7 +605,8 @@ def test_chunk_drives_match_direct_tone_sum(monkeypatch):
     # monomials, within the rounding of the phase; the same for the
     # phases G of the steps
     params = params_for_factor(row1_schedule(), 1000.0, 400)
-    counts = _step_grid(params)
+    counts, second = _step_grid(params)
+    assert np.all(second)
     n = int(np.sum(counts))
     assert 100_000 < n < 150_000
     chunks = -(-n // _CHUNK)
@@ -643,7 +693,7 @@ def test_richardson_of_kframe_steps_matches_the_midpoint_richardson(profile, mid
     params = params_for_factor(schedule, 10.0)
     runs = []
     for per in (40, 80):
-        monkeypatch.setattr("ghzforge.fullmodel._step_grid", lambda params, per=per: np.full(199, per))
+        monkeypatch.setattr("ghzforge.fullmodel._step_grid", lambda params, per=per: (np.full(199, per), np.ones(199, bool)))
         runs.append(_integrate_full(params)[0])
     kframe = (16.0 * runs[1] - runs[0]) / 15.0
     midpoint = (4.0 * midpoint_runs[profile][50] - midpoint_runs[profile][25]) / 3.0
@@ -678,11 +728,10 @@ def test_integrate_full_memory_stays_bounded():
 
 def test_workspace_buffers_stay_small():
     # a second run, past any first-call allocation: the tree's one stack
-    # of 2,176 real 8x8 matrices, 1.06 MiB, and each chunk's temporaries
-    # peak at 1.59 MiB; a tree in two stacks of 2,048 and 1,024 matrices
-    # (2.17 MiB), or a chunk of 4,096 steps (3.11 MiB), breaks the bound,
-    # while one more buffer of 128 KiB held across chunks (1.72 MiB)
-    # stays within it
+    # of 2,080 real 8x8 matrices at 512 steps, 1.02 MiB, and each chunk's
+    # temporaries peak at 1.55 MiB; a chunk of 1,024 steps (2.65 MiB)
+    # breaks the bound, while one more buffer of 128 KiB held across
+    # chunks (about 1.68 MiB) stays within it
     params = params_for_factor(row1_schedule(), 100.0)
     _integrate_full(params)
     tracemalloc.start()
