@@ -23,9 +23,10 @@ spin-3/2 ladder (sqrt 3, 2, sqrt 3), P = diag(0, 0, 1, 3) and c the sum
 of the four tones.  In the strong tone's frame the rest of H is a
 constant block K plus the scheduled tones, of amplitude O(peak) against
 a stiff scale O(factor^2 peak); steps in K's interaction picture, the
-fast phases integrated exactly (first-order Magnus, Filon-type
-quadrature; Iserles & Norsett, Proc. R. Soc. A 461, 1383 (2005)), grow
-in number with the factor, not its square (see _integrate_full).
+fast phases integrated exactly (second-order Magnus, first order where
+few steps share a length; Filon-type quadrature, Iserles & Norsett,
+Proc. R. Soc. A 461, 1383 (2005)), grow in number with the factor, not
+its square (see _integrate_full).
 
 Conventions: basis states are ordered lexicographically with the ground
 state as 0 and the excited state as 1, atom 1 in the most significant
@@ -38,6 +39,7 @@ exactly, which we verified against the level distances term by term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +150,8 @@ class FullModelParams:
             raise ValueError("stark_amp must be non-negative and finite")
         if self.steps_per_cycle < 1:
             raise ValueError("steps_per_cycle must be at least 1")
+        if self.steps_per_cycle > sys.float_info.max:  # the step rule takes its power as a float
+            raise ValueError("steps_per_cycle leaves the float range")
         if not all(map(math.isfinite, self.detunings)):
             raise ValueError(f"the Stark shifts of stark_amp {self.stark_amp!r} leave the float range")
 
@@ -510,46 +514,26 @@ def _step_leaves(leaves: np.ndarray, phases: np.ndarray, work: np.ndarray | None
     leaves.view(complex)[...] *= phases[:, None, :]
 
 
-def _tree_plan(stack: np.ndarray, n: int):
-    """Calls multiplying the last n rows of stack, (m, 8, 8), m >= n + ceil(n / 16).
-
-    Pairs are multiplied in log depth, level by level in batched products
-    (the up-sweep of Blelloch, Prefix Sums and Their Applications, 1990),
-    an odd last step copied up.  A level read from rows past the front is
-    written over the front in pieces [lo, hi), hi at most a + 2 lo with a
-    its first row, so that no piece overwrites a pair still to be read:
-    level 0 takes 4 pieces at n = 2048 and m = 2176, each later level
-    one.  A level read from the front is written on the rows after it.
-    Returns the calls (np.matmul, even, odd, out) and (np.copyto, out,
-    row) on views of stack, in order, and the product's complex 4x4 view.
-    """
-    pieces = []
-    at = len(stack) - n
-    while n > 1:
-        half, to, lo = n // 2, 0 if at else n, 0
-        while lo < half:
-            hi = half if to else min(half, at + 2 * lo)
-            pairs = stack[at + 2 * lo : at + 2 * hi]
-            pieces.append((np.matmul, pairs[0::2], pairs[1::2], stack[to + lo : to + hi]))
-            lo = hi
-        if n % 2:
-            pieces.append((np.copyto, stack[to + half], stack[at + n - 1]))
-        n, at = half + n % 2, to
-    return pieces, stack[at, ::2].view(complex).T
-
-
-def _step_product(stack: np.ndarray, n: int, phases: np.ndarray, plan=None) -> np.ndarray:
+def _step_product(stack: np.ndarray, n: int, phases: np.ndarray) -> np.ndarray:
     """Product of n steps G_s exp(Y_s), later steps on the left, as a complex 4x4 copy.
 
-    stack holds at least 4 n + ceil(n / 16) real 8x8 matrices, the
-    exponents in its last n rows; _step_leaves takes its first 3 n as
-    work, and the plan, by default _tree_plan(stack, n), multiplies.
+    stack holds at least 4 n real 8x8 matrices, the exponents in its last
+    n rows; _step_leaves takes its first 3 n as work.  Pairs are then
+    multiplied in log depth, level by level in batched products (the
+    up-sweep of Blelloch, Prefix Sums and Their Applications, 1990), the
+    levels alternating between the first ceil(n / 2) rows and the last n,
+    an odd last step copied up.
     """
-    pieces, top = _tree_plan(stack, n) if plan is None else plan
-    _step_leaves(stack[-n:], phases, stack[: 3 * n].reshape(3, n, 8, 8))
-    for call, *views in pieces:
-        call(*views)
-    return top.copy()
+    level, up = stack[-n:], stack[: (n + 1) // 2]
+    _step_leaves(level, phases, stack[: 3 * n].reshape(3, n, 8, 8))
+    while n > 1:
+        half = n // 2
+        np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
+        if n % 2:
+            up[half] = level[n - 1]
+        n = half + n % 2
+        level, up = up, level
+    return level[0, ::2].view(complex).T.copy()
 
 
 def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
@@ -566,15 +550,16 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
 
         psi(T) = e^{i detuning0 N T} Q G_{n-1} E_{n-1} ... G_0 E_0 Q^T W,
 
-    E_s = exp(Omega_1 + Omega_2).  A chunk of up to _CHUNK steps writes
-    its 12 coefficients per step (alpha and beta times cos and sin of
-    Omega_k t) and their 78 monomials into the stack's front rows, which
-    _step_leaves takes as work only later, and its exponents into the
-    tail by a GEMM of those 90, or the 12 of a first-order step, against
-    the basis of its step length and order, lengths within the knots'
-    rounding sharing one, and reduces them by one _step_product; the
-    state is renormalized after it.  Returns (final_state, steps, dt), dt
-    the longest step, the state in the (ggg, W, W', rrr) basis.
+    E_s = exp(Omega_1 + Omega_2).  Every chunk of up to _CHUNK steps
+    reuses one stack of 4 min(_CHUNK, n) real 8x8 matrices, taken once.
+    A chunk writes its 12 coefficients per step (alpha and beta times cos
+    and sin of Omega_k t) and their 78 monomials into the stack's front
+    rows, which _step_leaves takes as work only later, and its exponents
+    into the last rows by a GEMM of those 90, or the 12 of a first-order
+    step, against the basis of its step length and order, lengths within
+    the knots' rounding sharing one; one _step_product multiplies them,
+    and the state is renormalized after it.  Returns (final_state, steps,
+    dt), dt the longest step, the state in the (ggg, W, W', rrr) basis.
     """
     counts, second = _step_grid(params)
     times, values = params.schedule.times, params.schedule.values
@@ -590,9 +575,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     # first-order lengths keyed negative, so that they group apart
     group, keys = _groups(np.where(second, ell, -ell), times[-1] / np.max(counts))
     gates = np.exp(np.multiply.outer(ell, -1j * eps))
-    size = min(_CHUNK, n)
-    stack = np.empty((4 * size + -(-size // 16), 8, 8))
-    plan = _tree_plan(stack, size)
+    stack = np.empty((4 * min(_CHUNK, n), 8, 8))
     chi = q[1].astype(complex)
     built = np.array([-1])
     for done in range(0, n, _CHUNK):
@@ -624,7 +607,7 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
             # first-order steps read the first 12 rows only
             for lo, hi, basis, rows in zip(ends, ends[1:], bases, widths):
                 np.matmul(coef[:rows, lo:hi].T, basis[:rows], out=exponents[lo:hi])
-        product = _step_product(stack, count, gates[seg], plan if count == size else None)
+        product = _step_product(stack, count, gates[seg])
         chi = product @ chi
         chi /= math.sqrt(np.vdot(chi, chi).real)
     psi = np.exp(1j * params.detuning0 * times[-1] * _LEVELS) * (q @ chi)

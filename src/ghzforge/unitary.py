@@ -11,7 +11,8 @@ single rotations and the per-step factors of the ladder integrator in
 ``propagate``, which also takes its products and its readout from
 here.  Outside these closed forms the package sums one matrix
 exponential, fullmodel's power series, for the full model's steps and
-``ghz-forge check``; eigendecompositions run only in the test oracles.
+``ghz-forge check``.  No LAPACK eigensolver runs in the package:
+fullmodel diagonalizes its 4x4 block by cyclic Jacobi rotations.
 """
 
 from __future__ import annotations

@@ -516,6 +516,30 @@ def test_validate_full_zero_steps_per_cycle_names_no_factor(capsys):
     assert "error: steps_per_cycle must be at least 1\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["flag", "config", "script"])
+def test_steps_per_cycle_past_the_float_range_is_usage_error(route, tmp_path, monkeypatch, capsys):
+    # 310 digits: the step rule's S^(2/3) raised OverflowError, a
+    # traceback; FullModelParams refuses it before any factor is integrated
+    huge, out = 10**309, tmp_path / "out"
+    if route == "script":
+        proc = run_python(str(REPO / "scripts" / "reduction_scan.py"), "--steps-per-cycle", str(huge),
+                          "--out", str(out))
+        code, err = proc.returncode, proc.stderr
+    else:
+        _refuse_integration(monkeypatch, "_integrate_full")
+        argv = ["validate-full", "--schedule", str(SHIPPED_CSV), "--out", str(out)]
+        if route == "flag":
+            argv += ["--steps-per-cycle", str(huge)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"steps_per_cycle": huge}))
+            argv += ["--config", str(cfg)]
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    assert "steps_per_cycle" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, shown", [("-5", "-5.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
 def test_validate_full_bad_min_factor_is_usage_error(value, shown, tmp_path, capsys):
     message = f"minimum hierarchy factor must be positive and finite, not {shown}"

@@ -24,7 +24,6 @@ from ghzforge.fullmodel import (
     _real_form,
     _series_exp,
     _step_grid,
-    _tree_plan,
     HierarchyViolation,
     TooManySteps,
     derived_detunings,
@@ -372,19 +371,17 @@ def test_integrate_full_matches_per_step_reference(chunk, kframe_references, mon
         assert np.max(np.abs(psi - ref_psi)) <= 1e-12
 
 
-def test_integrate_full_plans_the_tree_at_most_twice(monkeypatch):
-    # one plan for every full chunk and one for the shorter last chunk,
-    # where planning inside each chunk would build one per chunk
-    sizes = []
-
-    def counting(stack, n):
-        sizes.append(n)
-        return _tree_plan(stack, n)
-
-    monkeypatch.setattr("ghzforge.fullmodel._tree_plan", counting)
-    _, steps, _ = _integrate_full(params_for_factor(row1_schedule(), 50.0))
-    assert steps > 2 * _CHUNK and steps % _CHUNK
-    assert sizes == [_CHUNK, steps % _CHUNK]
+def test_integrate_full_matches_per_step_reference_ending_on_a_full_chunk(kframe_references, monkeypatch):
+    # chunks of 199 steps divide the synthesized schedules' step counts
+    # (199, 398 and 597), so those runs end on a full chunk, at factor 10
+    # after one or two others
+    monkeypatch.setattr("ghzforge.fullmodel._CHUNK", 199)
+    whole = [(params, ref_psi) for params, counts, ref_psi in kframe_references if np.sum(counts) % 199 == 0]
+    assert len(whole) == 6
+    for params, ref_psi in whole:
+        psi, steps, _ = _integrate_full(params)
+        assert steps % 199 == 0
+        assert np.max(np.abs(psi - ref_psi)) <= 1e-12
 
 
 @given(st.lists(st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6), min_size=1, max_size=8))
@@ -616,12 +613,12 @@ def test_chunk_drives_match_direct_tone_sum(monkeypatch):
 
     original = fullmodel_module._step_product
 
-    def record(stack, count, phases, plan=None):
+    def record(stack, count, phases):
         if len(seen) in picked:
             seen.append((stack[-count:].copy(), phases.copy()))
         else:
             seen.append(None)
-        return original(stack, count, phases, plan)
+        return original(stack, count, phases)
 
     monkeypatch.setattr("ghzforge.fullmodel._step_product", record)
     _integrate_full(params)
@@ -728,10 +725,10 @@ def test_integrate_full_memory_stays_bounded():
 
 def test_workspace_buffers_stay_small():
     # a second run, past any first-call allocation: the tree's one stack
-    # of 2,080 real 8x8 matrices at 512 steps, 1.02 MiB, and each chunk's
-    # temporaries peak at 1.55 MiB; a chunk of 1,024 steps (2.65 MiB)
+    # of 2,048 real 8x8 matrices at 512 steps, 1.00 MiB, and each chunk's
+    # temporaries peak at 1.50 MiB; a chunk of 1,024 steps (2.58 MiB)
     # breaks the bound, while one more buffer of 128 KiB held across
-    # chunks (about 1.68 MiB) stays within it
+    # chunks (about 1.63 MiB) stays within it
     params = params_for_factor(row1_schedule(), 100.0)
     _integrate_full(params)
     tracemalloc.start()

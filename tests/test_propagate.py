@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _real_form, _step_leaves, _step_product, _tree_plan
+from ghzforge.fullmodel import _CHUNK, _real_form, _step_leaves, _step_product
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -336,13 +336,13 @@ def _phases(rng, n):
 
 def _stack(size):
     """The product tree's stack for chunks of up to size steps, at its least size."""
-    return np.empty((4 * size + -(-size // 16), 8, 8))
+    return np.empty((4 * size, 8, 8))
 
 
-def _product(exponents, phases, stack, plan=None):
+def _product(exponents, phases, stack):
     """_step_product of steps G_k exp(Y_k), their exponents written into stack first."""
     stack[-len(exponents):] = exponents
-    return _step_product(stack, len(exponents), phases, plan)
+    return _step_product(stack, len(exponents), phases)
 
 
 @pytest.mark.parametrize(
@@ -377,18 +377,17 @@ def test_midpoint_states_match_per_step_reference(steps, build):
 )
 def test_step_product_reuses_workspace_exactly(build):
     # a full chunk, an odd remainder, then a full chunk again of one run,
-    # through one stack, the full chunks replaying one plan as
-    # _integrate_full does: a stale slice or a level read from the wrong
-    # rows would leave a trace of the earlier chunk in the later product
+    # through one stack as _integrate_full takes it: a stale slice or a
+    # level read from the wrong rows would leave a trace of the earlier
+    # chunk in the later product
     rng = np.random.default_rng(29)
     drive, blockade, dt = build(rng, 2 * _CHUNK + 999)
     exponents, phases = _exponents(drive, dt, blockade), _phases(rng, len(drive))
     stack = _stack(max(_CHUNK, 999))
-    plan = _tree_plan(stack, _CHUNK)
     for part in np.split(np.arange(len(drive)), [_CHUNK, _CHUNK + 999]):
         fresh = _product(exponents[part], phases[part], _stack(len(part)))
-        replayed = _product(exponents[part], phases[part], stack, plan if len(part) == _CHUNK else None)
-        assert np.array_equal(replayed, fresh)
+        reused = _product(exponents[part], phases[part], stack)
+        assert np.array_equal(reused, fresh)
 
 
 def _two_stack_product(exponents, phases):
@@ -418,19 +417,18 @@ def _two_stack_product(exponents, phases):
 )
 def test_one_stack_matches_two_stack_tree_bit_for_bit(steps, build):
     # through a stack sized for a full chunk, as the last chunk of a run
-    # takes it: below _CHUNK steps the spare rows exceed ceil(steps / 16),
-    # and level 0 runs in fewer pieces.  The stack starts as NaN, so a
-    # row read before it is written shows in the product.  A plan built
-    # before the first product and replayed for a second must match too;
-    # _mixed_drive has exact zeros between nonzero steps from 17 steps on
+    # takes it: below _CHUNK steps rows lie unused between the two
+    # regions.  The stack starts as NaN, so a row read before it is
+    # written shows in the product; a second product through the same
+    # stack must match too.  _mixed_drive has exact zeros between nonzero
+    # steps from 17 steps on
     rng = np.random.default_rng(steps)
     drive, blockade, dt = build(rng, steps)
     exponents, phases = _exponents(drive, dt, blockade), _phases(rng, steps)
     stack = np.full_like(_stack(max(steps, _CHUNK)), np.nan)
-    plan = _tree_plan(stack, steps)
     expected = _two_stack_product(exponents, phases)
     assert np.array_equal(_product(exponents, phases, stack), expected)
-    assert np.array_equal(_product(exponents, phases, stack, plan), expected)
+    assert np.array_equal(_product(exponents, phases, stack), expected)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 999, _CHUNK, 2048])
