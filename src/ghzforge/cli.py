@@ -546,7 +546,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     p.add_argument("--schedule")
     p.add_argument("--factor", type=float, default=DEFAULT_FACTOR)
     p.add_argument("--compare-factor", type=float, default=DEFAULT_COMPARE_FACTOR,
-                   help="second hierarchy factor for the trend flag (0 disables)")
+                   help="second hierarchy factor for the trend flag"
+                   f" (default {DEFAULT_COMPARE_FACTOR:g}; 0 disables)")
     p.add_argument("--min-factor", type=float, default=DEFAULT_FACTOR,
                    help=f"smallest acceptable scale separation (default {DEFAULT_FACTOR:g})")
     p.add_argument("--force", action="store_true")

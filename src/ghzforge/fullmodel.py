@@ -66,7 +66,7 @@ TONE_WEIGHTS = np.array([1.0 / math.sqrt(3.0), 0.5, 1.0 / math.sqrt(3.0)])
 
 DEFAULT_STEPS_PER_CYCLE = 50
 DEFAULT_FACTOR = 10.0
-DEFAULT_COMPARE_FACTOR = 30.0
+DEFAULT_COMPARE_FACTOR = 100.0
 
 # Steps reduced to one product at a time; sizes the product tree's one stack.
 _CHUNK = 512
@@ -464,23 +464,22 @@ def _second_order(x: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold * np.where(_PAIRS[0] == _PAIRS[1], -0.25, -0.5)[:, None, None]
 
 
-def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray, second=True) -> np.ndarray:
-    """Step exponents per unit coefficient and monomial for steps of lengths ell, shape (*ell.shape, 90, 64).
+def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray, second=True) -> list[np.ndarray]:
+    """Step exponents per unit coefficient and monomial for steps of lengths ell, one array per length.
 
     A step from t with amplitudes alpha_k + beta_k tau has the exponent
     Omega_1 + Omega_2.  Omega_1 = -i(M + M^H), M = sum_k coupling_k e^{-i
     Omega_k t} (alpha_k J0_k + beta_k J1_k), J_jk = int_0^ell tau^j e^{-i
     nu_k tau} dtau exactly, entry by entry; row (j, k, c), in _real_form,
     is its part per unit of (alpha_k, beta_k)[j] times (cos, sin)[c] of
-    Omega_k t.  Rows 12 on hold Omega_2 per unit of the 78 monomials of
+    Omega_k t.  Where second, one flag or one per length of the 1-d ell,
+    is set, rows 12 on hold Omega_2 per unit of the 78 monomials of
     those 12 coefficients (_second_order), in the order of _PAIRS, its
-    integrals of order p + q scaled by ell^(p + q + 2), where second,
-    broadcast to ell, is set; elsewhere zero, and where it is set nowhere
-    the 12 rows are all (shape (*ell.shape, 12, 64)).
+    integrals of order p + q scaled by ell^(p + q + 2): shape (90, 64);
+    elsewhere the 12 rows of Omega_1 alone, shape (12, 64).
     """
-    shape = np.shape(ell)
+    up = np.full(len(ell), second, bool)
     ell = np.reshape(ell, (-1, 1, 1, 1))
-    up = np.full(shape, second, bool).ravel()
     some = np.any(up)
     if some:
         # the halves (k, +) and (k, -) of each tone, in units of ell, and the
@@ -492,40 +491,32 @@ def _basis(ell: np.ndarray, nu: np.ndarray, coupling: np.ndarray, second=True) -
     halves = j[:2, :, 0, 0::2] if np.all(up) else _phase_integrals(nu * ell, 2)
     m = np.stack([ell * halves[0], ell * ell * halves[1]], axis=1) * coupling
     m = m[:, :, :, None] * np.array([1.0, -1j])[:, None, None]
-    first = _real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(-1, 12, 64)
+    first = list(_real_form(-1j * (m + np.swapaxes(m.conj(), -1, -2))).reshape(-1, 12, 64))
     if not some:
-        return first.reshape(*shape, 12, 64)
+        return first
     b = np.broadcast_to(np.stack([coupling, np.swapaxes(coupling, 1, 2)], axis=1).reshape(6, 4, 4), xs.shape)
     # I_pq scales as ell^(p + q + 2), p and q the powers of tau of the pair
     powers = 2.0 + (_PAIRS[0] >= 6) + (_PAIRS[1] >= 6)
     terms = _second_order(xs, j, b) * (ell[up].reshape(-1, 1) ** powers)[..., None, None]
-    rows = np.zeros((len(ell), 78, 64))
-    rows[up] = _real_form(terms).reshape(-1, 78, 64)
-    return np.concatenate([first, rows], axis=1).reshape(*shape, 90, 64)
-
-
-def _step_leaves(leaves: np.ndarray, phases: np.ndarray, work: np.ndarray | None = None) -> None:
-    """Replace each step exponent Y_s in leaves, (n, 8, 8) in real form, by G_s exp(Y_s).
-
-    G_s = diag(phases[s]) scales each row of the real form as complex
-    numbers; work is _series_exp's.
-    """
-    _series_exp(leaves, work)
-    leaves.view(complex)[...] *= phases[:, None, :]
+    rows = iter(_real_form(terms).reshape(-1, 78, 64))
+    return [np.concatenate([omega1, next(rows)]) if order else omega1 for omega1, order in zip(first, up)]
 
 
 def _step_product(stack: np.ndarray, n: int, phases: np.ndarray) -> np.ndarray:
     """Product of n steps G_s exp(Y_s), later steps on the left, as a complex 4x4 copy.
 
-    stack holds at least 4 n real 8x8 matrices, the exponents in its last
-    n rows; _step_leaves takes its first 3 n as work.  Pairs are then
+    stack holds at least 4 n real 8x8 matrices, the exponents Y_s in its
+    last n rows.  Each is replaced by exp(Y_s), _series_exp taking the
+    first 3 n rows as work, and then by G_s exp(Y_s), G_s = diag(phases[s])
+    scaling each row of the real form as complex numbers.  Pairs are then
     multiplied in log depth, level by level in batched products (the
     up-sweep of Blelloch, Prefix Sums and Their Applications, 1990), the
     levels alternating between the first ceil(n / 2) rows and the last n,
     an odd last step copied up.
     """
     level, up = stack[-n:], stack[: (n + 1) // 2]
-    _step_leaves(level, phases, stack[: 3 * n].reshape(3, n, 8, 8))
+    _series_exp(level, stack[: 3 * n].reshape(3, n, 8, 8))
+    level.view(complex)[...] *= phases[:, None, :]
     while n > 1:
         half = n // 2
         np.matmul(level[0 : 2 * half : 2], level[1 : 2 * half : 2], out=up[:half])
@@ -554,10 +545,10 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
     reuses one stack of 4 min(_CHUNK, n) real 8x8 matrices, taken once.
     A chunk writes its 12 coefficients per step (alpha and beta times cos
     and sin of Omega_k t) and their 78 monomials into the stack's front
-    rows, which _step_leaves takes as work only later, and its exponents
-    into the last rows by a GEMM of those 90, or the 12 of a first-order
-    step, against the basis of its step length and order, lengths within
-    the knots' rounding sharing one; one _step_product multiplies them,
+    rows, which _step_product takes as work only later, and its exponents
+    into the last rows by a GEMM of as many of them as the basis of its
+    step length and order has rows, 90 or 12, lengths within the knots'
+    rounding sharing one; one _step_product multiplies them,
     and the state is renormalized after it.  Returns (final_state, steps,
     dt), dt the longest step, the state in the (ggg, W, W', rrr) basis.
     """
@@ -603,10 +594,9 @@ def _integrate_full(params: FullModelParams) -> tuple[np.ndarray, int, float]:
             ids = kind[ends[:-1]]
             if not np.array_equal(ids, built):
                 key = keys[ids]
-                built, bases, widths = ids, _basis(np.abs(key), nu, coupling, key > 0), (12 + 78 * (key > 0)).tolist()
-            # first-order steps read the first 12 rows only
-            for lo, hi, basis, rows in zip(ends, ends[1:], bases, widths):
-                np.matmul(coef[:rows, lo:hi].T, basis[:rows], out=exponents[lo:hi])
+                built, bases = ids, _basis(np.abs(key), nu, coupling, key > 0)
+            for lo, hi, basis in zip(ends, ends[1:], bases):
+                np.matmul(coef[: len(basis), lo:hi].T, basis, out=exponents[lo:hi])
         product = _step_product(stack, count, gates[seg])
         chi = product @ chi
         chi /= math.sqrt(np.vdot(chi, chi).real)

@@ -346,9 +346,9 @@ class PulseSchedule:
     """Sampled real Rabi amplitudes over [0, T].
 
     The amplitudes are linear between samples, which is exact for the
-    trapezoid family on grids aligned with its corners.  values_at is
-    the one evaluation of them at arbitrary times, and the full model's
-    drive reads it; the ladder steps through each segment's linear form.
+    trapezoid family on grids aligned with its corners.  values_at
+    evaluates them at arbitrary times; the ladder and the full model
+    both step through each segment's linear form, from the samples.
     """
 
     times: np.ndarray
@@ -401,6 +401,8 @@ def rabi_schedule(curve: SphericalCurve, samples: int = 1000) -> PulseSchedule:
         raise ValueError(f"samples {samples} exceeds the {MAX_ROWS} rows propagate can certify")
     times = np.linspace(0.0, curve.duration, samples)
     rate = curve.rate(times)
+    if not np.any(rate):
+        raise ValueError(f"samples {samples}: every sample falls on a ramp end, so every amplitude is zero")
     coeffs = plateau_amplitudes(curve.endpoint)
     values = float(curve.pole) * rate[:, None] * coeffs[None, :]
     return PulseSchedule(times=times, values=values)

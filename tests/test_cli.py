@@ -438,6 +438,22 @@ def test_validate_full_runs_a_factor_past_the_midpoint_cap(tmp_path, capsys):
     assert 0.0 < comparison["effective_vs_full_infidelity"] < 1e-3
 
 
+@pytest.mark.parametrize("pole", ["1", "-1"])
+@pytest.mark.parametrize("profile", ["constant", "trapezoid"])
+def test_validate_full_defaults_compare_a_decade_apart(profile, pole, tmp_path):
+    # the default factors lie a decade apart, so the trend flag reads a
+    # fall well past the up-to-3x swing between neighbouring factors:
+    # 26x to 160x here, where factors 10 and 30 gave 2.4x on the trapezoid
+    schedule, out = tmp_path / "s.csv", tmp_path / "v.json"
+    synth = ["synthesize", "--duration", "1", "--profile", profile, "--pole", pole, "--out", str(schedule)]
+    assert main(synth) == 0
+    assert main(["validate-full", "--schedule", str(schedule), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    comparison = report["comparison"]
+    assert comparison["infidelity_decreased"] is True
+    assert comparison["effective_vs_full_infidelity"] <= 0.1 * report["effective_vs_full_infidelity"]
+
+
 def test_validate_full_all_zero_schedule_is_usage_error(tmp_path, capsys):
     schedule = tmp_path / "zero.csv"
     schedule.write_text(SCHEDULE_HEADER + "\n0.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.0\n")
@@ -492,7 +508,7 @@ def test_validate_full_factor_scales_out_of_range_is_usage_error(
 
 # the Stark shifts grow as (factor peak)^2 and leave the float range before
 # the scales do: at --omega-ref 1e153 at factor 10, and at 7e151 only at
-# factor 30, which --force does not admit either
+# the comparison factor 30, which --force does not admit either
 @pytest.mark.parametrize(
     "omega_ref, force, factor", [("1e153", False, 10), ("7e151", False, 30), ("7e151", True, 30)]
 )
@@ -503,7 +519,7 @@ def test_validate_full_stark_shifts_out_of_range_is_usage_error(
     assert main(["synthesize", "--duration", "1", "--omega-ref", omega_ref, "--out", str(schedule)]) == 0
     capsys.readouterr()
     _refuse_integration(monkeypatch, "_integrate_full")
-    argv = ["validate-full", "--schedule", str(schedule), "--out", str(out)]
+    argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", "30", "--out", str(out)]
     assert main(argv + ["--force"] * force) == 2
     err = capsys.readouterr().err
     assert f"factor {factor}: the Stark shifts of stark_amp" in err and "leave the float range" in err
@@ -957,6 +973,18 @@ def test_synthesize_samples_beyond_certifiable_rows_is_usage_error(samples, tmp_
     assert f"{MAX_ROWS} rows propagate can certify" in capsys.readouterr().err
     assert not out.exists()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("area", [[], ["--target-area", "5"]], ids=["duration", "target-area"])
+def test_synthesize_trapezoid_sampled_only_at_its_ramp_ends_is_usage_error(area, tmp_path, capsys):
+    # both samples of a trapezoid fall where its rate is zero, so every
+    # amplitude would be zero: refused by name before anything is written
+    out = tmp_path / "zero.csv"
+    timing = area or ["--duration", "1"]
+    code = main(["synthesize", "--profile", "trapezoid", "--samples", "2", *timing, "--out", str(out)])
+    assert code == 2
+    assert "samples 2: every sample falls on a ramp end" in capsys.readouterr().err
+    assert not out.exists()
 
 
 PROPAGATE_KEYS = {

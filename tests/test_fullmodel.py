@@ -18,6 +18,7 @@ from ghzforge.fullmodel import (
     _PAIRS4,
     _SHARED,
     _basis,
+    _groups,
     _dressed_block,
     _integrate_full,
     _jacobi,
@@ -482,6 +483,65 @@ def test_step_grid_takes_second_order_steps_where_enough_share_a_length(factor):
         assert np.all(second == (rows > _SHARED)) and np.all((counts == 1) == second)
 
 
+def _reference_groups(ell, scale):
+    """Each value's group and each group's least value, walking the sorted values one by one.
+
+    A value more than 4 ulps of scale above the next smaller one starts
+    a group; every value belongs to the group of the largest least value
+    at or below it.
+    """
+    gap = 4.0 * np.finfo(float).eps * scale
+    ordered = sorted(ell)
+    least = [value for previous, value in zip([-math.inf, *ordered], ordered) if value - previous > gap]
+    return [sum(low <= value for low in least) - 1 for value in ell], least
+
+
+def test_groups_of_step_lengths_match_a_reference_grouping():
+    eps = np.finfo(float).eps
+    # the equal steps of a 1,000-row schedule, which differ by the knots'
+    # rounding alone (half an ulp of 1): one group at the scale of one
+    # step per segment, duration 1 over the largest count, as every
+    # validate integration takes it
+    linspace = np.diff(np.linspace(0.0, 1.0, 1000))
+    group, least = _groups(linspace, 1.0)
+    assert np.array_equal(group, np.zeros(999)) and np.array_equal(least, [np.min(linspace)])
+    # two clusters 16 ulps apart at scale 1: two groups, in ascending order
+    clusters = 1.0 + np.array([20.0, 0.0, 24.0, 4.0]) * eps
+    group, least = _groups(clusters, 1.0)
+    assert group.tolist() == [1, 0, 1, 0] and least.tolist() == [1.0, 1.0 + 20.0 * eps]
+    # a chain of links within 4 ulps of scale that spans more, first-order
+    # lengths keyed negative beside shared positive ones, and lengths that
+    # share nothing: each against the reference
+    rng = np.random.default_rng(51)
+    chain = 1e-3 * (1.0 + np.arange(6) * 3.0 * eps)
+    shared = rng.choice(rng.uniform(1e-3, 2e-3, 5), 200) * (1.0 + rng.integers(-2, 3, 200) * eps)
+    keyed = np.where(rng.random(200) < 0.5, shared, -shared)
+    cases = [(linspace, 1.0), (clusters, 1.0), (chain, 1e-3), (keyed, 2e-3), (rng.uniform(1e-3, 2e-3, 50), 2e-3)]
+    for ell, scale in cases:
+        group, least = _groups(ell, scale)
+        expected_group, expected_least = _reference_groups(ell, scale)
+        assert group.tolist() == expected_group and least.tolist() == expected_least
+    assert len(_groups(chain, 1e-3)[1]) == 1 < np.ptp(chain) / (4.0 * eps * 1e-3)
+
+
+def test_basis_of_mixed_orders_holds_each_orders_rows_alone():
+    # lengths of both orders in one batch, as a chunk of _uneven_schedule
+    # builds them: each array has its own order's rows and equals the
+    # build of its order's lengths alone, bit for bit
+    params = params_for_factor(_uneven_schedule(), 10.0)
+    counts, second = _step_grid(params)
+    eps, q = _dressed_block(params)
+    nu = (tone_frequencies(params)[1:] + params.detuning0)[:, None, None] - eps[:, None] + eps
+    coupling = oracles.TONE_WEIGHTS[:, None, None] * (q.T @ np.tril(_LADDER4) @ q)
+    picked = np.array([38, 40, 39, 41, 99, 0])
+    ell, order = (np.diff(params.schedule.times) / counts)[picked], second[picked]
+    assert 0 < np.sum(order) < len(order)
+    alone = {up: iter(_basis(ell[order == up], nu, coupling, up)) for up in (True, False)}
+    for basis, up in zip(_basis(ell, nu, coupling, order), order):
+        assert basis.shape == (90 if up else 12, 64)
+        assert np.array_equal(basis, next(alone[up]))
+
+
 def test_uneven_knots_take_first_order_steps_without_second_order_rows(monkeypatch):
     # 1,000 rows of uneven knots at the validate workload's settings: no
     # step length is shared, so no second-order row is built (each costs
@@ -541,7 +601,7 @@ def test_second_order_basis_matches_nested_quadrature(fastest):
 
     panels = max(1, math.ceil(4.0 * fastest / 4.0))
     first, second = (term[0] for term in oracles.magnus_terms(integrand, [0.0], [1.0], panels))
-    basis = _basis(1.0, nu, coupling)
+    [basis] = _basis([1.0], nu, coupling)
     monomials = coef[_PAIRS[0]] * coef[_PAIRS[1]]
     real = [_real_form(term).ravel() for term in (first, second)]
     assert np.max(np.abs(coef @ basis[:12] - real[0])) <= 1e-13 * np.max(np.abs(real[0]))
@@ -630,7 +690,7 @@ def test_chunk_drives_match_direct_tone_sum(monkeypatch):
     nu = omega[:, None, None] - eps[:, None] + eps
     length = np.diff(times)[0] / counts[0]
     assert np.all(np.abs(np.diff(times) / counts - length) <= 1e-15)
-    basis = _basis(length, nu, coupling)
+    [basis] = _basis([length], nu, coupling)
     segment = np.repeat(np.arange(len(counts)), counts)
     start = np.concatenate([np.arange(c) * (np.diff(times)[j] / c) for j, c in enumerate(counts)])
     for index in picked:

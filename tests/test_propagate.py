@@ -16,7 +16,7 @@ from ghzforge.algebra import (
     w_state,
     wprime_state,
 )
-from ghzforge.fullmodel import _CHUNK, _real_form, _step_leaves, _step_product
+from ghzforge.fullmodel import _CHUNK, _real_form, _series_exp, _step_product
 from ghzforge.propagate import (
     CERTIFY_TOL,
     AmplitudeTooSmall,
@@ -393,13 +393,14 @@ def test_step_product_reuses_workspace_exactly(build):
 def _two_stack_product(exponents, phases):
     """The product tree as two stacks: leaves of n steps and up of ceil(n / 2).
 
-    _step_leaves builds the steps; the levels then alternate between
-    leaves and up, an odd last step copied up.  The one-stack kernel
-    must take the same products in the same order.
+    The leaves are the steps G_k exp(Y_k); the levels then alternate
+    between leaves and up, an odd last step copied up.  The one-stack
+    kernel must take the same products in the same order.
     """
     n = len(exponents)
     leaves, up = exponents.copy(), np.empty(((n + 1) // 2, 8, 8))
-    _step_leaves(leaves, phases)
+    _series_exp(leaves)
+    leaves.view(complex)[...] *= phases[:, None, :]
     level = leaves
     while n > 1:
         half = n // 2
