@@ -72,7 +72,7 @@ def main(argv=None):
         "--steps-per-cycle",
         type=int,
         default=DEFAULT_STEPS_PER_CYCLE,
-        help="full-model accuracy S: each knot segment takes ceil(length S^(2/3) max(stark, peak))"
+        help="full-model accuracy S: each linear piece takes ceil(length S^(2/3) max(stark, 24 peak))"
         " steps, and the state errs by at most the midpoint rule's 0.026/S^2 (default: %(default)s)",
     )
     parser.add_argument(

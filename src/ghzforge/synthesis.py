@@ -348,7 +348,9 @@ class PulseSchedule:
     The amplitudes are linear between samples, which is exact for the
     trapezoid family on grids aligned with its corners.  values_at
     evaluates them at arbitrary times; the ladder and the full model
-    both step through each segment's linear form, from the samples.
+    both step through each segment's linear form, from the samples, and
+    the reduction check first merges the collinear ones
+    (fullmodel.compare_factors).
     """
 
     times: np.ndarray

@@ -428,13 +428,14 @@ def test_validate_full_refuses_every_factor_before_integrating_any(
 
 def test_validate_full_runs_a_factor_past_the_midpoint_cap(tmp_path, capsys):
     # midpoint steps grew as the factor squared and refused factor 100
-    # (7.06e6 steps); K-frame steps grow as the factor, 3,996 here
+    # (7.06e6 steps); K-frame steps grow as the factor, 3,193 here on the
+    # schedule's one linear piece (3,996 on its 1,000 samples)
     schedule, out = tmp_path / "s.csv", tmp_path / "v.json"
     assert main(["synthesize", "--duration", "1", "--out", str(schedule)]) == 0
     argv = ["validate-full", "--schedule", str(schedule), "--compare-factor", "100", "--out", str(out)]
     assert main(argv) == 0
     comparison = json.loads(out.read_text())["comparison"]
-    assert comparison["steps"] == 3996 and comparison["hierarchy_ok"] is True
+    assert comparison["steps"] == 3193 and comparison["hierarchy_ok"] is True
     assert 0.0 < comparison["effective_vs_full_infidelity"] < 1e-3
 
 

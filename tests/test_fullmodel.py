@@ -17,11 +17,13 @@ from ghzforge.fullmodel import (
     _PAIRS,
     _PAIRS4,
     _SHARED,
+    _SLOW,
     _basis,
     _groups,
     _dressed_block,
     _integrate_full,
     _jacobi,
+    _linear_pieces,
     _real_form,
     _series_exp,
     _step_grid,
@@ -299,11 +301,13 @@ def test_compare_factors_propagates_once(monkeypatch):
     reports, _ = compare_factors(schedule, (3.0, 4.0), steps_per_cycle=2, min_factor=3.0)
     assert len(calls) == 1 and len(reports) == 2
 
-    # the shared effective run scores each factor as a run of its own does
+    # the shared effective run scores each factor as a run of its own on
+    # the schedule's linear pieces does
     monkeypatch.setattr(fullmodel_module, "propagate", original)
-    effective = propagate(schedule).states[-1]
+    pieces = _linear_pieces(schedule)
+    effective = propagate(pieces).states[-1]
     single = [
-        dataclasses.asdict(validate_reduction(params_for_factor(schedule, f, 2), effective, 3.0))
+        dataclasses.asdict(validate_reduction(params_for_factor(pieces, f, 2), effective, 3.0))
         for f in (3.0, 4.0)
     ]
     assert [dataclasses.asdict(r) for r in reports] == single
@@ -443,9 +447,9 @@ def test_jacobi_leaves_a_diagonal_matrix_as_it_is():
 )
 def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, factor, spc):
     # any schedule at any factor: each segment takes equal steps, at least
-    # one, of at most 1 / (spc^(2/3) max(stark_amp, peak)) where they are
-    # second order and 1 / (6.5 spc max(stark_amp, peak)) where first, and
-    # not one more than that needs
+    # one, of at most 1 / (spc^(2/3) max(stark_amp, _SLOW peak)) where they
+    # are second order and 1 / (6.5 spc max(stark_amp, peak)) where first,
+    # and not one more than that needs
     knots = np.concatenate([[0.0], np.cumsum(gaps)])
     values = np.array(
         data.draw(st.lists(
@@ -456,7 +460,8 @@ def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, fac
     assume(np.max(np.abs(values)) > 0.0)
     params = params_for_factor(PulseSchedule(times=knots, values=values), factor, spc)
     counts, second = _step_grid(params)
-    rate = np.where(second, spc ** (2.0 / 3.0), 6.5 * spc) * max(params.stark_amp, np.max(np.abs(values)))
+    peak = np.max(np.abs(values))
+    rate = np.where(second, spc ** (2.0 / 3.0) * max(params.stark_amp, _SLOW * peak), 6.5 * spc * max(params.stark_amp, peak))
     assert counts.dtype == np.int64 and len(counts) == len(gaps) and np.all(counts >= 1)
     assert second.dtype == bool and len(second) == len(gaps)
     steps = np.diff(knots) / counts
@@ -468,18 +473,19 @@ def test_step_grid_keeps_every_step_within_a_segment_at_the_rate(gaps, data, fac
 def test_step_grid_takes_second_order_steps_where_enough_share_a_length(factor):
     # the equal segments of _uneven_schedule share their step length, the
     # uneven ones do not; on equal segments of one second-order step each
-    # (factor 0.3 at 4 steps per cycle), _SHARED segments are enough and
-    # one fewer is not
+    # (amplitude 0.3 at factor 10 and 4 steps per cycle, where first-order
+    # steps take 3), _SHARED segments are enough and one fewer is not
     schedule = _uneven_schedule()
     params = params_for_factor(schedule, factor)
-    scale = max(params.stark_amp, np.max(np.abs(schedule.values)))
+    peak = np.max(np.abs(schedule.values))
     counts, second = _step_grid(params)
     lengths = np.diff(schedule.times)
     assert np.array_equal(second, np.arange(100) < 40)
-    assert np.array_equal(counts[:40], np.ceil(lengths[:40] * 50 ** (2.0 / 3.0) * scale))
-    assert np.array_equal(counts[40:], np.ceil(lengths[40:] * 6.5 * 50 * scale))
+    assert np.array_equal(counts[:40], np.ceil(lengths[:40] * 50 ** (2.0 / 3.0) * max(params.stark_amp, _SLOW * peak)))
+    assert np.array_equal(counts[40:], np.ceil(lengths[40:] * 6.5 * 50 * max(params.stark_amp, peak)))
     for rows in (_SHARED + 1, _SHARED):
-        counts, second = _step_grid(params_for_factor(row1_schedule(samples=rows), 0.3, 4))
+        equal = PulseSchedule(times=np.linspace(0.0, 1.0, rows), values=np.full((rows, 3), 0.3))
+        counts, second = _step_grid(params_for_factor(equal, 10.0, 4))
         assert np.all(second == (rows > _SHARED)) and np.all((counts == 1) == second)
 
 
@@ -542,6 +548,117 @@ def test_basis_of_mixed_orders_holds_each_orders_rows_alone():
         assert np.array_equal(basis, next(alone[up]))
 
 
+@pytest.mark.parametrize("chunk", [_CHUNK, 99])
+def test_alternating_step_lengths_build_each_basis_once_a_chunk(chunk, monkeypatch):
+    # 200 segments whose gaps alternate 1 : 1.5, at factor 10 and 4 steps
+    # per cycle: 300 second-order steps, one and two a segment, whose
+    # lengths alternate run by run.  Each chunk builds its two lengths
+    # once, not one per run (40 lengths in 2 calls, 15 ms against 2 ms at
+    # factor 30), and the steps match the per-step reference
+    import ghzforge.fullmodel as fullmodel_module
+
+    gaps = np.tile([1.0, 1.5], 100)
+    knots = np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
+    trapezoid = rabi_schedule(SphericalCurve(ROW1, "trapezoid", 1.0), 1000)
+    params = params_for_factor(PulseSchedule(times=knots, values=trapezoid.values_at(knots)), 10.0, 4)
+    counts, second = _step_grid(params)
+    assert np.all(second) and counts.tolist() == [1, 2] * 100
+    ell = np.diff(knots) / counts
+    assert np.allclose(ell, np.tile([1.0, 0.75], 100) / 250.0, rtol=1e-12, atol=0.0)
+    built = []
+    original = fullmodel_module._basis
+
+    def record(ell, *args):
+        built.append(list(ell))
+        return original(ell, *args)
+
+    monkeypatch.setattr(fullmodel_module, "_CHUNK", chunk)
+    monkeypatch.setattr(fullmodel_module, "_basis", record)
+    psi, steps, _ = _integrate_full(params)
+    assert steps == 300
+    assert all(len(set(ell)) == len(ell) for ell in built)
+    assert sum(map(len, built)) <= 2 * -(-steps // chunk)
+    assert np.max(np.abs(psi - oracles.kframe_reference(params, counts))) <= 1e-12
+
+
+@given(
+    st.lists(st.floats(0.02, 0.98), max_size=5, unique=True),
+    st.lists(st.floats(0.0, 1.0), max_size=60),
+    st.data(),
+)
+def test_linear_pieces_keep_every_bend_and_match_every_knot(bends, grid, data):
+    # a piecewise-linear schedule on random nodes, sampled on a random
+    # grid that holds them, gaps at least 1e-3: the pieces keep both ends
+    # and every bend, no other knot, and their interpolant matches every
+    # sample within 64 ulps of the peak amplitude
+    nodes = np.unique(np.concatenate([[0.0, 1.0], bends]))
+    assume(np.all(np.diff(nodes) >= 1e-2))
+    values = np.array(data.draw(st.lists(
+        st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3), min_size=len(nodes), max_size=len(nodes),
+    )))
+    peak = np.max(np.abs(values))
+    assume(peak > 0.0)
+    line = values[:-2] + ((nodes[1:-1] - nodes[:-2]) / (nodes[2:] - nodes[:-2]))[:, None] * (values[2:] - values[:-2])
+    assume(np.all(np.max(np.abs(line - values[1:-1]), axis=1) >= 1e-3 * peak))
+    times = nodes
+    for t in grid:
+        if np.min(np.abs(times - t)) >= 1e-3:
+            times = np.sort(np.append(times, t))
+    schedule = PulseSchedule(times=times, values=PulseSchedule(times=nodes, values=values).values_at(times))
+    pieces = _linear_pieces(schedule)
+    assert np.array_equal(pieces.times, nodes)
+    assert np.array_equal(pieces.values, schedule.values[np.searchsorted(times, nodes)])
+    miss = np.max(np.abs(pieces.values_at(times) - schedule.values))
+    assert miss <= 64.0 * np.finfo(float).eps * np.max(np.abs(schedule.values))
+
+
+def test_linear_pieces_check_the_kept_chord_not_the_neighbours():
+    # each knot lies within an ulp of the line through its neighbours,
+    # but the chain bows up to 320 ulps off the chord of its ends, so the
+    # pieces must bend
+    times = np.linspace(0.0, 1.0, 41)
+    ulp = np.finfo(float).eps
+    drift = 16.0 * ulp * (np.arange(41.0) * (40.0 - np.arange(41.0))) / 20.0
+    values = np.stack([1.0 + drift, np.full(41, 0.5), np.zeros(41)], axis=1)
+    schedule = PulseSchedule(times=times, values=values)
+    pieces = _linear_pieces(schedule)
+    assert 2 < len(pieces.times) < 41
+    assert np.max(np.abs(pieces.values_at(times) - values)) <= 64.0 * ulp * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("profile, samples, intervals", [
+    ("constant", 1000, [999]),
+    ("constant", 971, [970]),
+    ("trapezoid", 1000, [333, 333, 333]),
+    ("trapezoid", 972, [323, 1, 323, 1, 323]),
+])
+def test_linear_pieces_of_the_synthesized_profiles(profile, samples, intervals):
+    # the constant profile is one piece; the trapezoid bends at its
+    # corners, and where a corner falls between samples the segment
+    # around it is a piece of its own.  The effective model on the
+    # pieces ends where it does on the samples
+    schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), samples)
+    pieces = _linear_pieces(schedule)
+    assert np.diff(np.searchsorted(schedule.times, pieces.times)).tolist() == intervals
+    on_samples = propagate(schedule, target="ghz").states[-1]
+    assert np.max(np.abs(propagate(pieces, target="ghz").states[-1] - on_samples)) <= 1e-15
+
+
+def test_schedule_without_collinear_knots_keeps_its_knots_and_reports():
+    # a sine on 1,000 rows bends at every knot: compare_factors integrates
+    # the samples themselves, one step per segment at the validate
+    # workload's settings, as validate_reduction does on them
+    times = np.linspace(0.0, 1.0, 1000)
+    values = 3.0 * np.sin(2.0 * np.pi * 1.3 * times[:, None] + np.array([0.4, 1.4, 2.4]))
+    schedule = PulseSchedule(times=times, values=values)
+    assert _linear_pieces(schedule) is schedule
+    reports, _ = compare_factors(schedule, (10.0, 20.0), 14)
+    effective = propagate(schedule, target="ghz").states[-1]
+    single = [validate_reduction(params_for_factor(schedule, f, 14), effective) for f in (10.0, 20.0)]
+    assert [dataclasses.asdict(r) for r in reports] == [dataclasses.asdict(r) for r in single]
+    assert [r.steps for r in reports] == [999, 999]
+
+
 def test_uneven_knots_take_first_order_steps_without_second_order_rows(monkeypatch):
     # 1,000 rows of uneven knots at the validate workload's settings: no
     # step length is shared, so no second-order row is built (each costs
@@ -563,15 +680,16 @@ def test_uneven_knots_take_first_order_steps_without_second_order_rows(monkeypat
 
 
 def test_refined_steps_match_reference():
-    # factor 0.3 at 50 steps per cycle, on 4 segments of 8 second-order
-    # steps: the peak amplitude, not the smaller stark_amp, sets the rate,
-    # and the steps still match the per-step reference
+    # factor 0.3 at 50 steps per cycle, on 4 segments of 192 second-order
+    # steps: _SLOW times the peak amplitude, not the smaller stark_amp, sets
+    # the rate, and the steps still match the per-step reference
     schedule = row1_schedule(samples=5)
     params = params_for_factor(schedule, 0.3, 50)
     peak = np.max(np.abs(schedule.values))
     assert params.stark_amp < peak
     counts, second = _step_grid(params)
-    assert np.all(second) and np.array_equal(counts, np.ceil(np.diff(schedule.times) * 50 ** (2.0 / 3.0) * peak))
+    rate = 50 ** (2.0 / 3.0) * _SLOW * peak
+    assert np.all(second) and np.array_equal(counts, np.ceil(np.diff(schedule.times) * rate))
     psi, steps, _ = _integrate_full(params)
     assert steps == np.sum(counts) > len(counts)
     assert np.max(np.abs(psi - oracles.kframe_reference(params, counts))) <= 1e-12
@@ -634,25 +752,32 @@ def test_state_error_stays_within_the_midpoint_rule(profile, monkeypatch):
 
 @pytest.mark.parametrize("profile", ["constant", "trapezoid"])
 def test_reported_infidelity_at_the_validate_settings_is_converged(profile):
-    # the validate workload's job: factors 10 and 20 at 14 steps per cycle
-    # on 1,000 rows, against a run at 800; it erred by -7.6e-6 and -8.2e-6
-    # (constant) with first-order steps, and by 6e-9 to 5e-8 here
-    schedule = rabi_schedule(SphericalCurve(ROW1, profile, 1.0), 1000)
-    effective = propagate(schedule, target="ghz").states[-1]
-    for factor in (10.0, 20.0):
-        reports = [
-            validate_reduction(params_for_factor(schedule, factor, spc), effective) for spc in (14, 800)
-        ]
-        assert reports[0].steps == 999
-        assert abs(reports[0].effective_vs_full_infidelity - reports[1].effective_vs_full_infidelity) <= 1e-6
+    # the validate workload's job, through the path validate-full takes: on
+    # 1,000 rows at 14 steps per cycle, on the schedule's linear pieces,
+    # against a run at 800 on the samples; factors 3 to 20 take 328
+    # (constant) or 492 (trapezoid) steps, where the samples took 999, and
+    # the report erred by at most 7.4e-7 at factors 3 to 100 (factor 15,
+    # constant, endpoint (-1, 1, 1)); at 20 times the peak it erred by 1.1e-6
+    factors = (3.0, 7.0, 12.0, 15.0, 20.0)
+    for endpoint in ((1, -1, 1), (-1, 1, 1)):
+        schedule = rabi_schedule(SphericalCurve(solve_endpoints(endpoint), profile, 1.0), 1000)
+        effective = propagate(schedule, target="ghz").states[-1]
+        reports, _ = compare_factors(schedule, factors, 14, force=True)
+        for factor, report in zip(factors, reports):
+            converged = validate_reduction(params_for_factor(schedule, factor, 800), effective)
+            assert report.steps == {"constant": 328, "trapezoid": 492}[profile]
+            assert abs(report.effective_vs_full_infidelity - converged.effective_vs_full_infidelity) <= 1e-6
 
 
 def test_step_count_grows_as_the_factor():
-    # the stiff scale grows as the factor squared, the steps as the factor,
-    # on 4 segments, so that the knots set the count at neither factor
+    # the stiff scale grows as the factor squared, the steps as the factor
+    # from _SLOW on, on 4 segments, so that the knots set the count at
+    # neither factor; below _SLOW the slow tones set the rate, so factor
+    # 10 takes the steps of factor _SLOW
     schedule = row1_schedule(samples=5)
-    at10, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))[0]) for f in (10.0, 100.0))
-    assert 9.0 * at10 <= at100 <= 11.0 * at10
+    at10, floor, at100 = (np.sum(_step_grid(params_for_factor(schedule, f))[0]) for f in (10.0, _SLOW, 100.0))
+    assert at10 == floor
+    assert 0.9 * 100.0 / _SLOW * at10 <= at100 <= 1.1 * 100.0 / _SLOW * at10
 
 
 def test_chunk_drives_match_direct_tone_sum(monkeypatch):
